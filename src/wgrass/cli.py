@@ -39,6 +39,8 @@ def _parse_vector(text: str, k: int, n: int) -> tuple:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParameterError(f"weight vector is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ParameterError(f"weight vector entry is too long: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
         raise ParameterError("weight vector must be a JSON array of integers")
     return tuple(plucker._check_weight_vector_shape(data, k, n))
@@ -62,7 +64,8 @@ def _ring_cell(task):
 
 
 def _map_tasks(tasks, jobs: int):
-    if jobs <= 1 or len(tasks) <= 1:
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
+    if jobs <= 1:
         return [_ring_cell(t) for t in tasks]
     try:
         import multiprocessing
@@ -332,15 +335,17 @@ def main(argv=None) -> int:
     try:
         code, payload = args.handler(args)
     except CapacityError as exc:
-        _emit({"error": str(exc), "kind": "capacity"}, args.output)
-        return EXIT_CAPACITY
+        code, payload = EXIT_CAPACITY, {"error": str(exc), "kind": "capacity"}
     except (ParameterError, InvalidWeightVectorError, NotDivisiveError) as exc:
-        _emit({"error": str(exc), "kind": "invalid-input"}, args.output)
-        return EXIT_INVALID
+        code, payload = EXIT_INVALID, {"error": str(exc), "kind": "invalid-input"}
     except InternalInconsistencyError as exc:
-        _emit({"error": str(exc), "kind": "internal"}, args.output)
-        return 1
-    _emit(payload, args.output)
+        code, payload = 1, {"error": str(exc), "kind": "internal"}
+    try:
+        _emit(payload, args.output)
+    except OSError as exc:
+        _emit({"error": f"cannot write --output: {exc}", "kind": "invalid-input"},
+              None)
+        return EXIT_INVALID
     return code
 
 

@@ -189,7 +189,7 @@ def _check_weight_vector_shape(b, k: int, n: int) -> list:
     if len(vec) != m1:
         raise ParameterError(f"weight vector must have length {m1}")
     for x in vec:
-        if not isinstance(x, int) or x < 1:
+        if not isinstance(x, int) or isinstance(x, bool) or x < 1:
             raise ParameterError("weights must be integers >= 1")
     return vec
 

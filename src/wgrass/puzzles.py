@@ -29,6 +29,15 @@ directions to south-edge columns c = j (southwest) and a = j + n - r
 (southeast); its weight factor is y_a - y_c, a > c.  The conjugated
 weight replaces y_a - y_c by y_{n+1-a} - y_{n+1-c}.
 
+Search.  The cells are filled in row-major order: U(r, 1), D(r, 1),
+U(r, 2), ..., row by row.  The piece catalogue of size n is built once,
+on the first enumeration of that size, and cached per n: every edge gets
+an integer id, every cell position the tuple of pieces anchored there
+(edge-id/label pairs, covered cell positions, (kind, r, j) anchor), and
+the boundary words map to fixed edge ids.  The depth-first search keeps
+the edge labels in a flat list (-1 = unlabelled) and undoes each
+placement on backtrack.
+
 Tables.  ``kt_constants`` sums plain weights over Delta_{w_i, w_j}^{w_l}
 boundaries in the raw orientation; ``conjugated_constants`` sums
 conjugated weights over boundaries of the entry-reversed words, which is
@@ -39,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import symbols
 from .errors import CapacityError, ParameterError
@@ -88,8 +98,9 @@ def _check_word(w: str, n: int) -> None:
         raise ParameterError(f"boundary word must be 0/1 of length {n}: {w!r}")
 
 
-# Piece catalogue.  Each entry lists (edge assignments, covered cells).
-# Edges are (kind, r, j) -> label; cells are ("U"|"D", r, j).
+# Piece geometry.  Each entry lists (kind, edge assignments, covered
+# cells); edges are (kind, r, j) -> label and cells are ("U"|"D", r, j).
+# These describe the pieces; the search reads them through ``_catalogue``.
 
 
 def _up_pieces(r: int, j: int, n: int) -> list:
@@ -129,6 +140,51 @@ def _down_pieces(r: int, j: int) -> list:
     return pieces
 
 
+class _Catalogue(NamedTuple):
+    """Every piece of size n, with edges and cells as integer ids.
+
+    ``cells[pos]`` holds the pieces anchored at the pos-th cell of the
+    row-major fill order, as (((edge, label), ...), covered positions,
+    (kind, r, j) anchor) in the order the search tries them.
+    ``boundary`` holds the edge ids of the nw, ne and south words.
+    """
+
+    edge_count: int
+    boundary: tuple
+    cells: tuple
+
+
+@lru_cache(maxsize=None)
+def _catalogue(n: int) -> _Catalogue:
+    cells = []
+    for r in range(1, n + 1):
+        for j in range(1, r + 1):
+            cells.append(("U", r, j))
+            if j < r:
+                cells.append(("D", r, j))
+    order = {cell: pos for pos, cell in enumerate(cells)}
+    edge_ids: dict = {}
+
+    def eid(edge) -> int:
+        return edge_ids.setdefault(edge, len(edge_ids))
+
+    boundary = (
+        tuple(eid(("A", n + 1 - p, 1)) for p in range(1, n + 1)),
+        tuple(eid(("B", p, p)) for p in range(1, n + 1)),
+        tuple(eid(("H", n, p)) for p in range(1, n + 1)),
+    )
+    table = []
+    for side, r, j in cells:
+        shapes = _up_pieces(r, j, n) if side == "U" else _down_pieces(r, j)
+        table.append(tuple(
+            (tuple((eid(edge), label) for edge, label in assign.items()),
+             tuple(order[c] for c in covers),
+             (kind, r, j))
+            for kind, assign, covers in shapes
+        ))
+    return _Catalogue(len(edge_ids), boundary, tuple(table))
+
+
 def enumerate_puzzles(nw: str, ne: str, south: str) -> list:
     """All tilings with the given boundary, in row-major fill order."""
     n = len(nw)
@@ -140,41 +196,21 @@ def enumerate_puzzles(nw: str, ne: str, south: str) -> list:
 @lru_cache(maxsize=None)
 def _enumerate_cached(nw: str, ne: str, south: str) -> tuple:
     n = len(nw)
-    edges: dict = {}
-    for p in range(1, n + 1):
-        edges[("A", n + 1 - p, 1)] = int(nw[p - 1])
-        edges[("B", p, p)] = int(ne[p - 1])
-        edges[("H", n, p)] = int(south[p - 1])
-
-    cells = []
-    for r in range(1, n + 1):
-        for j in range(1, r + 1):
-            cells.append(("U", r, j))
-            if j < r:
-                cells.append(("D", r, j))
-    order = {cell: i for i, cell in enumerate(cells)}
-
-    covered = [False] * len(cells)
+    catalogue = _catalogue(n)
+    cells = catalogue.cells
+    size = len(cells)
+    labels = [-1] * catalogue.edge_count  # -1: not yet labelled
+    for ids, word in zip(catalogue.boundary, (nw, ne, south)):
+        for edge, letter in zip(ids, word):
+            labels[edge] = int(letter)
+    covered = [False] * size
     placements: list = []
     results: list = []
 
-    def try_place(assign: dict):
-        added = []
-        for edge, label in assign.items():
-            known = edges.get(edge)
-            if known is None:
-                edges[edge] = label
-                added.append(edge)
-            elif known != label:
-                for e in added:
-                    del edges[e]
-                return None
-        return added
-
-    def dfs(pos: int):
-        while pos < len(cells) and covered[pos]:
+    def dfs(pos: int) -> None:
+        while pos < size and covered[pos]:
             pos += 1
-        if pos == len(cells):
+        if pos == size:
             equiv = tuple(
                 sorted((j + n - r, j) for kind, r, j in placements
                        if kind == "rhE")
@@ -183,27 +219,28 @@ def _enumerate_cached(nw: str, ne: str, south: str) -> tuple:
                 Puzzle(n, (nw, ne, south), tuple(placements), equiv)
             )
             return
-        kind_cell = cells[pos]
-        _, r, j = kind_cell
-        catalogue = (
-            _up_pieces(r, j, n) if kind_cell[0] == "U" else _down_pieces(r, j)
-        )
-        for kind, assign, covers in catalogue:
-            spots = [order[c] for c in covers]
-            if any(covered[s] for s in spots):
+        for assign, spots, anchor in cells[pos]:
+            # spots[0] is pos, uncovered; a rhombus's second cell is last
+            if covered[spots[-1]]:
                 continue
-            added = try_place(assign)
-            if added is None:
-                continue
-            for s in spots:
-                covered[s] = True
-            placements.append((kind, r, j))
-            dfs(pos)
-            placements.pop()
-            for s in spots:
-                covered[s] = False
-            for e in added:
-                del edges[e]
+            added = []
+            for edge, label in assign:
+                known = labels[edge]
+                if known < 0:
+                    labels[edge] = label
+                    added.append(edge)
+                elif known != label:
+                    break
+            else:
+                for s in spots:
+                    covered[s] = True
+                placements.append(anchor)
+                dfs(pos + 1)
+                placements.pop()
+                for s in spots:
+                    covered[s] = False
+            for edge in added:
+                labels[edge] = -1
 
     dfs(0)
     return tuple(results)

@@ -145,6 +145,12 @@ def test_invalid_input_exit_codes():
     assert code == 2
     code, _ = run_cli("solve-wa", "[1,1,1,1,1,2]", "--k", "2", "--n", "4")
     assert code == 2
+    # JSON booleans are not integers; a weight past Python's int-string
+    # digit limit must not escape as a traceback
+    for vector in ("[true,true,true,true,true,true]",
+                   "[" + "9" * 5000 + ",1,1,1,1,1]"):
+        code, out = run_cli("validate", vector, "--k", "2", "--n", "4")
+        assert code == 2 and json.loads(out)["kind"] == "invalid-input"
 
 
 def test_capacity_exit_code():
@@ -159,6 +165,50 @@ def test_output_file(tmp_path):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text()) == [1, 1, 2, 1, 1]
+    missing = tmp_path / "missing" / "out.json"
+    code, out = run_cli(
+        "--output", str(missing), "poincare", "--k", "2", "--n", "4"
+    )
+    assert code == 2 and json.loads(out)["kind"] == "invalid-input"
+    assert not missing.parent.exists()
+
+
+def test_ring_worker_count_is_clamped(monkeypatch):
+    import multiprocessing
+
+    from wgrass import cli
+
+    requested = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            requested.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    class RecordingContext:
+        Pool = RecordingPool
+
+    monkeypatch.setattr(
+        multiprocessing, "get_context", lambda method: RecordingContext()
+    )
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    tasks = [((1,) * 6, 2, 4, i, i, "ordinary") for i in range(6)]
+    serial = cli._map_tasks(tasks, 1)
+    assert requested == []
+    assert cli._map_tasks(tasks[:3], 1000) == serial[:3]  # clamped to tasks
+    assert cli._map_tasks(tasks, 1000) == serial  # clamped to cores
+    assert cli._map_tasks(tasks[:1], 1000) == serial[:1]  # one task: no pool
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._map_tasks(tasks, 1000) == serial  # unknown core count: serial
+    assert requested == [3, 4]
 
 
 def test_byte_determinism():

@@ -1,5 +1,7 @@
 """Puzzle enumeration and weight tables."""
 
+import hashlib
+
 import pytest
 
 from wgrass import puzzles, symbols
@@ -103,6 +105,33 @@ def test_enumeration_deterministic():
     first = puzzles.puzzles_for(2, 4, 3, 3, 3, conjugated=True)
     second = puzzles.puzzles_for(2, 4, 3, 3, 3, conjugated=True)
     assert [p.pieces for p in first] == [p.pieces for p in second]
+
+
+def _enumeration_digest(sizes, conjugated, upper_only):
+    digest = hashlib.sha256()
+    for k, n in sizes:
+        lat = symbols.lattice(k, n)
+        for i in range(lat.m + 1):
+            for j in range(lat.m + 1):
+                ls = lat.upper_set(i, j) if upper_only else range(lat.m + 1)
+                for l in ls:
+                    for puz in puzzles.puzzles_for(k, n, i, j, l, conjugated):
+                        record = (puz.boundary, puz.pieces, puz.equivariant)
+                        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_enumeration_pinned():
+    # Every puzzle, its pieces in fill order and its equivariant pairs, in
+    # enumeration order: a faster search must reproduce all of it exactly.
+    # Conjugated at every upper-set triple of (3,5) and (2,6); raw at
+    # every triple of (2,4).
+    assert _enumeration_digest([(3, 5), (2, 6)], True, True) == (
+        "4e58f3cb5ced0fb706dc0956aa11ff064a1fba094825efa792ca074697511804"
+    )
+    assert _enumeration_digest([(2, 4)], False, False) == (
+        "278d89f1566252c19571a369fceeb622162696c4291d2af95b4c946296422a53"
+    )
 
 
 def test_table_capacity_guard():
