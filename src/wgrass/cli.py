@@ -171,11 +171,12 @@ def _cmd_ring(args) -> tuple:
         for j in range(i, m1)
     ]
     cells = {(i, j): cell for i, j, cell in _map_tasks(tasks, args.jobs)}
-    table = {}
-    for i in range(m1):
-        for j in range(m1):
-            cell = cells[(i, j) if i <= j else (j, i)]
-            table[f"{i},{j}"] = cell
+    table = {
+        f"{i},{j}": cell
+        for (i, j), cell in symbols.symmetric_table(
+            m1, lambda i, j: cells[(i, j)]
+        ).items()
+    }
     payload = {
         "k": args.k,
         "n": args.n,

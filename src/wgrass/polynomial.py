@@ -1,11 +1,20 @@
 """
-Exact sparse multivariate polynomials over arbitrary-precision rationals.
+Exact sparse multivariate polynomials over the rationals.
 
 A polynomial in n variables is a map from exponent tuples (length n) to
-nonzero ``Fraction`` coefficients.  All arithmetic is exact; floats are
-rejected.  The canonical monomial order is graded lexicographic (higher
-total degree first, ties broken by the exponent tuple with y1 heaviest),
-which fixes the text rendering and the leading term used by division.
+nonzero coefficients.  A coefficient is stored as an ``int`` when it is
+integral and as a ``Fraction`` only otherwise, so a ``Fraction`` with
+denominator 1 never appears; ``bool`` values become ``int`` and floats
+are rejected, so no float can enter or leave the arithmetic.  The
+canonical monomial order is graded lexicographic (higher total degree
+first, ties broken by the exponent tuple with y1 heaviest), which fixes
+the text rendering and the leading term used by division.
+
+Multiplication, exact division and linear substitution clear
+denominators first: they run on integer coefficients and divide once
+at the end, because ``int`` arithmetic is several times cheaper than
+``Fraction`` arithmetic.  Inside them a monomial is packed into one
+int (``_packer``), so that multiplying monomials is an int addition.
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
 name list, so the same class also serves rewritten bases such as
@@ -16,22 +25,145 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
+from operator import ge
 
 from .errors import ParameterError
 
-Q = Fraction
 
-
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _coerce(c):
+    """The canonical exact coefficient: ``int`` if integral, else ``Fraction``."""
+    if c.__class__ is int:
         return c
-    if isinstance(c, int):
-        return Fraction(c)
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
     raise ParameterError(f"coefficients must be exact rationals, got {type(c)}")
 
 
 def _grlex_key(expo: tuple) -> tuple:
     return (sum(expo), expo)
+
+
+def _cleared(terms: dict) -> tuple:
+    """(integer terms, d) with terms == integer terms / d, d >= 1 minimal."""
+    d = 1
+    for c in terms.values():
+        if c.__class__ is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return terms, 1
+    return {
+        e: c * d if c.__class__ is int else c.numerator * (d // c.denominator)
+        for e, c in terms.items()
+    }, d
+
+
+def _packer(nvars: int, top: int) -> tuple:
+    """(pack, unpack) between exponent tuples and ints, for degree <= top.
+
+    A monomial packs into one int whose fields, most significant first,
+    are its total degree and then its exponents, each in w bytes with
+    256**w > top.  Packed ints compare like ``_grlex_key`` and multiply
+    monomials by addition, as long as no degree exceeds top.
+    """
+    w = max(1, (top.bit_length() + 7) // 8)
+    size = (nvars + 1) * w
+    if w == 1:
+        def pack(e):
+            return int.from_bytes(bytes((sum(e), *e)), "big")
+
+        def unpack(k):
+            return tuple(k.to_bytes(size, "big")[1:])
+    else:
+        def pack(e):
+            return int.from_bytes(
+                b"".join(x.to_bytes(w, "big") for x in (sum(e), *e)), "big"
+            )
+
+        def unpack(k):
+            raw = k.to_bytes(size, "big")
+            return tuple(
+                int.from_bytes(raw[i:i + w], "big") for i in range(w, size, w)
+            )
+    return pack, unpack
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term maps, without the zero terms."""
+    if not (a and b):
+        return {}
+    pack, unpack = _packer(
+        len(next(iter(a))), max(map(sum, a)) + max(map(sum, b))
+    )
+    packed = [(pack(e), c) for e, c in b.items()]
+    terms: dict = {}
+    get = terms.get
+    for e1, c1 in a.items():
+        k1 = pack(e1)
+        for k2, c2 in packed:
+            k = k1 + k2
+            terms[k] = get(k, 0) + c1 * c2
+    return {unpack(k): c for k, c in terms.items() if c}
+
+
+def _accumulate(into: dict, terms) -> None:
+    """Add the (exponent, coefficient) pairs ``terms`` into ``into``."""
+    get = into.get
+    for e, c in terms:
+        into[e] = get(e, 0) + c
+
+
+def _horner(items: list, images: list, pos: int, kept: list, n: int) -> dict:
+    """Expand the (expo, c) ``items`` under the substitution ``images``.
+
+    ``images`` lists (variable, image terms) pairs; variables in
+    ``kept`` map to themselves in the n target variables.  Horner's rule
+    runs in the variable of images[pos] over the groups of items with
+    equal exponent there, each group expanded recursively in the later
+    images, so an image is multiplied in once per degree step instead of
+    once per term.
+    """
+    if pos == len(images):  # items differ only in their kept exponents
+        out = {}
+        for expo, c in items:
+            mono = [0] * n
+            for v in kept:
+                mono[v] = expo[v]
+            out[tuple(mono)] = c
+        return out
+    v, image = images[pos]
+    groups: dict = {}
+    for item in items:
+        groups.setdefault(item[0][v], []).append(item)
+    acc: dict = {}
+    for e in range(max(groups), -1, -1):
+        if acc:
+            acc = _mul_terms(acc, image)
+        group = groups.get(e)
+        if group:
+            _accumulate(acc, _horner(group, images, pos + 1, kept, n).items())
+    return acc
+
+
+def _build(nvars: int, terms: dict, d: int = 1) -> "Poly":
+    """The Poly with coefficients terms[e] / d; zero terms are dropped.
+
+    With d > 1 every value must be an int.
+    """
+    if d == 1:
+        clean = {e: _coerce(c) for e, c in terms.items() if c}
+    else:
+        clean = {}
+        for e, c in terms.items():
+            if c:
+                q, r = divmod(c, d)
+                clean[e] = Fraction(c, d) if r else q
+    out = Poly.__new__(Poly)
+    out.nvars = nvars
+    out.terms = clean
+    return out
 
 
 class Poly:
@@ -57,7 +189,7 @@ class Poly:
 
     @staticmethod
     def const(nvars: int, c) -> "Poly":
-        return Poly(nvars, {(0,) * nvars: _coerce(c)})
+        return Poly(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def one(nvars: int) -> "Poly":
@@ -70,7 +202,7 @@ class Poly:
             raise ParameterError(f"variable index {i} out of range 1..{nvars}")
         expo = [0] * nvars
         expo[i - 1] = 1
-        return Poly(nvars, {tuple(expo): Fraction(1)})
+        return Poly(nvars, {tuple(expo): 1})
 
     # -- basic queries -----------------------------------------------
 
@@ -87,21 +219,16 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def constant_value(self) -> Fraction:
-        """The value of a degree-<=0 polynomial."""
+    def constant_value(self):
+        """The value (int or Fraction) of a degree-<=0 polynomial."""
         if self.is_zero():
-            return Fraction(0)
+            return 0
         if self.degree() > 0:
             raise ParameterError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def leading(self) -> tuple:
-        """(exponent, coefficient) of the graded-lex leading term."""
-        expo = max(self.terms, key=_grlex_key)
-        return expo, self.terms[expo]
+        return all(c.__class__ is int for c in self.terms.values())
 
     def __bool__(self):
         return bool(self.terms)
@@ -131,12 +258,13 @@ class Poly:
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
+        get = terms.get
         for expo, c in other.terms.items():
-            s = terms.get(expo, Fraction(0)) + c
+            s = get(expo, 0) + c
             if s:
-                terms[expo] = s
+                terms[expo] = _coerce(s)
             else:
-                terms.pop(expo, None)
+                del terms[expo]
         out = Poly.__new__(Poly)
         out.nvars = self.nvars
         out.terms = terms
@@ -165,24 +293,14 @@ class Poly:
                 return Poly.zero(self.nvars)
             out = Poly.__new__(Poly)
             out.nvars = self.nvars
-            out.terms = {e: v * c for e, v in self.terms.items()}
+            out.terms = {e: _coerce(v * c) for e, v in self.terms.items()}
             return out
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(expo, Fraction(0)) + c1 * c2
-                if s:
-                    terms[expo] = s
-                else:
-                    terms.pop(expo, None)
-        out = Poly.__new__(Poly)
-        out.nvars = self.nvars
-        out.terms = terms
-        return out
+        a, da = _cleared(self.terms)
+        b, db = _cleared(other.terms)
+        return _build(self.nvars, _mul_terms(a, b), da * db)
 
     __rmul__ = __mul__
 
@@ -201,7 +319,14 @@ class Poly:
     # -- division, substitution, evaluation ---------------------------
 
     def divide_exact(self, divisor: "Poly"):
-        """Return q with self == divisor * q, or None when not divisible."""
+        """Return q with self == divisor * q, or None when not divisible.
+
+        Runs in integers: with self = A / da and divisor = g * P / db, P
+        primitive, Gauss's lemma puts A / P in Z[y] whenever it exists,
+        so a leading coefficient that P's does not divide proves
+        non-divisibility.  The remainder's terms sit in a heap ordered
+        by grlex, largest first.
+        """
         if not isinstance(divisor, Poly):
             raise ParameterError("divisor must be a Poly")
         self._check_compatible(divisor)
@@ -209,59 +334,107 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return Poly.zero(self.nvars)
-        dlead, dc = divisor.leading()
-        rem = dict(self.terms)
+        top = self.degree()
+        if divisor.degree() > top:
+            return None
+        from heapq import heapify, heappop, heappush
+
+        pack, unpack = _packer(self.nvars, top)
+        lifted, da = _cleared(self.terms)
+        rem = {pack(e): c for e, c in lifted.items()}
+        prim, db = _cleared(divisor.terms)
+        g = gcd(*prim.values())
+        lead = max(prim, key=_grlex_key)
+        dc = prim[lead] // g
+        klead = pack(lead)
+        rest = [(pack(e), c // g) for e, c in prim.items() if e != lead]
+        heap = [-k for k in rem]  # a max-heap of packed monomials
+        heapify(heap)
         quot: dict = {}
-        while rem:
-            expo = max(rem, key=_grlex_key)
-            diff = tuple(a - b for a, b in zip(expo, dlead))
-            if any(x < 0 for x in diff):
+        while heap:
+            k = -heappop(heap)
+            c = rem.pop(k, 0)
+            if not c:  # cancelled after it was queued
+                continue
+            if not all(map(ge, unpack(k), lead)):
                 return None
-            c = rem[expo] / dc
-            quot[diff] = quot.get(diff, Fraction(0)) + c
-            for de, dv in divisor.terms.items():
-                tgt = tuple(a + b for a, b in zip(diff, de))
-                s = rem.get(tgt, Fraction(0)) - c * dv
-                if s:
-                    rem[tgt] = s
+            q, r = divmod(c, dc)
+            if r:
+                return None
+            kq = k - klead
+            quot[kq] = q
+            for kd, dv in rest:
+                tgt = kq + kd
+                t = q * dv
+                old = rem.get(tgt)
+                if old is None:
+                    rem[tgt] = -t
+                    heappush(heap, -tgt)
+                elif old == t:
+                    del rem[tgt]
                 else:
-                    rem.pop(tgt, None)
-        return Poly(self.nvars, quot)
+                    rem[tgt] = old - t
+        num, den = db, da * g
+        h = gcd(num, den)
+        num, den = num // h, den // h
+        return _build(
+            self.nvars, {unpack(k): c * num for k, c in quot.items()}, den
+        )
 
     def substitute(self, images: dict) -> "Poly":
         """Simultaneously replace variables by polynomials.
 
         ``images`` maps 1-based variable indices to Poly values over the
         *target* variable space; unmapped variables map to themselves
-        (requires target nvars == source nvars for those).
+        (requires target nvars >= their index).
+
+        When every image has degree <= 1 the images are scaled by the
+        lcm D of their denominators and self by the lcm ``lift`` of its
+        own, so the expansion runs in integers: a term whose mapped
+        variables have total degree e is weighted by D**(deg - e), deg
+        the largest such e, and every output coefficient is divided
+        once by lift * D**deg.
         """
         if not images:
             return self
         target_n = next(iter(images.values())).nvars
-        full = {}
-        for i in range(1, self.nvars + 1):
-            img = images.get(i)
+        mapped = []  # (0-based variable, image)
+        kept = []  # 0-based variables that map to themselves
+        for v in range(self.nvars):
+            img = images.get(v + 1)
             if img is None:
-                img = Poly.variable(target_n, i)
+                if v >= target_n:
+                    raise ParameterError(
+                        f"variable index {v + 1} out of range 1..{target_n}"
+                    )
+                kept.append(v)
             elif img.nvars != target_n:
                 raise ParameterError("substitution images disagree on nvars")
-            full[i] = img
-        powers: dict = {i: [Poly.one(target_n), full[i]] for i in full}
-
-        def power(i: int, e: int) -> Poly:
-            lst = powers[i]
-            while len(lst) <= e:
-                lst.append(lst[-1] * lst[1])
-            return lst[e]
-
-        out = Poly.zero(target_n)
-        for expo, c in self.terms.items():
-            term = Poly.const(target_n, c)
-            for i, e in enumerate(expo, start=1):
-                if e:
-                    term = term * power(i, e)
-            out = out + term
-        return out
+            else:
+                mapped.append((v, img))
+        if not self.terms:
+            return Poly.zero(target_n)
+        if all(img.degree() <= 1 for _, img in mapped):
+            cleared = [(v, _cleared(img.terms)) for v, img in mapped]
+            scale = lcm(1, *(d for _, (_, d) in cleared))
+            bases = [
+                (v, {e: c * (scale // d) for e, c in t.items()})
+                for v, (t, d) in cleared
+            ]
+            lifted, lift = _cleared(self.terms)
+            weights = {e: sum(e[v] for v, _ in mapped) for e in lifted}
+            deg = max(weights.values())
+            terms = [
+                (e, c * scale ** (deg - weights[e])) for e, c in lifted.items()
+            ]
+            divisor = lift * scale**deg
+        else:
+            bases = [(v, img.terms) for v, img in mapped]
+            terms = list(self.terms.items())
+            divisor = 1
+        return _build(
+            target_n, _horner(terms, bases, 0, kept, target_n), divisor
+        )
 
     def permute_variables(self, images: dict) -> "Poly":
         """Relabel variables by the 1-based index map ``images``."""
@@ -270,7 +443,7 @@ class Poly:
             new = [0] * self.nvars
             for i, e in enumerate(expo, start=1):
                 new[images.get(i, i) - 1] += e
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
+            terms[tuple(new)] = terms.get(tuple(new), 0) + c
         return Poly(self.nvars, terms)
 
     def evaluate(self, point) -> Fraction:
@@ -351,7 +524,7 @@ class Poly:
                     raise ParameterError(f"unknown variable {name!r}")
                 expo[position[name]] += int(power) if power else 1
             key = tuple(expo)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
+            terms[key] = terms.get(key, 0) + coeff
         return Poly(nvars, terms)
 
 
@@ -362,7 +535,7 @@ def linear_form(nvars: int, support) -> Poly:
         expo = [0] * nvars
         expo[s - 1] = 1
         key = tuple(expo)
-        terms[key] = terms.get(key, Fraction(0)) + 1
+        terms[key] = terms.get(key, 0) + 1
     return Poly(nvars, terms)
 
 
@@ -374,15 +547,23 @@ def expand_linear_product(nvars: int, factors) -> list:
     gives [1].  alpha_s equals the sum over s-subsets S of
     prod_{i in S} b_i * prod_{i not in S} a_i.
     """
-    coeffs = [Poly.one(nvars)]
-    for a, b in factors:
-        b = _coerce(b)
-        nxt = [Poly.zero(nvars) for _ in range(len(coeffs) + 1)]
+    # Scaled by the lcm D of all denominators, each factor becomes
+    # (D*a_s + D*b_s*B) with integer coefficients; alpha_s is then the
+    # integer expansion divided by D**t.
+    factors = [(_cleared(a.terms), _coerce(b)) for a, b in factors]
+    scale = lcm(
+        1, *(d for (_, d), _ in factors), *(b.denominator for _, b in factors)
+    )
+    coeffs = [{(0,) * nvars: 1}]
+    for (a, d), b in factors:
+        a = {e: c * (scale // d) for e, c in a.items()}
+        b = b.numerator * (scale // b.denominator)
+        nxt = [{} for _ in range(len(coeffs) + 1)]
         for s, c in enumerate(coeffs):
-            nxt[s] = nxt[s] + a * c
-            nxt[s + 1] = nxt[s + 1] + c * b
+            _accumulate(nxt[s], _mul_terms(a, c).items())
+            _accumulate(nxt[s + 1], ((e, v * b) for e, v in c.items()))
         coeffs = nxt
-    return coeffs
+    return [_build(nvars, c, scale ** len(factors)) for c in coeffs]
 
 
 def expand_linear_product_subsets(nvars: int, factors) -> list:
@@ -408,16 +589,25 @@ def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:
     with p == result(g_i -> forms[i]).  Raises when the forms are not a
     basis of the linear span of the original variables.
     """
+    if len(forms) != p.nvars:
+        raise ParameterError("need exactly nvars linear forms")
+    return p.substitute(linear_basis_images(forms))
+
+
+def linear_basis_images(forms: list) -> dict:
+    """The substitution y_s -> (expression in g_1..g_n) inverting ``forms``.
+
+    ``rewrite_in_linear_basis`` applies it; callers that rewrite many
+    polynomials in one basis build it once.
+    """
     from .linalg import invert
 
-    n = p.nvars
-    if len(forms) != n:
-        raise ParameterError("need exactly nvars linear forms")
+    n = len(forms)
     mat = []
     for f in forms:
         if f.nvars != n or (not f.is_zero() and f.degree() != 1):
             raise ParameterError("basis entries must be linear forms")
-        row = [Fraction(0)] * n
+        row = [0] * n
         for expo, c in f.terms.items():
             row[expo.index(1)] = c
         mat.append(row)
@@ -425,7 +615,7 @@ def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:
     if inv is None:
         raise ParameterError("forms are not linearly independent")
     # y_s = sum_t inv[s][t] * g_t
-    images = {
+    return {
         s + 1: Poly(n, {
             tuple(1 if u == t else 0 for u in range(n)): inv[s][t]
             for t in range(n)
@@ -433,4 +623,3 @@ def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:
         })
         for s in range(n)
     }
-    return p.substitute(images)

@@ -49,7 +49,7 @@ together with Y_0, must use only the g's, with nonnegative coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import gkm, plucker, puzzles, symbols
@@ -57,8 +57,8 @@ from .errors import InternalInconsistencyError, NotDivisiveError, ParameterError
 from .polynomial import (
     Poly,
     expand_linear_product,
+    linear_basis_images,
     linear_form,
-    rewrite_in_linear_basis,
 )
 
 
@@ -199,15 +199,9 @@ class WeightedContext:
         return {l: p for l, p in sorted(out.items()) if not p.is_zero()}
 
     def equivariant_table(self) -> dict:
-        m1 = self.lattice.m + 1
-        table = {}
-        for i in range(m1):
-            for j in range(i, m1):
-                cell = self.equivariant_constants(i, j)
-                table[(i, j)] = cell
-                if i != j:
-                    table[(j, i)] = cell
-        return table
+        return symbols.symmetric_table(
+            self.lattice.m + 1, self.equivariant_constants
+        )
 
     def classical_constant(self, i: int, j: int, l: int) -> int:
         """Unweighted dimension-matching constant: the puzzle count."""
@@ -257,15 +251,9 @@ class WeightedContext:
         return out
 
     def ordinary_table(self) -> dict:
-        m1 = self.lattice.m + 1
-        table = {}
-        for i in range(m1):
-            for j in range(i, m1):
-                cell = self.ordinary_constants(i, j)
-                table[(i, j)] = cell
-                if i != j:
-                    table[(j, i)] = cell
-        return table
+        return symbols.symmetric_table(
+            self.lattice.m + 1, self.ordinary_constants
+        )
 
     # -- positivity -------------------------------------------------------
 
@@ -284,9 +272,16 @@ class WeightedContext:
         forms.append(y0)
         return forms
 
+    @cached_property
+    def _positivity_images(self) -> dict:
+        """y_s in terms of (g_1..g_{n-1}, Y_0), inverted once per context."""
+        return linear_basis_images(self.positivity_forms())
+
     def change_basis_positivity(self, p: Poly) -> Poly:
         """p rewritten as a polynomial in (g_1..g_{n-1}, Y_0)."""
-        return rewrite_in_linear_basis(p, self.positivity_forms())
+        if p.nvars != self.n:
+            raise ParameterError(f"expected a polynomial in {self.n} variables")
+        return p.substitute(self._positivity_images)
 
 
 def _compositions(total: int, parts: int):
@@ -307,10 +302,6 @@ def _compositions(total: int, parts: int):
 @lru_cache(maxsize=None)
 def context(b: tuple, k: int, n: int) -> WeightedContext:
     return WeightedContext(b, k, n)
-
-
-def pieri_power_constants(b, k: int, n: int, q: int, s: int) -> dict:
-    return context(tuple(b), k, n).pieri_power(q, s)
 
 
 def weighted_equivariant_constants(b, k: int, n: int, i: int, j: int) -> dict:
@@ -365,12 +356,7 @@ def verify_positivity(table, b, k: int, n: int) -> tuple:
 
 def localize_table(b, k: int, n: int) -> dict:
     """Oracle table over all (i, j); the comparison target for the pipeline."""
-    m1 = symbols.lattice(k, n).m + 1
-    table = {}
-    for i in range(m1):
-        for j in range(i, m1):
-            cell = gkm.localize_product(b, k, n, i, j)
-            table[(i, j)] = cell
-            if i != j:
-                table[(j, i)] = cell
-    return table
+    return symbols.symmetric_table(
+        symbols.lattice(k, n).m + 1,
+        lambda i, j: gkm.localize_product(b, k, n, i, j),
+    )

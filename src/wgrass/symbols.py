@@ -217,3 +217,17 @@ class SymbolLattice:
 def lattice(k: int, n: int) -> SymbolLattice:
     """Cached lattice for (k, n)."""
     return SymbolLattice(k, n)
+
+
+def symmetric_table(m1: int, cell) -> dict:
+    """{(i, j): cell(i, j)} over 0 <= i, j < m1 in row-major order.
+
+    Products of basis classes commute, so ``cell`` is called only for
+    i <= j and its result is shared by (j, i).
+    """
+    upper = {(i, j): cell(i, j) for i in range(m1) for j in range(i, m1)}
+    return {
+        (i, j): upper[(i, j) if i <= j else (j, i)]
+        for i in range(m1)
+        for j in range(m1)
+    }

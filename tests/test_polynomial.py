@@ -165,3 +165,153 @@ def test_homogeneity_and_degree():
 def test_floats_rejected():
     with pytest.raises(ParameterError):
         Poly(2, {(1, 0): 0.5})
+
+
+# -- the integer core: canonical coefficients and reference routes ----------
+
+
+def assert_canonical(p):
+    """Every coefficient is a nonzero int, or a Fraction that is not one."""
+    for expo, c in p.terms.items():
+        assert type(expo) is tuple and len(expo) == p.nvars
+        assert c, p.terms
+        assert type(c) is int or (
+            type(c) is Fraction and c.denominator != 1
+        ), (expo, c, type(c))
+
+
+def fractional_linear(rng, n):
+    """A random linear form with fractional coefficients, never zero."""
+    terms = {}
+    for s in range(n):
+        expo = tuple(int(u == s) for u in range(n))
+        terms[expo] = Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
+    form = Poly(n, terms)
+    return form if form else y(1, n)
+
+
+def test_coefficients_are_canonical():
+    rng = random.Random(101)
+    forms = [y(1) - y(2), y(2) - Fraction(1, 2) * y(3), y(3) - y(4),
+             Fraction(2, 3) * y(1) + y(4)]
+    for _ in range(40):
+        a, b = random_poly(rng), random_poly(rng)
+        results = [a + b, a - b, b - a, a * b, a * Fraction(2, 1), a**2,
+                   (a * b).divide_exact(b) if b else a,
+                   rewrite_in_linear_basis(a, forms),
+                   a.substitute({1: fractional_linear(rng, 4), 3: b})]
+        for p in results:
+            assert_canonical(p)
+    # integral Fractions and bools are stored as ints; render never shows them
+    p = Poly(2, {(1, 0): Fraction(4, 2), (0, 1): True, (0, 0): Fraction(3, 4)})
+    assert p.terms == {(1, 0): 2, (0, 1): 1, (0, 0): Fraction(3, 4)}
+    assert_canonical(p)
+    assert p.render() == "2*y1 + y2 + 3/4"
+    half = Fraction(1, 2) * y(1, 2)
+    assert_canonical(half + half)
+    assert (half + half).terms == {(1, 0): 1}
+    assert_canonical(Poly.const(2, True) * Fraction(3, 3))
+    with pytest.raises(ParameterError):
+        Poly.const(2, 0.5)
+    with pytest.raises(TypeError):
+        y(1) * 0.5
+
+
+def naive_divide(p, d):
+    """Textbook grlex long division over Fraction, largest term first."""
+    def key(e):
+        return (sum(e), e)
+
+    dlead = max(d.terms, key=key)
+    dc = Fraction(d.terms[dlead])
+    rem = {e: Fraction(c) for e, c in p.terms.items()}
+    quot = {}
+    while rem:
+        expo = max(rem, key=key)
+        diff = tuple(a - b for a, b in zip(expo, dlead))
+        if min(diff) < 0:
+            return None
+        c = rem[expo] / dc
+        quot[diff] = c
+        for de, dv in d.terms.items():
+            tgt = tuple(a + b for a, b in zip(diff, de))
+            rem[tgt] = rem.get(tgt, 0) - c * dv
+            if not rem[tgt]:
+                del rem[tgt]
+    return Poly(p.nvars, quot)
+
+
+def test_divide_exact_matches_naive_reference():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(60):
+        q = random_poly(rng, n=4, degree=3, terms=3)
+        d = random_poly(rng, n=4, degree=2, terms=3)
+        if q.is_zero() or d.is_zero():
+            continue
+        # a non-unit, fractional leading coefficient on the divisor
+        d = d * Fraction(rng.choice((2, 3, 6)), rng.choice((1, 5, 7)))
+        p = q * d
+        got = p.divide_exact(d)
+        assert got == naive_divide(p, d) == q
+        assert_canonical(got)
+        bumped = p + Poly(4, {(0, 0, 0, 1): Fraction(1, 3)})
+        assert bumped.divide_exact(d) == naive_divide(bumped, d)
+        checked += 1
+    assert checked >= 40
+    assert (y(1) * y(2) + y(3)).divide_exact(3 * y(1) - Fraction(1, 2)) is None
+    # integral operands whose quotient is fractional
+    got = (y(1) + 2 * y(2)).divide_exact(2 * y(1) + 4 * y(2))
+    assert got == Poly.const(4, Fraction(1, 2))
+    got = (3 * y(1) ** 2 - 3 * y(2) ** 2).divide_exact(2 * y(1) + 2 * y(2))
+    assert got == Fraction(3, 2) * (y(1) - y(2))
+    assert_canonical(got)
+
+
+def test_substitute_fractional_linear_matches_evaluation():
+    rng = random.Random(47)
+    for homogeneous in (True, False):
+        for _ in range(25):
+            p = random_poly(rng, n=3, degree=4, terms=6)
+            if homogeneous:
+                top = p.degree()
+                p = Poly(3, {e: c for e, c in p.terms.items() if sum(e) == top})
+            images = {i: fractional_linear(rng, 3) for i in (1, 2, 3)}
+            if not homogeneous:
+                images[2] = images[2] + Fraction(rng.randint(-3, 3), 5)
+            got = p.substitute(images)
+            assert_canonical(got)
+            assert got.is_homogeneous() or not homogeneous
+            for _ in range(4):
+                point = [Fraction(rng.randint(-7, 7), rng.randint(1, 3))
+                         for _ in range(3)]
+                values = [images[i].evaluate(point) for i in (1, 2, 3)]
+                assert got.evaluate(point) == p.evaluate(values)
+
+
+def test_render_pinned_strings():
+    n = 4
+    assert (Fraction(3, 2) * y(1) * y(2) - Fraction(1, 3) * y(4) ** 2 + 7).render() \
+        == "3/2*y1*y2 - 1/3*y4^2 + 7"
+    p = (y(1) - Fraction(1, 2) * y(2)) * (2 * y(1) + y(3))
+    assert p.render() == "2*y1^2 - y1*y2 + y1*y3 - 1/2*y2*y3"
+    assert (-(y(3) ** 3) + Poly.const(n, Fraction(-4, 2))).render() == "-y3^3 - 2"
+    assert ((y(1) + y(2)) ** 2).divide_exact(y(1) + y(2)).render() == "y1 + y2"
+    assert Poly.const(n, 1).render(["g1", "g2", "g3", "Y0"]) == "1"
+    assert (y(4) * Fraction(5, 5)).render(["g1", "g2", "g3", "Y0"]) == "Y0"
+
+
+def test_degrees_past_one_byte():
+    """Packed monomials widen their fields once a degree passes 255."""
+    big = y(1) ** 200 * (y(2) - Fraction(1, 3) * y(3)) ** 2
+    prod = big * y(1) ** 100
+    assert prod.degree() == 302
+    assert prod == Poly(4, {
+        (300, 2, 0, 0): 1, (300, 1, 1, 0): Fraction(-2, 3),
+        (300, 0, 2, 0): Fraction(1, 9),
+    })
+    assert prod.divide_exact(big) == y(1) ** 100
+    assert prod.divide_exact(y(1) ** 301) is None
+    assert (y(1) ** 256 - y(2) ** 256).divide_exact(y(1) - y(2)).evaluate(
+        [2, 1, 0, 0]) == 2**256 - 1
+    assert_canonical(prod.substitute({1: Fraction(1, 2) * y(4)}))
