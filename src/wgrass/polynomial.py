@@ -10,7 +10,7 @@ canonical monomial order is graded lexicographic (higher total degree
 first, ties broken by the exponent tuple with y1 heaviest), which fixes
 the text rendering and the leading term used by division.
 
-Multiplication, exact division and linear substitution clear
+Multiplication, exact division and substitution clear
 denominators first: they run on integer coefficients and divide once
 at the end, because ``int`` arithmetic is several times cheaper than
 ``Fraction`` arithmetic.  Inside them a monomial is packed into one
@@ -70,7 +70,7 @@ def _packer(nvars: int, top: int) -> tuple:
     """
     w = max(1, (top.bit_length() + 7) // 8)
     size = (nvars + 1) * w
-    if w == 1:
+    if w == 1:  # every degree below 256: bytes() packs and unpacks in C
         def pack(e):
             return int.from_bytes(bytes((sum(e), *e)), "big")
 
@@ -388,12 +388,12 @@ class Poly:
         *target* variable space; unmapped variables map to themselves
         (requires target nvars >= their index).
 
-        When every image has degree <= 1 the images are scaled by the
-        lcm D of their denominators and self by the lcm ``lift`` of its
-        own, so the expansion runs in integers: a term whose mapped
-        variables have total degree e is weighted by D**(deg - e), deg
-        the largest such e, and every output coefficient is divided
-        once by lift * D**deg.
+        The images are scaled by the lcm D of their denominators and
+        self by the lcm ``lift`` of its own, so the expansion runs in
+        integers: a term whose mapped variables have total degree e is
+        weighted by D**(deg - e), deg the largest such e, and every
+        output coefficient is divided once by lift * D**deg.  This is
+        exact whatever the images' degrees.
         """
         if not images:
             return self
@@ -414,26 +414,22 @@ class Poly:
                 mapped.append((v, img))
         if not self.terms:
             return Poly.zero(target_n)
-        if all(img.degree() <= 1 for _, img in mapped):
-            cleared = [(v, _cleared(img.terms)) for v, img in mapped]
-            scale = lcm(1, *(d for _, (_, d) in cleared))
-            bases = [
-                (v, {e: c * (scale // d) for e, c in t.items()})
-                for v, (t, d) in cleared
-            ]
-            lifted, lift = _cleared(self.terms)
-            weights = {e: sum(e[v] for v, _ in mapped) for e in lifted}
-            deg = max(weights.values())
-            terms = [
-                (e, c * scale ** (deg - weights[e])) for e, c in lifted.items()
-            ]
-            divisor = lift * scale**deg
-        else:
-            bases = [(v, img.terms) for v, img in mapped]
-            terms = list(self.terms.items())
-            divisor = 1
+        cleared = [(v, _cleared(img.terms)) for v, img in mapped]
+        scale = lcm(1, *(d for _, (_, d) in cleared))
+        bases = [
+            (v, {e: c * (scale // d) for e, c in t.items()})
+            for v, (t, d) in cleared
+        ]
+        lifted, lift = _cleared(self.terms)
+        weights = {e: sum(e[v] for v, _ in mapped) for e in lifted}
+        deg = max(weights.values())
+        terms = [
+            (e, c * scale ** (deg - weights[e])) for e, c in lifted.items()
+        ]
         return _build(
-            target_n, _horner(terms, bases, 0, kept, target_n), divisor
+            target_n,
+            _horner(terms, bases, 0, kept, target_n),
+            lift * scale**deg,
         )
 
     def permute_variables(self, images: dict) -> "Poly":

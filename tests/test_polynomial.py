@@ -87,9 +87,10 @@ def test_substitute_example():
 
 def test_substitute_matches_evaluation():
     rng = random.Random(5)
-    for _ in range(20):
+    for image_degree in [1] * 20 + [2] * 20:
         p = random_poly(rng, n=3, degree=3, terms=4)
-        images = {i: random_poly(rng, n=3, degree=1, terms=2) for i in (1, 2, 3)}
+        images = {i: random_poly(rng, n=3, degree=image_degree, terms=2)
+                  for i in (1, 2, 3)}
         substituted = p.substitute(images)
         point = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
         direct = p.evaluate([img.evaluate(point) for img in images.values()])
