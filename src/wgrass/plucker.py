@@ -18,10 +18,26 @@ then the scaling action t.z = (t^{b_i} z_i) preserves Pl(k, n).
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
-Plucker point z.  Membership is decided in two stages: sampled points
-pin down the only viable sign patterns, then an exact linear-algebra
-check confirms that every pulled-back relation lies in the span of the
-generating relations.
+Plucker point z.  Membership is decided in two exact integer stages,
+on data built once per (k, n) on first use (``_permutation_context``):
+
+1. Screen.  Fifty sampled Plucker points (integer minors of seeded
+   integer matrices) leave, for each pulled-back relation
+   sum_t c_t z_{sigma r_t} z_{sigma s_t}, the sign patterns eps with
+   sum_t eps_t c_t z_{sigma r_t} z_{sigma s_t} = 0 at every sample.
+   The answer depends only on the term tuple ((c_t, sigma r_t,
+   sigma s_t), ...), so the context memoises it.  A backtracking search
+   picks one pattern per relation, keeping the constraints
+   t_r t_s = eps_t consistent in a parity union-find with an undo log,
+   and solves them for the global signs t.
+2. Confirmation.  Each signed pulled-back relation v must lie in the
+   span of the generating relations.  In reduced row echelon form that
+   holds iff v == sum over pivot columns c of v[c] * row_c, so only the
+   rows whose pivot v touches take part; the rows are kept as sparse
+   integer dicts over one common denominator.
+
+Full scope reuses the witnesses of the S_n-induced permutations, which
+preserve the pair structure and so are a subset of it.
 """
 
 from __future__ import annotations
@@ -31,7 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg, symbols
 from .errors import (
@@ -162,14 +178,12 @@ def is_plucker_point(z, k: int, n: int) -> bool:
 
 
 def sample_plucker_point(k: int, n: int, seed: int) -> tuple:
-    """Minor vector of a random rational k x n matrix, all minors nonzero."""
+    """Minor vector of a random integer k x n matrix, all minors nonzero."""
     symbols.check_kn(k, n)
     rng = random.Random(seed)
     syms = symbols.enumerate_symbols(k, n)
     while True:
-        mat = [
-            [Fraction(rng.randint(-9, 9)) for _ in range(n)] for _ in range(k)
-        ]
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
         minors = []
         for sym in syms:
             sub = [[row[c - 1] for c in sym] for row in mat]
@@ -320,45 +334,92 @@ class SignedPermutation:
     signs: tuple
 
 
+class _PermutationContext:
+    """Exact data shared by every Plucker-permutation test at one (k, n).
+
+    ``samples`` are integer Plucker points; ``patterns`` memoises the
+    sign screen on the pulled-back term tuple.  ``pivot_rows`` maps each
+    pivot column of the reduced row echelon form of the relations to its
+    row, as a sparse dict scaled to integers by the common denominator
+    ``scale``.
+    """
+
+    def __init__(self, k: int, n: int):
+        self.rels = generate_relations(k, n)
+        self.m1 = len(symbols.enumerate_symbols(k, n))
+        all_pairs = sorted({pair for rel in self.rels for pair in rel.pairs})
+        self.pair_pos = {pair: t for t, pair in enumerate(all_pairs)}
+        rows = []
+        for rel in self.rels:
+            row = [0] * len(all_pairs)
+            for pair, c in zip(rel.pairs, rel.coefs):
+                row[self.pair_pos[pair]] = c
+            rows.append(row)
+        span_rref, span_pivots = linalg.rref(rows)
+        scale = 1
+        for row in span_rref[: len(span_pivots)]:
+            for x in row:
+                scale = lcm(scale, x.denominator)
+        self.scale = scale
+        self.pivot_rows = {
+            c: {col: int(x * scale) for col, x in enumerate(row) if x}
+            for row, c in zip(span_rref, span_pivots)
+        }
+        self.samples = [
+            sample_plucker_point(k, n, seed) for seed in range(17, 17 + 50)
+        ]
+        self.patterns: dict = {}
+
+    def in_span(self, vec: dict) -> bool:
+        """Whether vec ({column: int}) lies in the span of the relations.
+
+        In reduced row echelon form v is in the row span iff
+        v == sum over pivot columns c of v[c] * row_c, so only the rows
+        whose pivot v touches take part.
+        """
+        scale = self.scale
+        residue = {col: scale * x for col, x in vec.items()}
+        for c, x in vec.items():
+            row = self.pivot_rows.get(c)
+            if row is not None and x:
+                for col, y in row.items():
+                    residue[col] = residue.get(col, 0) - x * y
+        return not any(residue.values())
+
+
 @lru_cache(maxsize=None)
-def _permutation_context(k: int, n: int):
-    """Shared exact data for the permutation predicate."""
-    rels = generate_relations(k, n)
-    m1 = len(symbols.enumerate_symbols(k, n))
-    all_pairs = sorted({pair for rel in rels for pair in rel.pairs})
-    pair_pos = {pair: t for t, pair in enumerate(all_pairs)}
-    rows = []
-    for rel in rels:
-        row = [Fraction(0)] * len(all_pairs)
-        for pair, c in zip(rel.pairs, rel.coefs):
-            row[pair_pos[pair]] = Fraction(c)
-        rows.append(row)
-    span_rref, span_pivots = linalg.rref(rows)
-    span_rref = span_rref[: len(span_pivots)]
-    samples = [sample_plucker_point(k, n, seed) for seed in range(17, 17 + 50)]
-    return rels, m1, set(all_pairs), pair_pos, span_rref, span_pivots, samples
+def _permutation_context(k: int, n: int) -> _PermutationContext:
+    """Shared exact data for the permutation predicate, built on first use."""
+    return _PermutationContext(k, n)
 
 
-def _sign_patterns(rel, sigma, samples) -> list:
-    """Sign patterns eps with sum_t c_t eps_t z_{s(r_t)} z_{s(s_t)} = 0."""
-    T = len(rel.pairs)
-    admissible = []
-    for eps in product((1, -1), repeat=T):
-        ok = True
-        for z in samples:
-            total = Fraction(0)
-            for t, ((r, s), c) in enumerate(zip(rel.pairs, rel.coefs)):
-                total += c * eps[t] * z[sigma[r]] * z[sigma[s]]
-            if total:
-                ok = False
-                break
-        if ok:
-            admissible.append(eps)
+def _sign_patterns(ctx: _PermutationContext, terms: tuple) -> list:
+    """Sign patterns eps with sum_t eps_t c_t z_{r_t} z_{s_t} = 0 on the samples.
+
+    terms is the pulled-back relation ((c_t, r_t, s_t), ...); patterns are
+    kept in product((1, -1), repeat=T) order.
+    """
+    admissible = ctx.patterns.get(terms)
+    if admissible is not None:
+        return admissible
+    admissible = list(product((1, -1), repeat=len(terms)))
+    for z in ctx.samples:
+        values = [c * z[r] * z[s] for c, r, s in terms]
+        admissible = [
+            eps for eps in admissible
+            if not sum(e * v for e, v in zip(eps, values))
+        ]
+        if not admissible:
+            break
+    ctx.patterns[terms] = admissible
     return admissible
 
 
 def _solve_signs(rels, pattern_choice, m1):
-    """Global signs t with t_r t_s = eps for each constrained pair, or None."""
+    """Global signs t with t_r t_s = eps for each constrained pair, or None.
+
+    Each connected component's smallest coordinate gets sign +1.
+    """
     constraint: dict = {}
     for rel, eps in zip(rels, pattern_choice):
         for (r, s), e in zip(rel.pairs, eps):
@@ -391,19 +452,61 @@ def _solve_signs(rels, pattern_choice, m1):
     return tuple(signs)
 
 
-def _confirm_signs(sigma, signs, ctx) -> bool:
+class _ParityForest:
+    """Union-find of sign constraints t_r t_s = e, with an undo log.
+
+    ``parity[x]`` is 1 when t_x = -t_parent(x).  Union by size without
+    path compression keeps trees shallow and every join undoable.
+    """
+
+    def __init__(self, m1: int):
+        self.parent = list(range(m1))
+        self.parity = [0] * m1
+        self.size = [1] * m1
+        self.log: list = []
+
+    def _root(self, x: int) -> tuple:
+        parent, parity = self.parent, self.parity
+        p = 0
+        while parent[x] != x:
+            p ^= parity[x]
+            x = parent[x]
+        return x, p
+
+    def join(self, r: int, s: int, e: int) -> bool:
+        """Add t_r t_s = e; False when it contradicts the constraints so far."""
+        want = 1 if e < 0 else 0
+        ra, pa = self._root(r)
+        rb, pb = self._root(s)
+        if ra == rb:
+            return pa ^ pb == want
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.parity[rb] = pa ^ pb ^ want
+        self.size[ra] += self.size[rb]
+        self.log.append(rb)
+        return True
+
+    def undo(self, mark: int) -> None:
+        """Forget every join made since the log had length mark."""
+        while len(self.log) > mark:
+            rb = self.log.pop()
+            self.size[self.parent[rb]] -= self.size[rb]
+            self.parent[rb] = rb
+            self.parity[rb] = 0
+
+
+def _confirm_signs(sigma, signs, ctx: _PermutationContext) -> bool:
     """Exact check: every signed pulled-back relation lies in the span."""
-    rels, _, _, pair_pos, span_rref, span_pivots, _ = ctx
-    for rel in rels:
-        vec = [Fraction(0)] * len(pair_pos)
+    pair_pos = ctx.pair_pos
+    for rel in ctx.rels:
+        vec: dict = {}
         for (r, s), c in zip(rel.pairs, rel.coefs):
             ir, is_ = sigma[r], sigma[s]
-            pair = (ir, is_) if ir <= is_ else (is_, ir)
-            pos = pair_pos.get(pair)
-            if pos is None:
-                return False
-            vec[pos] += c * signs[r] * signs[s]
-        if not linalg.in_row_span(vec, span_rref, span_pivots):
+            pos = pair_pos[(ir, is_) if ir <= is_ else (is_, ir)]
+            vec[pos] = vec.get(pos, 0) + c * signs[r] * signs[s]
+        if not ctx.in_span(vec):
             return False
     return True
 
@@ -417,36 +520,47 @@ def is_plucker_permutation(sigma, k: int, n: int):
     rational span of the generating relations.
     """
     ctx = _permutation_context(k, n)
-    rels, m1, pairs, _, _, _, samples = ctx
+    rels, m1, pair_pos = ctx.rels, ctx.m1, ctx.pair_pos
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(m1)):
         raise ParameterError(f"not a permutation of 0..{m1 - 1}")
     if not rels:
         return SignedPermutation(sigma, (1,) * m1)
-    for r, s in pairs:
+    for r, s in pair_pos:
         ir, is_ = sigma[r], sigma[s]
-        if ((ir, is_) if ir <= is_ else (is_, ir)) not in pairs:
+        if ((ir, is_) if ir <= is_ else (is_, ir)) not in pair_pos:
             return None
-    options = [_sign_patterns(rel, sigma, samples) for rel in rels]
-    if any(not opts for opts in options):
-        return None
+    options = []
+    for rel in rels:
+        terms = []
+        for (r, s), c in zip(rel.pairs, rel.coefs):
+            ir, is_ = sigma[r], sigma[s]
+            terms.append((c, ir, is_) if ir <= is_ else (c, is_, ir))
+        opts = _sign_patterns(ctx, tuple(terms))
+        if not opts:
+            return None
+        options.append(opts)
 
-    def search(idx: int, chosen: list):
+    forest = _ParityForest(m1)
+    chosen: list = []
+
+    def search(idx: int):
         if idx == len(rels):
             signs = _solve_signs(rels, chosen, m1)
-            if signs is not None and _confirm_signs(sigma, signs, ctx):
-                return signs
-            return None
+            return signs if _confirm_signs(sigma, signs, ctx) else None
+        mark = len(forest.log)
+        pairs = rels[idx].pairs
         for eps in options[idx]:
-            chosen.append(eps)
-            if _solve_signs(rels[: idx + 1], chosen, m1) is not None:
-                found = search(idx + 1, chosen)
+            if all(forest.join(r, s, e) for (r, s), e in zip(pairs, eps)):
+                chosen.append(eps)
+                found = search(idx + 1)
                 if found is not None:
                     return found
-            chosen.pop()
+                chosen.pop()
+            forest.undo(mark)
         return None
 
-    signs = search(0, [])
+    signs = search(0)
     if signs is None:
         return None
     return SignedPermutation(sigma, signs)
@@ -525,9 +639,14 @@ def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
             raise CapacityError(
                 f"full scope needs m+1 <= {FULL_SCOPE_LIMIT}, got {m1}"
             )
+        # Induced permutations preserve the pair structure, so sn is a
+        # subset of full; a witness depends only on sigma.
+        known = {w.perm: w for w in _enumerate_cached(k, n, "sn")}
         out = []
         for sigma in _full_scope_candidates(k, n):
-            witness = is_plucker_permutation(sigma, k, n)
+            witness = known.get(sigma)
+            if witness is None:
+                witness = is_plucker_permutation(sigma, k, n)
             if witness is not None:
                 out.append(witness)
         return tuple(sorted(out, key=lambda w: w.perm))

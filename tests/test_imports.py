@@ -14,6 +14,8 @@ CACHES = (
     "gkm._weighted_cached",
     "structure.context",
     "plucker.generate_relations",
+    "plucker._permutation_context",
+    "plucker._enumerate_cached",
 )
 
 PROBE = """

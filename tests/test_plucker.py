@@ -1,11 +1,14 @@
 """Plucker relations, weight vectors, permutations."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
-from wgrass import linalg, plucker, symbols
+from wgrass import cli, linalg, plucker, symbols
 from wgrass.errors import CapacityError, InvalidWeightVectorError, ParameterError
 
 
@@ -87,6 +90,21 @@ def test_sampled_points_are_members():
             z = plucker.sample_plucker_point(k, n, seed)
             assert plucker.is_plucker_point(z, k, n)
             assert all(z)
+
+
+def test_sample_points_pinned():
+    # the integer minors are the same points the screen always sampled:
+    # same seeds, same draws, same retries (digest taken before the
+    # determinant went fraction-free)
+    digest = hashlib.sha256()
+    for k, n in [(2, 4), (2, 5), (3, 5)]:
+        for seed in range(17, 67):
+            z = plucker.sample_plucker_point(k, n, seed)
+            assert all(type(x) is int for x in z)
+            digest.update(repr(z).encode())
+    assert digest.hexdigest() == (
+        "be999fc46fcddb012c8a373cb24d0ee21136d1099da6d87907b5f79bd2153828"
+    )
 
 
 def test_validate_weight_vector():
@@ -202,6 +220,128 @@ def test_full_scope_2_5_is_the_induced_group():
     sn = plucker.enumerate_plucker_permutations(2, 5, "sn")
     assert len(full) == len(sn) == 120
     assert {w.perm for w in full} == {w.perm for w in sn}
+
+
+def test_witnesses_pinned():
+    # every witness (perm and signs) in enumeration order, then the
+    # presentation of a divisive vector that needs a non-identity induced
+    # permutation at (2,6); digest taken before the integer rewrite
+    digest = hashlib.sha256()
+    for k, n, scope in ((2, 4, "full"), (2, 4, "sn"), (2, 5, "full"), (3, 5, "sn")):
+        for w in plucker.enumerate_plucker_permutations(k, n, scope):
+            digest.update(repr((w.perm, w.signs)).encode())
+    b = plucker.weights_from_wa((0, 0, 0, 0, 0, 3), 1, 2, 6)
+    w = plucker.is_divisive(b, 2, 6)
+    digest.update(repr((w.perm, w.signs)).encode())
+    assert digest.hexdigest() == (
+        "f5dd1180263bb3609a3c8d754985d0b9ba11777479066e159ed5e89f633198d0"
+    )
+
+
+def _induced(k, n):
+    return sorted({plucker._sn_induced_permutation(phi, k, n)
+                   for phi in permutations(range(1, n + 1))})
+
+
+def _seeded_candidates(k, n, rng, count):
+    # induced permutations (Plucker) and uniformly random ones (mostly not)
+    induced = _induced(k, n)
+    out = [rng.choice(induced) for _ in range(count)]
+    for _ in range(count):
+        sigma = list(range(len(induced[0])))
+        rng.shuffle(sigma)
+        out.append(tuple(sigma))
+    return out
+
+
+def test_sign_screen_matches_fraction_evaluation():
+    rng = random.Random(23)
+    for k, n in [(2, 5), (3, 5)]:
+        ctx = plucker._PermutationContext(k, n)
+        samples = [[Fraction(x) for x in z] for z in ctx.samples]
+        candidates = _seeded_candidates(k, n, rng, 8)
+        hits = 0
+        for sigma in candidates + candidates[:4]:
+            for rel in ctx.rels:
+                terms = tuple((c, sigma[r], sigma[s])
+                              for (r, s), c in zip(rel.pairs, rel.coefs))
+                expected = [
+                    eps for eps in product((1, -1), repeat=len(terms))
+                    if all(sum(e * c * z[r] * z[s]
+                               for e, (c, r, s) in zip(eps, terms)) == 0
+                           for z in samples)
+                ]
+                hits += terms in ctx.patterns
+                assert plucker._sign_patterns(ctx, terms) == expected
+        assert hits >= 4 * len(ctx.rels)
+
+
+def test_echelon_identity_matches_row_reduction():
+    rng = random.Random(29)
+    for k, n in [(2, 5), (3, 5)]:
+        ctx = plucker._PermutationContext(k, n)
+        width = len(ctx.pair_pos)
+        rows = []
+        for rel in ctx.rels:
+            row = [Fraction(0)] * width
+            for pair, c in zip(rel.pairs, rel.coefs):
+                row[ctx.pair_pos[pair]] = Fraction(c)
+            rows.append(row)
+        rref_rows, pivots = linalg.rref(rows)
+        rref_rows = rref_rows[: len(pivots)]
+        vectors = []
+        induced = _induced(k, n)
+        for sigma in [rng.choice(induced) for _ in range(10)]:
+            witness = plucker.is_plucker_permutation(sigma, k, n)
+            random_signs = tuple(rng.choice((1, -1)) for _ in sigma)
+            for signs in (witness.signs, random_signs):
+                for rel in ctx.rels:
+                    vec = {}
+                    for (r, s), c in zip(rel.pairs, rel.coefs):
+                        ir, is_ = sorted((sigma[r], sigma[s]))
+                        pos = ctx.pair_pos[(ir, is_)]
+                        vec[pos] = vec.get(pos, 0) + c * signs[r] * signs[s]
+                    vectors.append(vec)
+        for _ in range(40):
+            combo = [rng.randint(-3, 3) for _ in rows]
+            vec = {col: int(sum(a * row[col] for a, row in zip(combo, rows)))
+                   for col in range(width)}
+            vectors.append(vec)
+            bumped = dict(vec)
+            col = rng.randrange(width)
+            bumped[col] += rng.choice((1, -1))
+            vectors.append(bumped)
+        seen = set()
+        for vec in vectors:
+            dense = [Fraction(0)] * width
+            for col, x in vec.items():
+                dense[col] = Fraction(x)
+            expected = linalg.in_row_span(dense, rref_rows, pivots)
+            assert ctx.in_span(vec) == expected
+            seen.add(expected)
+        assert seen == {True, False}
+
+
+def test_full_scope_reuses_induced_witnesses(monkeypatch, capsys):
+    calls = []
+    check = plucker.is_plucker_permutation
+
+    def counting(sigma, k, n):
+        calls.append(sigma)
+        return check(sigma, k, n)
+
+    monkeypatch.setattr(plucker, "is_plucker_permutation", counting)
+    plucker._enumerate_cached.cache_clear()
+    assert cli.main(["perms", "--k", "2", "--n", "4", "--scope", "full"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == 48
+    assert len(calls) == 48
+    # a failing classify walks identity, sn (24 checks) and full scope,
+    # which checks only the 24 permutations that are not induced
+    plucker._enumerate_cached.cache_clear()
+    calls.clear()
+    argv = ["classify", "[1,1,1,1,1,1]", "[5,1,4,3,6,2]", "--k", "2", "--n", "4"]
+    assert cli.main(argv) == cli.EXIT_NOT_FOUND
+    assert len(calls) == 48
 
 
 def test_non_plucker_permutation_rejected():
