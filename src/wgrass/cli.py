@@ -23,10 +23,10 @@ from . import plucker, puzzles, structure, symbols, torsion
 from .errors import (
     CapacityError,
     InternalInconsistencyError,
-    InvalidWeightVectorError,
     NotDivisiveError,
     ParameterError,
 )
+from .polynomial import Poly
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -43,12 +43,7 @@ def _parse_vector(text: str, k: int, n: int) -> tuple:
         raise ParameterError(f"weight vector entry is too long: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
         raise ParameterError("weight vector must be a JSON array of integers")
-    return tuple(plucker._check_weight_vector_shape(data, k, n))
-
-
-def _require_valid(b, k: int, n: int) -> None:
-    if not plucker.validate_weight_vector(b, k, n):
-        raise InvalidWeightVectorError("not a valid weight vector")
+    return tuple(plucker.check_weight_vector_shape(data, k, n))
 
 
 # -- ring table workers (module level for multiprocessing) -----------------
@@ -105,7 +100,6 @@ def _cmd_perms(args) -> tuple:
 
 def _cmd_divisive(args) -> tuple:
     b = _parse_vector(args.b, args.k, args.n)
-    _require_valid(b, args.k, args.n)
     witness = plucker.is_divisive(b, args.k, args.n, args.scope)
     if witness is None:
         return EXIT_NOT_FOUND, {
@@ -123,8 +117,6 @@ def _cmd_divisive(args) -> tuple:
 def _cmd_classify(args) -> tuple:
     b = _parse_vector(args.b, args.k, args.n)
     c = _parse_vector(args.c, args.k, args.n)
-    _require_valid(b, args.k, args.n)
-    _require_valid(c, args.k, args.n)
     found = plucker.equivalence(b, c, args.k, args.n, args.scope)
     if found is None:
         return EXIT_NOT_FOUND, {
@@ -152,8 +144,8 @@ def _cmd_torsion(args) -> tuple:
 
 
 def _cmd_ring(args) -> tuple:
-    b = _parse_vector(args.b, args.k, args.n)
-    _require_valid(b, args.k, args.n)
+    b = plucker.weight_vector(_parse_vector(args.b, args.k, args.n),
+                              args.k, args.n)
     level = "ordinary" if args.ordinary else "equivariant"
     presented = b
     witness = None
@@ -198,18 +190,27 @@ def _cmd_ring(args) -> tuple:
 
 
 def _cmd_puzzles(args) -> tuple:
-    found = puzzles.puzzles_for(
-        args.k, args.n, args.i, args.j, args.l,
-        conjugated=(args.orientation == "conjugated"),
-    )
+    conjugated = args.orientation == "conjugated"
+    triple = (args.i, args.j, args.l)
+    lat = symbols.lattice(args.k, args.n)
+    if not conjugated and all(0 <= t <= lat.m for t in triple):
+        # The raw words of (i, j; l) are the reversed words of its
+        # sigma_r image; out-of-range indices go through unchanged so
+        # that puzzles_for reports them.
+        triple = tuple(lat.sigma_r_index[t] for t in triple)
+    found = puzzles.puzzles_for(args.k, args.n, *triple)
     entries = []
     for puz in found:
-        if args.orientation == "conjugated":
+        if conjugated:
             pairs = puz.conjugated_pairs()
             weight = puz.conjugated_weight()
         else:
-            pairs = [list(p) for p in puz.equivariant]
-            weight = puz.weight()
+            pairs = puz.equivariant
+            weight = Poly.one(args.n)
+            for a, c in pairs:
+                weight = weight * (
+                    Poly.variable(args.n, a) - Poly.variable(args.n, c)
+                )
         entry = {
             "equivariant_pieces": [list(p) for p in pairs],
             "weight": weight.render(),
@@ -219,7 +220,7 @@ def _cmd_puzzles(args) -> tuple:
         entries.append(entry)
     total = puzzles.conjugated_product(args.k, args.n, args.i, args.j).get(
         args.l
-    ) if args.orientation == "conjugated" else None
+    ) if conjugated else None
     payload = {
         "k": args.k,
         "n": args.n,
@@ -337,7 +338,7 @@ def main(argv=None) -> int:
         code, payload = args.handler(args)
     except CapacityError as exc:
         code, payload = EXIT_CAPACITY, {"error": str(exc), "kind": "capacity"}
-    except (ParameterError, InvalidWeightVectorError, NotDivisiveError) as exc:
+    except (ParameterError, NotDivisiveError) as exc:
         code, payload = EXIT_INVALID, {"error": str(exc), "kind": "invalid-input"}
     except InternalInconsistencyError as exc:
         code, payload = 1, {"error": str(exc), "kind": "internal"}

@@ -13,7 +13,7 @@ class CapacityError(WgrassError):
     """A request exceeds the desk-scale caps of an exhaustive search."""
 
 
-class InvalidWeightVectorError(WgrassError):
+class InvalidWeightVectorError(ParameterError):
     """The given weight vector fails the constant pair-sum test."""
 
 

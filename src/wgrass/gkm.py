@@ -56,9 +56,7 @@ class GKMGraph:
 
 
 def _require_presented(b, k: int, n: int) -> tuple:
-    vec = tuple(plucker._check_weight_vector_shape(b, k, n))
-    if not plucker.validate_weight_vector(vec, k, n):
-        raise ParameterError("not a valid weight vector")
+    vec = plucker.weight_vector(b, k, n)
     if not plucker.is_descending_divisible(vec):
         raise NotDivisiveError(
             "integral model needs b_i | b_{i-1}; reorder by a divisive witness"
@@ -175,14 +173,18 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
 
     Column j applies y_s -> y_s - (w_s / b_j) Y_{lam_j} to the b = 1
     matrix; the result is validated against the pinning conditions and
-    GKM membership before use.
+    GKM membership before use.  Only the shape is checked on every
+    call, so that no boolean or float entry can hit the cache of an
+    equal integer vector; the pair-sum test runs on the first call.
     """
-    vec = _require_presented(b, k, n)
-    return _weighted_cached(vec, k, n)
+    return _weighted_cached(
+        tuple(plucker.check_weight_vector_shape(b, k, n)), k, n
+    )
 
 
 @lru_cache(maxsize=None)
-def _weighted_cached(vec: tuple, k: int, n: int) -> tuple:
+def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
+    vec = _require_presented(b, k, n)
     lat = symbols.lattice(k, n)
     base = kt_restrictions(k, n)
     if all(x == 1 for x in vec):

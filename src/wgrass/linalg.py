@@ -35,24 +35,6 @@ def rref(mat) -> tuple[list, list]:
     return rows, pivots
 
 
-def rank(mat) -> int:
-    return len(rref(mat)[1])
-
-
-def reduce_against(vec, rref_rows, pivots) -> list:
-    """Reduce a vector against an rref basis; zero iff in the row span."""
-    v = [Fraction(x) for x in vec]
-    for row, c in zip(rref_rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return v
-
-
-def in_row_span(vec, rref_rows, pivots) -> bool:
-    return not any(reduce_against(vec, rref_rows, pivots))
-
-
 def invert(mat):
     """Inverse of a square matrix, or None when singular."""
     n = len(mat)

@@ -15,6 +15,10 @@ with Pl(n-k, n).
 A weight vector b (positive integers, one per coordinate) is *valid*
 when every relation has constant pair-sum b_{r_j} + b_{s_j}; exactly
 then the scaling action t.z = (t^{b_i} z_i) preserves Pl(k, n).
+``weight_vector`` is the one check every layer calls: it returns a
+``WeightVector``, a tuple that records (k, n) and is handed back
+unchanged, so a vector passed down through several layers is checked
+once.  ``validate_weight_vector`` is the bare predicate it runs.
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
@@ -116,8 +120,7 @@ def _canonical_relation(term_map: dict):
 
 
 def _direct_relations(k: int, n: int) -> set:
-    syms = symbols.enumerate_symbols(k, n)
-    index = {s: i for i, s in enumerate(syms)}
+    index = symbols.lattice(k, n).index
     rels = set()
     for head in combinations(range(1, n + 1), k - 1):
         head_set = set(head)
@@ -140,14 +143,12 @@ def _direct_relations(k: int, n: int) -> set:
 @lru_cache(maxsize=None)
 def generate_relations(k: int, n: int) -> tuple:
     """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
-    symbols.check_kn(k, n)
+    index = symbols.lattice(k, n).index
     if 2 * k <= n:
         rels = _direct_relations(k, n)
     else:
         kp = n - k
-        syms = symbols.enumerate_symbols(k, n)
-        syms_p = symbols.enumerate_symbols(kp, n)
-        index = {s: i for i, s in enumerate(syms)}
+        syms_p = symbols.lattice(kp, n).symbols
         comp_idx = [index[symbols.complement(s, n)] for s in syms_p]
         comp_sign = [
             _sort_sign(symbols.complement(s, n) + s)[1] for s in syms_p
@@ -169,7 +170,7 @@ def generate_relations(k: int, n: int) -> tuple:
 def is_plucker_point(z, k: int, n: int) -> bool:
     """Membership test: all relations vanish (z must be nonzero)."""
     vec = [Fraction(v) for v in z]
-    m1 = len(symbols.enumerate_symbols(k, n))
+    m1 = symbols.lattice(k, n).m + 1
     if len(vec) != m1:
         raise ParameterError(f"coordinate vector must have length {m1}")
     if not any(vec):
@@ -179,9 +180,8 @@ def is_plucker_point(z, k: int, n: int) -> bool:
 
 def sample_plucker_point(k: int, n: int, seed: int) -> tuple:
     """Minor vector of a random integer k x n matrix, all minors nonzero."""
-    symbols.check_kn(k, n)
+    syms = symbols.lattice(k, n).symbols
     rng = random.Random(seed)
-    syms = symbols.enumerate_symbols(k, n)
     while True:
         mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
         minors = []
@@ -197,9 +197,26 @@ def sample_plucker_point(k: int, n: int, seed: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _check_weight_vector_shape(b, k: int, n: int) -> list:
+class WeightVector(tuple):
+    """A weight vector that passed ``weight_vector`` at ``kn = (k, n)``.
+
+    Only ``weight_vector`` builds one, and it hands one back unchanged,
+    so a vector is checked once however many layers it passes through.
+    """
+
+    def __new__(cls, values, k: int, n: int):
+        self = super().__new__(cls, values)
+        self.kn = (k, n)
+        return self
+
+    def __getnewargs__(self):
+        return (tuple(self), *self.kn)
+
+
+def check_weight_vector_shape(b, k: int, n: int) -> list:
+    """b as a list of C(n, k) integers >= 1 (booleans excluded)."""
     vec = list(b)
-    m1 = len(symbols.enumerate_symbols(k, n))
+    m1 = symbols.lattice(k, n).m + 1
     if len(vec) != m1:
         raise ParameterError(f"weight vector must have length {m1}")
     for x in vec:
@@ -210,12 +227,26 @@ def _check_weight_vector_shape(b, k: int, n: int) -> list:
 
 def validate_weight_vector(b, k: int, n: int) -> bool:
     """True iff every relation has constant pair-sum."""
-    vec = _check_weight_vector_shape(b, k, n)
+    vec = check_weight_vector_shape(b, k, n)
     for rel in generate_relations(k, n):
         sums = {vec[r] + vec[s] for r, s in rel.pairs}
         if len(sums) > 1:
             return False
     return True
+
+
+def weight_vector(b, k: int, n: int) -> WeightVector:
+    """b checked for shape and constant pair-sums, as a WeightVector.
+
+    The one validation entry point: a bad shape raises ParameterError,
+    a failed pair-sum test InvalidWeightVectorError.
+    """
+    if isinstance(b, WeightVector) and b.kn == (k, n):
+        return b
+    vec = list(b)
+    if not validate_weight_vector(vec, k, n):
+        raise InvalidWeightVectorError("not a valid weight vector")
+    return WeightVector(vec, k, n)
 
 
 @dataclass(frozen=True)
@@ -236,11 +267,9 @@ def solve_wa(b, k: int, n: int) -> WASolution:
     a = b_ref + sum_j (b_{r_j} - b_{s_j})  (mod k) picks a, then the
     pairwise differences w_1 - w_j follow from single-entry exchanges.
     """
-    vec = _check_weight_vector_shape(b, k, n)
-    if not validate_weight_vector(vec, k, n):
-        raise InvalidWeightVectorError("not a valid weight vector")
-    syms = symbols.enumerate_symbols(k, n)
-    index = {s: i for i, s in enumerate(syms)}
+    vec = weight_vector(b, k, n)
+    lat = symbols.lattice(k, n)
+    syms, index = lat.symbols, lat.index
 
     def difference(j: int) -> int:
         # w_1 - w_j via a symbol containing 1 but not j.
@@ -267,7 +296,7 @@ def solve_wa(b, k: int, n: int) -> WASolution:
 def weights_from_wa(W, a: int, k: int, n: int) -> tuple:
     """The weight vector induced by exponent data (W, a)."""
     return tuple(a + sum(W[u - 1] for u in sym)
-                 for sym in symbols.enumerate_symbols(k, n))
+                 for sym in symbols.lattice(k, n).symbols)
 
 
 def is_primitive(b) -> bool:
@@ -284,7 +313,8 @@ def primitive_part(b) -> tuple:
     return tuple(x // g for x in b)
 
 
-def _prime_factors(x: int) -> set:
+def prime_factors(x: int) -> set:
+    """The primes dividing x >= 1."""
     out = set()
     d = 2
     while d * d <= x:
@@ -310,7 +340,7 @@ def normalize(b, k: int, n: int) -> tuple:
         changed = False
         primes = set()
         for x in vec:
-            primes |= _prime_factors(x)
+            primes |= prime_factors(x)
         for p in sorted(primes):
             divisible = [i for i, x in enumerate(vec) if x % p == 0]
             if len(divisible) == len(vec) - 1:
@@ -346,7 +376,7 @@ class _PermutationContext:
 
     def __init__(self, k: int, n: int):
         self.rels = generate_relations(k, n)
-        self.m1 = len(symbols.enumerate_symbols(k, n))
+        self.m1 = symbols.lattice(k, n).m + 1
         all_pairs = sorted({pair for rel in self.rels for pair in rel.pairs})
         self.pair_pos = {pair: t for t, pair in enumerate(all_pairs)}
         rows = []
@@ -568,19 +598,17 @@ def is_plucker_permutation(sigma, k: int, n: int):
 
 def _sn_induced_permutation(phi, k: int, n: int) -> tuple:
     """The coordinate permutation induced by phi in S_n (phi as 1-based map)."""
-    syms = symbols.enumerate_symbols(k, n)
-    index = {s: i for i, s in enumerate(syms)}
-    sigma = [0] * len(syms)
-    for i, sym in enumerate(syms):
-        image = tuple(sorted(phi[u - 1] for u in sym))
-        sigma[i] = index[image]
-    return tuple(sigma)
+    lat = symbols.lattice(k, n)
+    index = lat.index
+    return tuple(
+        index[tuple(sorted(phi[u - 1] for u in sym))] for sym in lat.symbols
+    )
 
 
 def _full_scope_candidates(k: int, n: int):
     """Backtracking enumeration of pair-structure-preserving permutations."""
     rels = generate_relations(k, n)
-    m1 = len(symbols.enumerate_symbols(k, n))
+    m1 = symbols.lattice(k, n).m + 1
     pairs = {pair for rel in rels for pair in rel.pairs}
     partners = [set() for _ in range(m1)]
     for r, s in pairs:
@@ -618,7 +646,7 @@ def _full_scope_candidates(k: int, n: int):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
-    m1 = len(symbols.enumerate_symbols(k, n))
+    m1 = symbols.lattice(k, n).m + 1
     if scope == "identity":
         return (SignedPermutation(tuple(range(m1)), (1,) * m1),)
     if scope == "sn":
@@ -669,7 +697,7 @@ def scope_ladder(k: int, n: int, scope: str = "auto"):
     if scope != "auto":
         yield from enumerate_plucker_permutations(k, n, scope)
         return
-    m1 = len(symbols.enumerate_symbols(k, n))
+    m1 = symbols.lattice(k, n).m + 1
     seen = set()
     ladder = ["identity", "sn"]
     if m1 <= FULL_SCOPE_LIMIT:
@@ -690,7 +718,7 @@ def apply_permutation(sigma, b, k: int, n: int) -> tuple:
         if witness is None:
             raise ParameterError("not a Plucker permutation")
         perm = witness.perm
-    vec = _check_weight_vector_shape(b, k, n)
+    vec = check_weight_vector_shape(b, k, n)
     return tuple(vec[perm[i]] for i in range(len(vec)))
 
 
@@ -706,9 +734,7 @@ def is_descending_divisible(b) -> bool:
 
 def is_divisive(b, k: int, n: int, scope: str = "auto"):
     """A Plucker permutation sigma with b_{sigma(i)} | b_{sigma(i-1)}, or None."""
-    vec = _check_weight_vector_shape(b, k, n)
-    if not validate_weight_vector(vec, k, n):
-        raise InvalidWeightVectorError("not a valid weight vector")
+    vec = weight_vector(b, k, n)
     if not _divisibility_chain_possible(vec):
         return None
     for witness in scope_ladder(k, n, scope):
@@ -731,8 +757,8 @@ def equivalence(b, c, k: int, n: int, scope: str = "auto"):
     A None answer at restricted scope means "not found in scope", not a
     disproof.
     """
-    vb = _check_weight_vector_shape(b, k, n)
-    vc = _check_weight_vector_shape(c, k, n)
+    vb = weight_vector(b, k, n)
+    vc = weight_vector(c, k, n)
     gb = 0
     gc = 0
     for x in vb:

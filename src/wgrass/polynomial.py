@@ -24,7 +24,6 @@ name list, so the same class also serves rewritten bases such as
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm
 from operator import ge
 
@@ -560,22 +559,6 @@ def expand_linear_product(nvars: int, factors) -> list:
             _accumulate(nxt[s + 1], ((e, v * b) for e, v in c.items()))
         coeffs = nxt
     return [_build(nvars, c, scale ** len(factors)) for c in coeffs]
-
-
-def expand_linear_product_subsets(nvars: int, factors) -> list:
-    """Subset-sum form of ``expand_linear_product``; reference route."""
-    t = len(factors)
-    out = []
-    for s in range(t + 1):
-        total = Poly.zero(nvars)
-        for chosen in combinations(range(t), s):
-            chosen_set = set(chosen)
-            term = Poly.one(nvars)
-            for i, (a, b) in enumerate(factors):
-                term = term * (_coerce(b) if i in chosen_set else a)
-            total = total + term
-        out.append(total)
-    return out
 
 
 def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:

@@ -26,8 +26,9 @@ carries 1, the other 0:
 
 The equivariant piece at U(r, j) projects along the two lattice
 directions to south-edge columns c = j (southwest) and a = j + n - r
-(southeast); its weight factor is y_a - y_c, a > c.  The conjugated
-weight replaces y_a - y_c by y_{n+1-a} - y_{n+1-c}.
+(southeast).  On the reversed words every formula downstream reads, it
+carries the conjugated factor y_u - y_v with (u, v) = (n+1-a, n+1-c);
+on the words as they are it would carry y_a - y_c.
 
 Search.  The cells are filled in row-major order: U(r, 1), D(r, 1),
 U(r, 2), ..., row by row.  The piece catalogue of size n is built once,
@@ -38,10 +39,13 @@ the boundary words map to fixed edge ids.  The depth-first search keeps
 the edge labels in a flat list (-1 = unlabelled) and undoes each
 placement on backtrack.
 
-Tables.  ``kt_constants`` sums plain weights over Delta_{w_i, w_j}^{w_l}
-boundaries in the raw orientation; ``conjugated_constants`` sums
-conjugated weights over boundaries of the entry-reversed words, which is
-the orientation every weighted formula downstream consumes.
+Orientation.  ``puzzles_for`` has one orientation: the boundary of the
+symbol triple (i, j; l) is the reversed words of the three symbols.
+The raw orientation, on the words as they are, needs no second path:
+reversing a word is sigma_r on its symbol, so the raw puzzles of
+(i, j; l) are ``puzzles_for`` at (sigma_r i, sigma_r j; sigma_r l), the
+same cached objects.  ``conjugated_product`` and
+``conjugated_constants`` sum conjugated weights into tables.
 """
 
 from __future__ import annotations
@@ -65,21 +69,6 @@ class Puzzle:
     boundary: tuple  # (nw, ne, south) words
     pieces: tuple
     equivariant: tuple  # south-edge column pairs (a, c), a > c
-
-    def weight_factors(self) -> list:
-        """One linear factor y_a - y_c per equivariant piece."""
-        out = []
-        for a, c in self.equivariant:
-            out.append(
-                Poly.variable(self.n, a) - Poly.variable(self.n, c)
-            )
-        return out
-
-    def weight(self) -> Poly:
-        total = Poly.one(self.n)
-        for f in self.weight_factors():
-            total = total * f
-        return total
 
     def conjugated_pairs(self) -> list:
         """(u, v) with u < v for the reversed-alphabet factors y_u - y_v."""
@@ -246,22 +235,17 @@ def _enumerate_cached(nw: str, ne: str, south: str) -> tuple:
     return tuple(results)
 
 
-def puzzles_for(k: int, n: int, i: int, j: int, l: int,
-                conjugated: bool = True) -> list:
-    """Puzzles whose boundary encodes the symbol triple (i, j; l).
+def puzzles_for(k: int, n: int, i: int, j: int, l: int) -> list:
+    """Puzzles on the reversed words of the symbol triple (i, j; l).
 
-    In the conjugated orientation the boundary words are the reversed
-    words of the three symbols; in the raw orientation the words are
-    taken as is.
+    The raw-orientation puzzles of (i, j; l), on the words as they are,
+    are the puzzles of the sigma_r image of the triple.
     """
     lat = symbols.lattice(k, n)
     for idx in (i, j, l):
         if not 0 <= idx <= lat.m:
             raise ParameterError(f"symbol index {idx} out of range")
-    if conjugated:
-        words = [symbols.sigma_r_word(lat.words[t]) for t in (i, j, l)]
-    else:
-        words = [lat.words[t] for t in (i, j, l)]
+    words = [symbols.sigma_r_word(lat.words[t]) for t in (i, j, l)]
     return enumerate_puzzles(words[0], words[1], words[2])
 
 
@@ -279,7 +263,7 @@ def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
     upper = set(lat.upper_set(i, j))
     out = {}
     for l in range(lat.m + 1):
-        found = puzzles_for(k, n, i, j, l, conjugated=True)
+        found = puzzles_for(k, n, i, j, l)
         if not found:
             continue
         expected = lat.d[i] + lat.d[j] - lat.d[l]
@@ -299,38 +283,16 @@ def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
     return out
 
 
-def _table_guard(k: int, n: int) -> None:
-    symbols.check_kn(k, n)
-    m1 = len(symbols.enumerate_symbols(k, n))
+def conjugated_constants(k: int, n: int) -> dict:
+    """Conjugated table (i, j, l) -> polynomial; the downstream orientation."""
+    m1 = symbols.lattice(k, n).m + 1
     if m1 > TABLE_LIMIT:
         raise CapacityError(
             f"full puzzle tables need C(n, k) <= {TABLE_LIMIT}, got {m1}"
         )
-
-
-def kt_constants(k: int, n: int) -> dict:
-    """Raw-orientation table (i, j, l) -> weight polynomial (zeros omitted)."""
-    _table_guard(k, n)
-    lat = symbols.lattice(k, n)
     table = {}
-    for i in range(lat.m + 1):
-        for j in range(lat.m + 1):
-            for l in range(lat.m + 1):
-                total = Poly.zero(n)
-                for puz in puzzles_for(k, n, i, j, l, conjugated=False):
-                    total = total + puz.weight()
-                if not total.is_zero():
-                    table[(i, j, l)] = total
-    return table
-
-
-def conjugated_constants(k: int, n: int) -> dict:
-    """Conjugated table (i, j, l) -> polynomial; the downstream orientation."""
-    _table_guard(k, n)
-    lat = symbols.lattice(k, n)
-    table = {}
-    for i in range(lat.m + 1):
-        for j in range(lat.m + 1):
+    for i in range(m1):
+        for j in range(m1):
             for l, poly in conjugated_product(k, n, i, j).items():
                 table[(i, j, l)] = poly
     return table

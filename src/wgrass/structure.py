@@ -66,9 +66,7 @@ class WeightedContext:
     """Shared caches for one (b, k, n) in divisive presentation."""
 
     def __init__(self, b, k: int, n: int):
-        vec = tuple(plucker._check_weight_vector_shape(b, k, n))
-        if not plucker.validate_weight_vector(vec, k, n):
-            raise ParameterError("not a valid weight vector")
+        vec = plucker.weight_vector(b, k, n)
         if not plucker.is_descending_divisible(vec):
             raise NotDivisiveError(
                 "structure constants need the divisive presentation"
@@ -186,9 +184,7 @@ class WeightedContext:
         lat = self.lattice
         out: dict = {}
         for q in lat.upper_set(i, j):
-            for puz in puzzles.puzzles_for(
-                self.k, self.n, i, j, q, conjugated=True
-            ):
+            for puz in puzzles.puzzles_for(self.k, self.n, i, j, q):
                 coeffs = self.a_coefficients(puz)
                 for s, a_s in enumerate(coeffs):
                     if a_s.is_zero():
@@ -208,9 +204,7 @@ class WeightedContext:
         lat = self.lattice
         if lat.d[i] + lat.d[j] != lat.d[l]:
             raise ParameterError("classical constants need matching dimensions")
-        return len(
-            puzzles.puzzles_for(self.k, self.n, i, j, l, conjugated=True)
-        )
+        return len(puzzles.puzzles_for(self.k, self.n, i, j, l))
 
     def ordinary_constants(self, i: int, j: int) -> dict:
         """Map l (dimension-matching only) -> integer structure constant."""
@@ -224,9 +218,7 @@ class WeightedContext:
             for q in lat.upper_set(i, j):
                 if q == l or not lat.leq_idx(q, l):
                     continue
-                found = puzzles.puzzles_for(
-                    self.k, self.n, i, j, q, conjugated=True
-                )
+                found = puzzles.puzzles_for(self.k, self.n, i, j, q)
                 if not found:
                     continue
                 numerator = 0
@@ -305,16 +297,16 @@ def context(b: tuple, k: int, n: int) -> WeightedContext:
 
 
 def weighted_equivariant_constants(b, k: int, n: int, i: int, j: int) -> dict:
-    return context(tuple(b), k, n).equivariant_constants(i, j)
+    return context(b, k, n).equivariant_constants(i, j)
 
 
 def ordinary_constants(b, k: int, n: int, i: int, j: int) -> dict:
-    return context(tuple(b), k, n).ordinary_constants(i, j)
+    return context(b, k, n).ordinary_constants(i, j)
 
 
 def change_basis_positivity(p: Poly, b, k: int, n: int) -> Poly:
     """Rewrite p in the positivity basis (g_1..g_{n-1}, Y_0) of b."""
-    return context(tuple(b), k, n).change_basis_positivity(p)
+    return context(b, k, n).change_basis_positivity(p)
 
 
 def verify_integrality(table) -> tuple:
@@ -336,7 +328,7 @@ def verify_integrality(table) -> tuple:
 
 def verify_positivity(table, b, k: int, n: int) -> tuple:
     """(ok, counterexample): rewritten cells must avoid Y_0 and stay >= 0."""
-    ctx = context(tuple(b), k, n)
+    ctx = context(b, k, n)
     for key in sorted(table):
         cell = table[key]
         for l in sorted(cell):

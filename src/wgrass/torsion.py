@@ -64,7 +64,7 @@ def p_content(x: int, p: int) -> int:
 def _prime_support(values) -> list:
     primes = set()
     for v in values:
-        primes |= plucker._prime_factors(v)
+        primes |= plucker.prime_factors(v)
     return sorted(primes)
 
 
@@ -94,8 +94,7 @@ def lens_cohomology(spec: LensSpec) -> dict:
 
 def building_sequence(b, k: int, n: int) -> list:
     """Per stage i >= 1: (i, dim, LensSpec(order=b_i, reversal weights))."""
-    if not plucker.validate_weight_vector(b, k, n):
-        raise ParameterError("not a valid weight vector")
+    b = plucker.weight_vector(b, k, n)
     lat = symbols.lattice(k, n)
     out = []
     for i in range(1, lat.m + 1):
@@ -104,18 +103,18 @@ def building_sequence(b, k: int, n: int) -> list:
     return out
 
 
+def _stage_clean(b, lat, p: int, perm, j: int) -> bool:
+    """Stage j is clean: the p-content of b_{perm(j)} divides at least
+    dim(lam_j) - 1 of the permuted reversal weights."""
+    content = p_content(b[perm[j]], p)
+    hits = sum(1 for l in lat.R[j] if b[perm[l]] % content == 0)
+    return hits >= lat.d[j] - 1
+
+
 def certificate_condition(b, k: int, n: int, p: int, perm) -> bool:
     """Stage-wise divisibility condition for the prime p under perm."""
     lat = symbols.lattice(k, n)
-    for j in range(3, lat.m + 1):
-        need = lat.d[j] - 1
-        if need <= 0:
-            continue
-        content = p_content(b[perm[j]], p)
-        hits = sum(1 for l in lat.R[j] if b[perm[l]] % content == 0)
-        if hits < need:
-            return False
-    return True
+    return all(_stage_clean(b, lat, p, perm, j) for j in range(3, lat.m + 1))
 
 
 def no_p_torsion_certificate(b, k: int, n: int, p: int, scope: str = "auto"):
@@ -124,8 +123,7 @@ def no_p_torsion_certificate(b, k: int, n: int, p: int, scope: str = "auto"):
     Searches identity first, then S_n-induced, then the full scope when
     it is enumerable; None means not found in the searched scope.
     """
-    if not plucker.validate_weight_vector(b, k, n):
-        raise ParameterError("not a valid weight vector")
+    b = plucker.weight_vector(b, k, n)
     for witness in plucker.scope_ladder(k, n, scope):
         if certificate_condition(b, k, n, p, witness.perm):
             return witness
@@ -148,9 +146,7 @@ def torsion_report(b, k: int, n: int, primes=None, scope: str = "auto") -> dict:
     certificate; otherwise the undecided degrees are marked unknown (for
     (2, 4) the sharper degree-3 analysis is attached).
     """
-    vec = list(b)
-    if not plucker.validate_weight_vector(vec, k, n):
-        raise ParameterError("not a valid weight vector")
+    vec = plucker.weight_vector(b, k, n)
     if primes is None:
         primes = _prime_support(vec)
     primes = sorted(set(primes))
@@ -163,7 +159,7 @@ def torsion_report(b, k: int, n: int, primes=None, scope: str = "auto") -> dict:
     report: dict = {
         "k": k,
         "n": n,
-        "b": vec,
+        "b": list(vec),
         "primes": {
             str(p): {
                 "certified": w is not None,
@@ -202,27 +198,14 @@ def _eta_pair(vec) -> tuple:
 
 def _admissible_gr24(b, p: int) -> list:
     """Permutations with p-minimal entry at stage 5 and clean stages 4, 5."""
-    out = []
+    lat = symbols.lattice(2, 4)
     min_content = min(p_content(x, p) for x in b)
-    for witness in plucker.enumerate_plucker_permutations(2, 4, "full"):
-        perm = witness.perm
-        if p_content(b[perm[5]], p) != min_content:
-            continue
-        if certificate_condition(b, 2, 4, p, perm):
-            # stages j >= 3 all clean; stronger than needed but safe
-            out.append(witness)
-            continue
-        lat = symbols.lattice(2, 4)
-        ok = True
-        for j in (4, 5):
-            need = lat.d[j] - 1
-            content = p_content(b[perm[j]], p)
-            hits = sum(1 for l in lat.R[j] if b[perm[l]] % content == 0)
-            if hits < need:
-                ok = False
-        if ok:
-            out.append(witness)
-    return out
+    return [
+        w for w in plucker.enumerate_plucker_permutations(2, 4, "full")
+        if p_content(b[w.perm[5]], p) == min_content
+        and _stage_clean(b, lat, p, w.perm, 4)
+        and _stage_clean(b, lat, p, w.perm, 5)
+    ]
 
 
 def gr24_torsion_report(b) -> dict:
@@ -234,9 +217,7 @@ def gr24_torsion_report(b) -> dict:
     some admissible permutation sigma has p not dividing
     gcd(eta(sigma b), eta'(sigma b)).
     """
-    vec = plucker._check_weight_vector_shape(b, 2, 4)
-    if not plucker.validate_weight_vector(vec, 2, 4):
-        raise ParameterError("not a valid weight vector")
+    vec = plucker.weight_vector(b, 2, 4)
     report: dict = {
         "b": list(vec),
         "torsion_free_degrees": [i for i in range(9) if i != 3],
@@ -283,19 +264,3 @@ def gr24_torsion_report(b) -> dict:
     report["fully_torsion_free"] = cleared_all
     return report
 
-
-def local_group_order(b, i: int, k: int, n: int) -> int:
-    """Order of the local group at the i-th coordinate element.
-
-    Only meaningful for primitive vectors; the orders classify the
-    weight vector up to permutation among coordinate-preserving
-    homeomorphisms.
-    """
-    vec = plucker._check_weight_vector_shape(b, k, n)
-    if not plucker.validate_weight_vector(vec, k, n):
-        raise ParameterError("not a valid weight vector")
-    if not plucker.is_primitive(vec):
-        raise ParameterError("vector is not primitive; normalize first")
-    if not 0 <= i < len(vec):
-        raise ParameterError("index out of range")
-    return vec[i]

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,6 @@ from wgrass.errors import ParameterError
 from wgrass.polynomial import (
     Poly,
     expand_linear_product,
-    expand_linear_product_subsets,
     linear_form,
     rewrite_in_linear_basis,
 )
@@ -105,6 +105,21 @@ def test_expand_linear_product_examples():
     out = expand_linear_product(n, [(y(1), 1), (y(2), 1)])
     assert out == [y(1) * y(2), y(1) + y(2), Poly.one(n)]
     assert expand_linear_product(n, []) == [Poly.one(n)]
+
+
+def expand_linear_product_subsets(nvars, factors):
+    """Subset-sum form of ``expand_linear_product``; the reference route."""
+    t = len(factors)
+    out = []
+    for s in range(t + 1):
+        total = Poly.zero(nvars)
+        for chosen in combinations(range(t), s):
+            term = Poly.one(nvars)
+            for i, (a, b) in enumerate(factors):
+                term = term * (b if i in chosen else a)
+            total = total + term
+        out.append(total)
+    return out
 
 
 def test_expand_linear_product_routes_agree():

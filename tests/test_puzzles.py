@@ -13,6 +13,35 @@ def y(i, n=4):
     return Poly.variable(n, i)
 
 
+def raw_puzzles(k, n, i, j, l):
+    """Raw-orientation puzzles: the words of (i, j; l) as they are."""
+    words = symbols.lattice(k, n).words
+    return puzzles.enumerate_puzzles(words[i], words[j], words[l])
+
+
+def raw_weight(puz):
+    """Product of y_a - y_c over the equivariant pieces (a, c)."""
+    total = Poly.one(puz.n)
+    for a, c in puz.equivariant:
+        total = total * (Poly.variable(puz.n, a) - Poly.variable(puz.n, c))
+    return total
+
+
+def kt_constants(k, n):
+    """Raw-orientation table (i, j, l) -> weight polynomial (zeros omitted)."""
+    lat = symbols.lattice(k, n)
+    table = {}
+    for i in range(lat.m + 1):
+        for j in range(lat.m + 1):
+            for l in range(lat.m + 1):
+                total = Poly.zero(n)
+                for puz in raw_puzzles(k, n, i, j, l):
+                    total = total + raw_weight(puz)
+                if not total.is_zero():
+                    table[(i, j, l)] = total
+    return table
+
+
 def test_word_validation():
     with pytest.raises(ParameterError):
         puzzles.enumerate_puzzles("10", "100", "100")
@@ -26,7 +55,7 @@ def test_identity_boundary_single_weightless_puzzle():
     found = puzzles.enumerate_puzzles(w0, w0, w0)
     assert len(found) == 1
     assert found[0].equivariant == ()
-    assert found[0].weight() == Poly.one(4)
+    assert found[0].conjugated_weight() == Poly.one(4)
 
 
 def test_self_boundary_weight_l3():
@@ -48,7 +77,7 @@ def test_conjugated_entries_match_worked_products():
 
 def test_raw_orientation_worked_products():
     # the raw-orientation products mirror the conjugated ones entrywise
-    table = puzzles.kt_constants(2, 4)
+    table = kt_constants(2, 4)
     assert table[(3, 3, 3)] == (y(4) - y(2)) * (y(4) - y(3))
     assert table[(3, 3, 1)] == y(4) - y(3)
     assert table[(3, 3, 0)] == Poly.one(4)
@@ -57,7 +86,7 @@ def test_raw_orientation_worked_products():
 
 def test_orientations_are_sigma_r_conjugate():
     lat = symbols.lattice(2, 4)
-    raw = puzzles.kt_constants(2, 4)
+    raw = kt_constants(2, 4)
     conj = puzzles.conjugated_constants(2, 4)
     sr = lat.sigma_r_index
     swap = {i: lat.n + 1 - i for i in range(1, lat.n + 1)}
@@ -71,9 +100,9 @@ def test_piece_count_balance():
     for i in range(lat.m + 1):
         for j in range(lat.m + 1):
             for l in range(lat.m + 1):
-                for puz in puzzles.puzzles_for(2, 5, i, j, l, conjugated=True):
+                for puz in puzzles.puzzles_for(2, 5, i, j, l):
                     assert len(puz.equivariant) == lat.d[i] + lat.d[j] - lat.d[l]
-                for puz in puzzles.puzzles_for(2, 5, i, j, l, conjugated=False):
+                for puz in raw_puzzles(2, 5, i, j, l):
                     balance = lat.dprime[i] + lat.dprime[j] - lat.dprime[l]
                     assert len(puz.equivariant) == balance
 
@@ -82,7 +111,7 @@ def test_factors_are_positive_roots():
     for i in range(6):
         for j in range(6):
             for l in range(6):
-                for puz in puzzles.puzzles_for(2, 4, i, j, l, conjugated=True):
+                for puz in puzzles.puzzles_for(2, 4, i, j, l):
                     for a, c in puz.equivariant:
                         assert 1 <= c < a <= 4
                     for u, v in puz.conjugated_pairs():
@@ -96,18 +125,19 @@ def test_degree_matching_entries_are_symmetric_counts():
             for l in range(lat.m + 1):
                 if lat.d[l] != lat.d[i] + lat.d[j]:
                     continue
-                a = len(puzzles.puzzles_for(2, 5, i, j, l, conjugated=True))
-                b = len(puzzles.puzzles_for(2, 5, j, i, l, conjugated=True))
+                a = len(puzzles.puzzles_for(2, 5, i, j, l))
+                b = len(puzzles.puzzles_for(2, 5, j, i, l))
                 assert a == b >= 0
 
 
 def test_enumeration_deterministic():
-    first = puzzles.puzzles_for(2, 4, 3, 3, 3, conjugated=True)
-    second = puzzles.puzzles_for(2, 4, 3, 3, 3, conjugated=True)
+    first = puzzles.puzzles_for(2, 4, 3, 3, 3)
+    second = puzzles.puzzles_for(2, 4, 3, 3, 3)
     assert [p.pieces for p in first] == [p.pieces for p in second]
 
 
 def _enumeration_digest(sizes, conjugated, upper_only):
+    find = puzzles.puzzles_for if conjugated else raw_puzzles
     digest = hashlib.sha256()
     for k, n in sizes:
         lat = symbols.lattice(k, n)
@@ -115,7 +145,7 @@ def _enumeration_digest(sizes, conjugated, upper_only):
             for j in range(lat.m + 1):
                 ls = lat.upper_set(i, j) if upper_only else range(lat.m + 1)
                 for l in ls:
-                    for puz in puzzles.puzzles_for(k, n, i, j, l, conjugated):
+                    for puz in find(k, n, i, j, l):
                         record = (puz.boundary, puz.pieces, puz.equivariant)
                         digest.update(repr(record).encode())
     return digest.hexdigest()
@@ -134,12 +164,27 @@ def test_enumeration_pinned():
     )
 
 
+def test_raw_orientation_is_the_sigma_r_image():
+    # the raw words of (i, j; l) are the reversed words of its sigma_r
+    # image, so the raw puzzles are the same cached objects
+    for k, n in [(2, 4), (2, 5), (3, 5)]:
+        lat = symbols.lattice(k, n)
+        sr = lat.sigma_r_index
+        for i in range(lat.m + 1):
+            for j in range(lat.m + 1):
+                for l in range(lat.m + 1):
+                    raw = raw_puzzles(k, n, i, j, l)
+                    image = puzzles.puzzles_for(k, n, sr[i], sr[j], sr[l])
+                    assert len(raw) == len(image)
+                    assert all(a is b for a, b in zip(raw, image))
+
+
 def test_table_capacity_guard():
     with pytest.raises(CapacityError):
-        puzzles.kt_constants(2, 7)
+        puzzles.conjugated_constants(2, 7)
 
 
 def test_render_ascii_mentions_pieces():
-    puz = puzzles.puzzles_for(2, 4, 3, 3, 3, conjugated=True)[0]
+    puz = puzzles.puzzles_for(2, 4, 3, 3, 3)[0]
     text = puzzles.render_ascii(puz)
     assert "equivariant pieces" in text and "size 4" in text

@@ -216,10 +216,3 @@ def test_torsion_report_primes_filter():
 def test_poincare_ranks():
     assert torsion.poincare_ranks(2, 4) == [1, 1, 2, 1, 1]
     assert torsion.poincare_ranks(2, 5) == q_binomial(5, 2)
-
-
-def test_local_group_order():
-    assert torsion.local_group_order((5, 1, 4, 3, 6, 2), 4, 2, 4) == 6
-    assert torsion.local_group_order((1,) * 6, 0, 2, 4) == 1
-    with pytest.raises(ParameterError):
-        torsion.local_group_order((2, 2, 2, 2, 2, 2), 0, 2, 4)
