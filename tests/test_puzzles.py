@@ -1,10 +1,12 @@
 """Puzzle enumeration and weight tables."""
 
 import hashlib
+import json
+from itertools import product
 
 import pytest
 
-from wgrass import puzzles, symbols
+from wgrass import cli, puzzles, symbols
 from wgrass.errors import CapacityError, ParameterError
 from wgrass.polynomial import Poly
 
@@ -177,6 +179,23 @@ def test_raw_orientation_is_the_sigma_r_image():
                     image = puzzles.puzzles_for(k, n, sr[i], sr[j], sr[l])
                     assert len(raw) == len(image)
                     assert all(a is b for a, b in zip(raw, image))
+
+
+def test_cli_raw_orientation_reads_the_words_as_they_are(capsys):
+    for i, j, l in product(range(6), repeat=3):
+        code = cli.main(["puzzles", "--k", "2", "--n", "4", "--i", str(i),
+                         "--j", str(j), "--l", str(l), "--orientation", "raw"])
+        data = json.loads(capsys.readouterr().out)
+        found = raw_puzzles(2, 4, i, j, l)
+        assert code == 0 and data["count"] == len(found)
+        for entry, puz in zip(data["puzzles"], found):
+            assert entry["equivariant_pieces"] == [list(p) for p in puz.equivariant]
+            assert entry["weight"] == raw_weight(puz).render()
+    for i, j, bad in [(6, 0, 6), (-1, 0, -1), (0, -1, -1)]:
+        code = cli.main(["puzzles", "--k", "2", "--n", "4", "--i", str(i),
+                         "--j", str(j), "--l", "0", "--orientation", "raw"])
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert code == 2 and error == f"symbol index {bad} out of range"
 
 
 def test_table_capacity_guard():
