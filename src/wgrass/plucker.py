@@ -170,7 +170,7 @@ def generate_relations(k: int, n: int) -> tuple:
 def is_plucker_point(z, k: int, n: int) -> bool:
     """Membership test: all relations vanish (z must be nonzero)."""
     vec = [Fraction(v) for v in z]
-    m1 = symbols.lattice(k, n).m + 1
+    m1 = symbols.count(k, n)
     if len(vec) != m1:
         raise ParameterError(f"coordinate vector must have length {m1}")
     if not any(vec):
@@ -216,7 +216,7 @@ class WeightVector(tuple):
 def check_weight_vector_shape(b, k: int, n: int) -> list:
     """b as a list of C(n, k) integers >= 1 (booleans excluded)."""
     vec = list(b)
-    m1 = symbols.lattice(k, n).m + 1
+    m1 = symbols.count(k, n)
     if len(vec) != m1:
         raise ParameterError(f"weight vector must have length {m1}")
     for x in vec:
@@ -296,7 +296,7 @@ def solve_wa(b, k: int, n: int) -> WASolution:
 def weights_from_wa(W, a: int, k: int, n: int) -> tuple:
     """The weight vector induced by exponent data (W, a)."""
     return tuple(a + sum(W[u - 1] for u in sym)
-                 for sym in symbols.lattice(k, n).symbols)
+                 for sym in symbols.enumerate_symbols(k, n))
 
 
 def is_primitive(b) -> bool:
@@ -376,7 +376,7 @@ class _PermutationContext:
 
     def __init__(self, k: int, n: int):
         self.rels = generate_relations(k, n)
-        self.m1 = symbols.lattice(k, n).m + 1
+        self.m1 = symbols.count(k, n)
         all_pairs = sorted({pair for rel in self.rels for pair in rel.pairs})
         self.pair_pos = {pair: t for t, pair in enumerate(all_pairs)}
         rows = []
@@ -608,7 +608,7 @@ def _sn_induced_permutation(phi, k: int, n: int) -> tuple:
 def _full_scope_candidates(k: int, n: int):
     """Backtracking enumeration of pair-structure-preserving permutations."""
     rels = generate_relations(k, n)
-    m1 = symbols.lattice(k, n).m + 1
+    m1 = symbols.count(k, n)
     pairs = {pair for rel in rels for pair in rel.pairs}
     partners = [set() for _ in range(m1)]
     for r, s in pairs:
@@ -646,7 +646,7 @@ def _full_scope_candidates(k: int, n: int):
 
 @lru_cache(maxsize=None)
 def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
-    m1 = symbols.lattice(k, n).m + 1
+    m1 = symbols.count(k, n)
     if scope == "identity":
         return (SignedPermutation(tuple(range(m1)), (1,) * m1),)
     if scope == "sn":
@@ -697,7 +697,7 @@ def scope_ladder(k: int, n: int, scope: str = "auto"):
     if scope != "auto":
         yield from enumerate_plucker_permutations(k, n, scope)
         return
-    m1 = symbols.lattice(k, n).m + 1
+    m1 = symbols.count(k, n)
     seen = set()
     ladder = ["identity", "sn"]
     if m1 <= FULL_SCOPE_LIMIT:

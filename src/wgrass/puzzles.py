@@ -285,7 +285,7 @@ def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
 
 def conjugated_constants(k: int, n: int) -> dict:
     """Conjugated table (i, j, l) -> polynomial; the downstream orientation."""
-    m1 = symbols.lattice(k, n).m + 1
+    m1 = symbols.count(k, n)
     if m1 > TABLE_LIMIT:
         raise CapacityError(
             f"full puzzle tables need C(n, k) <= {TABLE_LIMIT}, got {m1}"

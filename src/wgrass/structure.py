@@ -296,17 +296,29 @@ def context(b: tuple, k: int, n: int) -> WeightedContext:
     return WeightedContext(b, k, n)
 
 
+def _context(b, k: int, n: int) -> WeightedContext:
+    """``context`` for any sequence b.
+
+    A checked vector goes to the cache as it is; any other b is
+    shape-checked first, so that a list is accepted and no boolean or
+    float entry can hit the cache of an equal integer vector.
+    """
+    if not isinstance(b, plucker.WeightVector):
+        b = tuple(plucker.check_weight_vector_shape(b, k, n))
+    return context(b, k, n)
+
+
 def weighted_equivariant_constants(b, k: int, n: int, i: int, j: int) -> dict:
-    return context(b, k, n).equivariant_constants(i, j)
+    return _context(b, k, n).equivariant_constants(i, j)
 
 
 def ordinary_constants(b, k: int, n: int, i: int, j: int) -> dict:
-    return context(b, k, n).ordinary_constants(i, j)
+    return _context(b, k, n).ordinary_constants(i, j)
 
 
 def change_basis_positivity(p: Poly, b, k: int, n: int) -> Poly:
     """Rewrite p in the positivity basis (g_1..g_{n-1}, Y_0) of b."""
-    return context(b, k, n).change_basis_positivity(p)
+    return _context(b, k, n).change_basis_positivity(p)
 
 
 def verify_integrality(table) -> tuple:
@@ -328,7 +340,7 @@ def verify_integrality(table) -> tuple:
 
 def verify_positivity(table, b, k: int, n: int) -> tuple:
     """(ok, counterexample): rewritten cells must avoid Y_0 and stay >= 0."""
-    ctx = context(b, k, n)
+    ctx = _context(b, k, n)
     for key in sorted(table):
         cell = table[key]
         for l in sorted(cell):

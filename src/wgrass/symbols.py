@@ -23,13 +23,15 @@ For a symbol lam the module computes
 
 ``SymbolLattice`` precomputes all of this once per (k, n) and memoizes
 saturated descending chains, which the structure-constant formulas
-consume heavily.
+consume heavily.  Its order table has C(n, k)^2 entries, so size checks
+use ``count`` instead.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .errors import ParameterError
 
@@ -39,6 +41,12 @@ Symbol = tuple  # strictly increasing tuple of ints
 def check_kn(k: int, n: int) -> None:
     if not (isinstance(k, int) and isinstance(n, int) and 1 <= k < n):
         raise ParameterError(f"need integers 1 <= k < n, got k={k!r}, n={n!r}")
+
+
+def count(k: int, n: int) -> int:
+    """Number of Schubert symbols, C(n, k), without building them."""
+    check_kn(k, n)
+    return comb(n, k)
 
 
 def enumerate_symbols(k: int, n: int) -> list[Symbol]:

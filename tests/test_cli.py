@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from wgrass import cli, symbols
 from wgrass.polynomial import Poly
 
 
@@ -156,6 +157,20 @@ def test_invalid_input_exit_codes():
 def test_capacity_exit_code():
     code, _ = run_cli("perms", "--k", "2", "--n", "6", "--scope", "full")
     assert code == 4
+
+
+def test_size_guards_run_before_any_lattice(monkeypatch, capsys):
+    # The capacity cap and the length check reject oversized input by
+    # C(n, k) alone; a lattice at (8, 16) would hold C(16, 8)^2 order
+    # entries.
+    def no_lattice(k, n):
+        raise AssertionError(f"lattice({k}, {n}) built before a size guard")
+
+    monkeypatch.setattr(symbols, "lattice", no_lattice)
+    assert cli.main(["perms", "--k", "8", "--n", "16", "--scope", "full"]) == 4
+    assert cli.main(["divisive", "[1]", "--k", "8", "--n", "16"]) == 2
+    assert cli.main(["validate", "[1]", "--k", "8", "--n", "16"]) == 2
+    capsys.readouterr()
 
 
 def test_output_file(tmp_path):

@@ -369,6 +369,21 @@ def test_full_scope_capacity():
         plucker.enumerate_plucker_permutations(2, 6, "full")
 
 
+def test_size_guards_run_before_any_lattice(monkeypatch):
+    def no_lattice(k, n):
+        raise AssertionError(f"lattice({k}, {n}) built before a size guard")
+
+    monkeypatch.setattr(symbols, "lattice", no_lattice)
+    with pytest.raises(CapacityError):
+        plucker.enumerate_plucker_permutations(8, 16, "full")
+    with pytest.raises(ParameterError):
+        plucker.check_weight_vector_shape([1], 10, 20)
+    with pytest.raises(ParameterError):
+        plucker.is_plucker_point([1], 10, 20)
+    assert next(plucker.scope_ladder(8, 16)).perm == tuple(range(12870))
+    assert len(plucker.weights_from_wa((0,) * 16, 1, 8, 16)) == 12870
+
+
 def test_apply_permutation_examples():
     ident = tuple(range(6))
     b = (5, 1, 4, 3, 6, 2)

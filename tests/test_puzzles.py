@@ -198,9 +198,16 @@ def test_cli_raw_orientation_reads_the_words_as_they_are(capsys):
         assert code == 2 and error == f"symbol index {bad} out of range"
 
 
-def test_table_capacity_guard():
+def test_table_capacity_guard(monkeypatch):
     with pytest.raises(CapacityError):
         puzzles.conjugated_constants(2, 7)
+
+    def no_lattice(k, n):
+        raise AssertionError(f"lattice({k}, {n}) built before the cap")
+
+    monkeypatch.setattr(symbols, "lattice", no_lattice)
+    with pytest.raises(CapacityError):
+        puzzles.conjugated_constants(8, 16)
 
 
 def test_render_ascii_mentions_pieces():

@@ -49,6 +49,13 @@ def test_enumeration_rejects_bad_parameters():
         symbols.enumerate_symbols(0, 4)
 
 
+def test_count_is_the_binomial_without_a_lattice():
+    assert symbols.count(2, 4) == len(symbols.enumerate_symbols(2, 4)) == 6
+    assert symbols.count(10, 20) == 184756
+    with pytest.raises(ParameterError):
+        symbols.count(3, 3)
+
+
 def test_dim_values():
     assert symbols.dim((1, 2)) == 0
     assert symbols.dim((3, 4)) == 4

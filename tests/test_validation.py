@@ -75,6 +75,18 @@ def test_oracle_cache_rejects_entries_equal_to_cached_ints():
             gkm.localize_product(bad, 2, 4, 0, 0)
 
 
+def test_structure_wrappers_accept_lists_and_reject_booleans():
+    b = (6, 6, 6, 2, 2, 2)
+    assert structure.ordinary_constants(list(b), 2, 4, 3, 3) == \
+        structure.ordinary_constants(b, 2, 4, 3, 3)
+    assert structure.weighted_equivariant_constants(list(b), 2, 4, 2, 3) == \
+        structure.context(b, 2, 4).equivariant_constants(2, 3)
+    structure.ordinary_constants((1,) * 6, 2, 4, 3, 3)
+    for bad in [(True, 1, 1, 1, 1, 1), (1.0, 1, 1, 1, 1, 1)]:
+        with pytest.raises(ParameterError):
+            structure.ordinary_constants(bad, 2, 4, 3, 3)
+
+
 def test_equivalence_rejects_invalid_vectors():
     valid = (2, 6, 6, 2, 2, 6)
     invalid = (1, 1, 1, 1, 1, 2)
