@@ -43,7 +43,7 @@ def _parse_vector(text: str, k: int, n: int) -> tuple:
         raise ParameterError(f"weight vector entry is too long: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
         raise ParameterError("weight vector must be a JSON array of integers")
-    return tuple(plucker.check_weight_vector_shape(data, k, n))
+    return plucker.check_weight_vector_shape(data, k, n)
 
 
 # -- ring table workers (module level for multiprocessing) -----------------

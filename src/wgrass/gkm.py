@@ -177,9 +177,7 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
     call, so that no boolean or float entry can hit the cache of an
     equal integer vector; the pair-sum test runs on the first call.
     """
-    return _weighted_cached(
-        tuple(plucker.check_weight_vector_shape(b, k, n)), k, n
-    )
+    return _weighted_cached(plucker.check_weight_vector_shape(b, k, n), k, n)
 
 
 @lru_cache(maxsize=None)

@@ -22,23 +22,19 @@ once.  ``validate_weight_vector`` is the bare predicate it runs.
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
-Plucker point z.  Membership is decided in two exact integer stages,
-on data built once per (k, n) on first use (``_permutation_context``):
+Plucker point z.  Membership is decided by one exact integer test, on
+data built once per (k, n) on first use (``_permutation_context``):
+a signed pulled-back relation sum_t eps_t c_t z_{sigma r_t} z_{sigma s_t}
+vanishes on Pl(k, n) iff it lies in the span of the generating
+relations (``_PermutationContext.in_span``).
 
-1. Screen.  Fifty sampled Plucker points (integer minors of seeded
-   integer matrices) leave, for each pulled-back relation
-   sum_t c_t z_{sigma r_t} z_{sigma s_t}, the sign patterns eps with
-   sum_t eps_t c_t z_{sigma r_t} z_{sigma s_t} = 0 at every sample.
-   The answer depends only on the term tuple ((c_t, sigma r_t,
-   sigma s_t), ...), so the context memoises it.  A backtracking search
-   picks one pattern per relation, keeping the constraints
-   t_r t_s = eps_t consistent in a parity union-find with an undo log,
-   and solves them for the global signs t.
-2. Confirmation.  Each signed pulled-back relation v must lie in the
-   span of the generating relations.  In reduced row echelon form that
-   holds iff v == sum over pivot columns c of v[c] * row_c, so only the
-   rows whose pivot v touches take part; the rows are kept as sparse
-   integer dicts over one common denominator.
+For each pulled-back relation the admissible sign patterns eps are
+those passing the span test.  They depend only on the term tuple
+((c_t, sigma r_t, sigma s_t), ...), so the context memoises them.  A
+backtracking search picks one pattern per relation, keeping the
+constraints t_r t_s = eps_t consistent in a parity union-find with an
+undo log; the first consistent choice is a proof, and the signs are
+read off the union-find.
 
 Full scope reuses the witnesses of the S_n-induced permutations, which
 preserve the pair structure and so are a subset of it.
@@ -213,9 +209,14 @@ class WeightVector(tuple):
         return (tuple(self), *self.kn)
 
 
-def check_weight_vector_shape(b, k: int, n: int) -> list:
-    """b as a list of C(n, k) integers >= 1 (booleans excluded)."""
-    vec = list(b)
+def check_weight_vector_shape(b, k: int, n: int) -> tuple:
+    """b as a tuple of C(n, k) integers >= 1 (booleans excluded).
+
+    A WeightVector of the same (k, n) is handed back unchanged.
+    """
+    if isinstance(b, WeightVector) and b.kn == (k, n):
+        return b
+    vec = tuple(b)
     m1 = symbols.count(k, n)
     if len(vec) != m1:
         raise ParameterError(f"weight vector must have length {m1}")
@@ -367,11 +368,10 @@ class SignedPermutation:
 class _PermutationContext:
     """Exact data shared by every Plucker-permutation test at one (k, n).
 
-    ``samples`` are integer Plucker points; ``patterns`` memoises the
-    sign screen on the pulled-back term tuple.  ``pivot_rows`` maps each
-    pivot column of the reduced row echelon form of the relations to its
-    row, as a sparse dict scaled to integers by the common denominator
-    ``scale``.
+    ``patterns`` memoises the admissible sign patterns on the pulled-back
+    term tuple.  ``pivot_rows`` maps each pivot column of the reduced row
+    echelon form of the relations to its row, as a sparse dict scaled to
+    integers by the common denominator ``scale``.
     """
 
     def __init__(self, k: int, n: int):
@@ -395,9 +395,6 @@ class _PermutationContext:
             c: {col: int(x * scale) for col, x in enumerate(row) if x}
             for row, c in zip(span_rref, span_pivots)
         }
-        self.samples = [
-            sample_plucker_point(k, n, seed) for seed in range(17, 17 + 50)
-        ]
         self.patterns: dict = {}
 
     def in_span(self, vec: dict) -> bool:
@@ -424,62 +421,21 @@ def _permutation_context(k: int, n: int) -> _PermutationContext:
 
 
 def _sign_patterns(ctx: _PermutationContext, terms: tuple) -> list:
-    """Sign patterns eps with sum_t eps_t c_t z_{r_t} z_{s_t} = 0 on the samples.
+    """Sign patterns eps with sum_t eps_t c_t e_(r_t, s_t) in the span.
 
     terms is the pulled-back relation ((c_t, r_t, s_t), ...); patterns are
     kept in product((1, -1), repeat=T) order.
     """
     admissible = ctx.patterns.get(terms)
-    if admissible is not None:
-        return admissible
-    admissible = list(product((1, -1), repeat=len(terms)))
-    for z in ctx.samples:
-        values = [c * z[r] * z[s] for c, r, s in terms]
+    if admissible is None:
+        cols = [ctx.pair_pos[(r, s)] for _, r, s in terms]
         admissible = [
-            eps for eps in admissible
-            if not sum(e * v for e, v in zip(eps, values))
+            eps for eps in product((1, -1), repeat=len(terms))
+            if ctx.in_span({col: e * c
+                            for col, e, (c, _, _) in zip(cols, eps, terms)})
         ]
-        if not admissible:
-            break
-    ctx.patterns[terms] = admissible
+        ctx.patterns[terms] = admissible
     return admissible
-
-
-def _solve_signs(rels, pattern_choice, m1):
-    """Global signs t with t_r t_s = eps for each constrained pair, or None.
-
-    Each connected component's smallest coordinate gets sign +1.
-    """
-    constraint: dict = {}
-    for rel, eps in zip(rels, pattern_choice):
-        for (r, s), e in zip(rel.pairs, eps):
-            if r == s:
-                if e != 1:
-                    return None
-                continue
-            if constraint.get((r, s), e) != e:
-                return None
-            constraint[(r, s)] = e
-    adj: dict = {}
-    for (r, s), e in constraint.items():
-        adj.setdefault(r, []).append((s, e))
-        adj.setdefault(s, []).append((r, e))
-    signs = [0] * m1
-    for root in range(m1):
-        if signs[root]:
-            continue
-        signs[root] = 1
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, e in adj.get(u, ()):  # t_u * t_v = e
-                want = e * signs[u]
-                if signs[v] == 0:
-                    signs[v] = want
-                    stack.append(v)
-                elif signs[v] != want:
-                    return None
-    return tuple(signs)
 
 
 class _ParityForest:
@@ -526,36 +482,28 @@ class _ParityForest:
             self.parent[rb] = rb
             self.parity[rb] = 0
 
-
-def _confirm_signs(sigma, signs, ctx: _PermutationContext) -> bool:
-    """Exact check: every signed pulled-back relation lies in the span."""
-    pair_pos = ctx.pair_pos
-    for rel in ctx.rels:
-        vec: dict = {}
-        for (r, s), c in zip(rel.pairs, rel.coefs):
-            ir, is_ = sigma[r], sigma[s]
-            pos = pair_pos[(ir, is_) if ir <= is_ else (is_, ir)]
-            vec[pos] = vec.get(pos, 0) + c * signs[r] * signs[s]
-        if not ctx.in_span(vec):
-            return False
-    return True
+    def signs(self) -> tuple:
+        """Signs solving the constraints, +1 at each class's smallest member."""
+        first: dict = {}
+        out = []
+        for x in range(len(self.parent)):
+            root, p = self._root(x)
+            out.append(1 if first.setdefault(root, p) == p else -1)
+        return tuple(out)
 
 
 def is_plucker_permutation(sigma, k: int, n: int):
     """Sign witness making sigma a Plucker permutation, or None.
 
-    Stage one screens sign patterns per relation on sampled Plucker
-    points and propagates them to a global sign vector; stage two
-    confirms symbolically that each pulled-back relation stays in the
-    rational span of the generating relations.
+    Every pulled-back relation keeps the sign patterns that put it in
+    the span of the generating relations; a search then picks one
+    pattern per relation with consistent constraints t_r t_s = eps_t.
     """
     ctx = _permutation_context(k, n)
     rels, m1, pair_pos = ctx.rels, ctx.m1, ctx.pair_pos
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(m1)):
         raise ParameterError(f"not a permutation of 0..{m1 - 1}")
-    if not rels:
-        return SignedPermutation(sigma, (1,) * m1)
     for r, s in pair_pos:
         ir, is_ = sigma[r], sigma[s]
         if ((ir, is_) if ir <= is_ else (is_, ir)) not in pair_pos:
@@ -572,28 +520,22 @@ def is_plucker_permutation(sigma, k: int, n: int):
         options.append(opts)
 
     forest = _ParityForest(m1)
-    chosen: list = []
 
-    def search(idx: int):
+    def search(idx: int) -> bool:
         if idx == len(rels):
-            signs = _solve_signs(rels, chosen, m1)
-            return signs if _confirm_signs(sigma, signs, ctx) else None
+            return True
         mark = len(forest.log)
         pairs = rels[idx].pairs
         for eps in options[idx]:
-            if all(forest.join(r, s, e) for (r, s), e in zip(pairs, eps)):
-                chosen.append(eps)
-                found = search(idx + 1)
-                if found is not None:
-                    return found
-                chosen.pop()
+            if (all(forest.join(r, s, e) for (r, s), e in zip(pairs, eps))
+                    and search(idx + 1)):
+                return True
             forest.undo(mark)
-        return None
+        return False
 
-    signs = search(0)
-    if signs is None:
+    if not search(0):
         return None
-    return SignedPermutation(sigma, signs)
+    return SignedPermutation(sigma, forest.signs())
 
 
 def _sn_induced_permutation(phi, k: int, n: int) -> tuple:

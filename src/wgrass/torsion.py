@@ -53,7 +53,9 @@ class LensSpec:
 
 
 def p_content(x: int, p: int) -> int:
-    """Largest power of p dividing x."""
+    """Largest power of p dividing x (p >= 2)."""
+    if p < 2:
+        raise ParameterError(f"p-content needs p >= 2, got {p}")
     out = 1
     while x % p == 0:
         out *= p
@@ -142,19 +144,23 @@ def poincare_ranks(k: int, n: int) -> list:
 def torsion_report(b, k: int, n: int, primes=None, scope: str = "auto") -> dict:
     """Certificate search per prime plus the rank census.
 
-    Degrees are reported torsion-free when every relevant prime carries a
-    certificate; otherwise the undecided degrees are marked unknown (for
-    (2, 4) the sharper degree-3 analysis is attached).
+    primes narrows the certificate search (default: every prime dividing
+    some b_i).  Degrees are reported torsion-free when every prime
+    dividing some b_i carries a certificate; otherwise the undecided
+    degrees are marked unknown (for (2, 4) the sharper degree-3 analysis
+    is attached).
     """
+    if primes is not None:
+        for p in primes:
+            if plucker.prime_factors(p) != {p}:
+                raise ParameterError(f"{p} is not a prime")
     vec = plucker.weight_vector(b, k, n)
-    if primes is None:
-        primes = _prime_support(vec)
-    primes = sorted(set(primes))
-    certs = {}
-    for p in primes:
-        witness = no_p_torsion_certificate(vec, k, n, p, scope)
-        certs[p] = witness
-    all_certified = all(w is not None for w in certs.values())
+    support = _prime_support(vec)
+    certs = {
+        p: no_p_torsion_certificate(vec, k, n, p, scope)
+        for p in sorted(set(support if primes is None else primes))
+    }
+    all_certified = all(certs.get(p) is not None for p in support)
     ranks = poincare_ranks(k, n)
     report: dict = {
         "k": k,

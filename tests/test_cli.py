@@ -154,6 +154,22 @@ def test_invalid_input_exit_codes():
         assert code == 2 and json.loads(out)["kind"] == "invalid-input"
 
 
+def test_torsion_primes_must_be_primes(capsys):
+    argv = ["torsion", "[30,30,25,10,5,5]", "--k", "2", "--n", "4", "--primes"]
+    for bad in ("0", "4", "-2", "2,4"):
+        assert cli.main(argv + [bad]) == 2, bad
+        assert json.loads(capsys.readouterr().out)["kind"] == "invalid-input"
+    # p = 1 used to loop forever in the p-content; a hang fails here
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgrass.cli", *argv, "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["kind"] == "invalid-input"
+
+
 def test_capacity_exit_code():
     code, _ = run_cli("perms", "--k", "2", "--n", "6", "--scope", "full")
     assert code == 4

@@ -268,26 +268,83 @@ def _seeded_candidates(k, n, rng, count):
     return out
 
 
+def _relation_rows(ctx):
+    """The relations as dense Fraction rows over ctx.pair_pos."""
+    rows = []
+    for rel in ctx.rels:
+        row = [Fraction(0)] * len(ctx.pair_pos)
+        for pair, c in zip(rel.pairs, rel.coefs):
+            row[ctx.pair_pos[pair]] = Fraction(c)
+        rows.append(row)
+    return rows
+
+
+def test_predicate_answers_pinned():
+    # answers (rejections included) on seeded shuffles, induced
+    # permutations and induced ones with two entries swapped, then every
+    # induced permutation at (2,6); digest taken on the two-stage
+    # predicate (sampled sign screen, then the span confirmation)
+    rng = random.Random(41)
+    digest = hashlib.sha256()
+    for k, n in [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6)]:
+        induced = _induced(k, n)
+        for _ in range(60):
+            shuffled = list(induced[0])
+            rng.shuffle(shuffled)
+            swapped = list(rng.choice(induced))
+            i, j = rng.sample(range(len(swapped)), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            for sigma in (shuffled, rng.choice(induced), swapped):
+                w = plucker.is_plucker_permutation(sigma, k, n)
+                digest.update(repr((k, n, tuple(sigma),
+                                    None if w is None else w.signs)).encode())
+    for w in plucker.enumerate_plucker_permutations(2, 6, "sn"):
+        digest.update(repr((w.perm, w.signs)).encode())
+    assert digest.hexdigest() == (
+        "e31a437fdcd2ff1f3cec40fae1d90726c042bf5142675c883f137a8b0d0ea87d"
+    )
+
+
 def test_sign_screen_matches_fraction_evaluation():
+    # the memoised span screen against dense Fraction reduction, on the
+    # pulled-back relations of induced permutations and on term tuples
+    # mixed from several relations; admissible patterns vanish on samples
     rng = random.Random(23)
     for k, n in [(2, 5), (3, 5)]:
         ctx = plucker._PermutationContext(k, n)
-        samples = [[Fraction(x) for x in z] for z in ctx.samples]
-        candidates = _seeded_candidates(k, n, rng, 8)
-        hits = 0
-        for sigma in candidates + candidates[:4]:
+        pairs = sorted(ctx.pair_pos)
+        rref_rows, pivots = linalg.rref(_relation_rows(ctx))
+        rref_rows = rref_rows[: len(pivots)]
+        points = [plucker.sample_plucker_point(k, n, 500 + seed)
+                  for seed in range(5)]
+        induced = _induced(k, n)
+        tuples = []
+        for sigma in [rng.choice(induced) for _ in range(8)]:
             for rel in ctx.rels:
-                terms = tuple((c, sigma[r], sigma[s])
-                              for (r, s), c in zip(rel.pairs, rel.coefs))
-                expected = [
-                    eps for eps in product((1, -1), repeat=len(terms))
-                    if all(sum(e * c * z[r] * z[s]
-                               for e, (c, r, s) in zip(eps, terms)) == 0
-                           for z in samples)
-                ]
-                hits += terms in ctx.patterns
-                assert plucker._sign_patterns(ctx, terms) == expected
+                tuples.append(tuple((c, *sorted((sigma[r], sigma[s])))
+                                    for (r, s), c in zip(rel.pairs, rel.coefs)))
+        for _ in range(40):
+            tuples.append(tuple((rng.choice((1, -1)), *pair)
+                                for pair in rng.sample(pairs, 3)))
+        hits = 0
+        outcomes = set()
+        for terms in tuples + tuples[: 4 * len(ctx.rels)]:
+            expected = []
+            for eps in product((1, -1), repeat=len(terms)):
+                dense = [0] * len(pairs)
+                for e, (c, r, s) in zip(eps, terms):
+                    dense[ctx.pair_pos[(r, s)]] = e * c
+                if in_row_span(dense, rref_rows, pivots):
+                    expected.append(eps)
+            hits += terms in ctx.patterns
+            got = plucker._sign_patterns(ctx, terms)
+            assert got == expected
+            for eps, z in product(got, points):
+                assert not sum(e * c * z[r] * z[s]
+                               for e, (c, r, s) in zip(eps, terms))
+            outcomes.add(bool(got))
         assert hits >= 4 * len(ctx.rels)
+        assert outcomes == {True, False}
 
 
 def test_echelon_identity_matches_row_reduction():
@@ -295,12 +352,7 @@ def test_echelon_identity_matches_row_reduction():
     for k, n in [(2, 5), (3, 5)]:
         ctx = plucker._PermutationContext(k, n)
         width = len(ctx.pair_pos)
-        rows = []
-        for rel in ctx.rels:
-            row = [Fraction(0)] * width
-            for pair, c in zip(rel.pairs, rel.coefs):
-                row[ctx.pair_pos[pair]] = Fraction(c)
-            rows.append(row)
+        rows = _relation_rows(ctx)
         rref_rows, pivots = linalg.rref(rows)
         rref_rows = rref_rows[: len(pivots)]
         vectors = []

@@ -7,7 +7,7 @@ from math import gcd, lcm
 import pytest
 
 from wgrass import plucker, torsion
-from wgrass.errors import ParameterError
+from wgrass.errors import InvalidWeightVectorError, ParameterError
 from test_symbols import q_binomial
 
 
@@ -211,6 +211,36 @@ def test_torsion_report_primes_filter():
     report = torsion.torsion_report((1,) * 6, 2, 4, primes=[2, 3])
     assert set(report["primes"]) == {"2", "3"}
     assert report["torsion_free"]
+
+
+def test_torsion_report_rejects_non_primes():
+    # reported before the pair-sum check of an invalid b
+    for bad in (0, 1, 4, -2):
+        with pytest.raises(ParameterError) as info:
+            torsion.torsion_report((1, 1, 1, 1, 1, 2), 2, 4, primes=[2, bad])
+        assert not isinstance(info.value, InvalidWeightVectorError)
+    for p in (0, 1, -3):
+        with pytest.raises(ParameterError):
+            torsion.p_content(12, p)
+
+
+def test_torsion_free_needs_every_prime_of_b_certified():
+    b = (7, 7, 4, 5, 10, 7, 8, 7, 8, 5)
+    full = torsion.torsion_report(b, 2, 5)
+    assert not full["primes"]["2"]["certified"]
+    assert not full["primes"]["5"]["certified"]
+    assert not full["torsion_free"]
+    # a narrowed prime list certifies 7 but says nothing about 2 and 5
+    narrowed = torsion.torsion_report(b, 2, 5, primes=[7])
+    assert set(narrowed["primes"]) == {"7"}
+    assert narrowed["primes"]["7"]["certified"]
+    assert not narrowed["torsion_free"]
+    assert narrowed["cohomology"] == full["cohomology"]
+    # a list covering every prime of b, and more, decides it
+    wide = torsion.torsion_report((30, 30, 25, 10, 5, 5), 2, 4,
+                                  primes=[2, 3, 5, 7])
+    assert set(wide["primes"]) == {"2", "3", "5", "7"}
+    assert wide["torsion_free"]
 
 
 def test_poincare_ranks():

@@ -66,6 +66,24 @@ def test_weight_vector_errors():
     assert isinstance(info.value, ParameterError)
 
 
+def test_shape_check_returns_a_tuple():
+    got = plucker.check_weight_vector_shape([5, 1, 4, 3, 6, 2], 2, 4)
+    assert type(got) is tuple and got == (5, 1, 4, 3, 6, 2)
+    wv = plucker.weight_vector(got, 2, 4)
+    assert plucker.check_weight_vector_shape(wv, 2, 4) is wv
+    other = plucker.weight_vector((1,) * 6, 1, 6)
+    assert type(plucker.check_weight_vector_shape(other, 2, 4)) is tuple
+
+
+def test_structure_context_checks_in_front_of_its_cache():
+    ctx = structure.context((1,) * 6, 2, 4)
+    assert structure.context([1] * 6, 2, 4) is ctx
+    assert structure.context(plucker.weight_vector((1,) * 6, 2, 4), 2, 4) is ctx
+    for bad in [(True, 1, 1, 1, 1, 1), (1.0, 1, 1, 1, 1, 1)]:
+        with pytest.raises(ParameterError):
+            structure.context(bad, 2, 4)
+
+
 def test_oracle_cache_rejects_entries_equal_to_cached_ints():
     gkm.weighted_restrictions((1,) * 6, 2, 4)
     for bad in [(True, 1, 1, 1, 1, 1), (1.0, 1, 1, 1, 1, 1)]:
