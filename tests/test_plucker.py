@@ -257,17 +257,6 @@ def _induced(k, n):
                    for phi in permutations(range(1, n + 1))})
 
 
-def _seeded_candidates(k, n, rng, count):
-    # induced permutations (Plucker) and uniformly random ones (mostly not)
-    induced = _induced(k, n)
-    out = [rng.choice(induced) for _ in range(count)]
-    for _ in range(count):
-        sigma = list(range(len(induced[0])))
-        rng.shuffle(sigma)
-        out.append(tuple(sigma))
-    return out
-
-
 def _relation_rows(ctx):
     """The relations as dense Fraction rows over ctx.pair_pos."""
     rows = []
