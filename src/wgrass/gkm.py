@@ -36,11 +36,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import plucker, symbols
-from .errors import (
-    InternalInconsistencyError,
-    NotDivisiveError,
-    ParameterError,
-)
+from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import Poly, linear_form
 
 
@@ -55,18 +51,9 @@ class GKMGraph:
     labels: dict  # (i, j) -> Poly
 
 
-def _require_presented(b, k: int, n: int) -> tuple:
-    vec = plucker.weight_vector(b, k, n)
-    if not plucker.is_descending_divisible(vec):
-        raise NotDivisiveError(
-            "integral model needs b_i | b_{i-1}; reorder by a divisive witness"
-        )
-    return vec
-
-
 def build_graph(b, k: int, n: int) -> GKMGraph:
     """GKM graph over all symbols; requires the divisive presentation."""
-    vec = _require_presented(b, k, n)
+    vec = plucker.presented_weight_vector(b, k, n)
     lat = symbols.lattice(k, n)
     edges = []
     labels = {}
@@ -182,7 +169,7 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
-    vec = _require_presented(b, k, n)
+    vec = plucker.presented_weight_vector(b, k, n)
     lat = symbols.lattice(k, n)
     base = kt_restrictions(k, n)
     if all(x == 1 for x in vec):

@@ -1,4 +1,4 @@
-"""Small exact linear algebra helpers over Fraction, and an integer determinant."""
+"""Small exact linear algebra helpers over Fraction."""
 
 from __future__ import annotations
 
@@ -47,32 +47,3 @@ def invert(mat):
         return None
     return [row[n:] for row in rows[:n]]
 
-
-def det(mat) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination.
-
-    After step c every entry below and right of the pivot is a (c+2)-minor
-    of the input, so each division by the previous pivot is exact.
-    """
-    rows = [list(row) for row in mat]
-    n = len(rows)
-    if not n:
-        return 1
-    sign = 1
-    prev = 1
-    for c in range(n - 1):
-        if not rows[c][c]:
-            pivot = next((i for i in range(c + 1, n) if rows[i][c]), None)
-            if pivot is None:
-                return 0
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            sign = -sign
-        top = rows[c]
-        pv = top[c]
-        for i in range(c + 1, n):
-            row = rows[i]
-            f = row[c]
-            for j in range(c + 1, n):
-                row[j] = (row[j] * pv - f * top[j]) // prev
-        prev = pv
-    return sign * rows[n - 1][n - 1]

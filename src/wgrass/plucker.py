@@ -18,7 +18,9 @@ then the scaling action t.z = (t^{b_i} z_i) preserves Pl(k, n).
 ``weight_vector`` is the one check every layer calls: it returns a
 ``WeightVector``, a tuple that records (k, n) and is handed back
 unchanged, so a vector passed down through several layers is checked
-once.  ``validate_weight_vector`` is the bare predicate it runs.
+once.  ``validate_weight_vector`` is the bare predicate it runs, and
+``presented_weight_vector`` adds the divisibility-descending order that
+the integral model and the structure constants need.
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
@@ -42,7 +44,6 @@ preserve the pair structure and so are a subset of it.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -54,10 +55,12 @@ from .errors import (
     CapacityError,
     InternalInconsistencyError,
     InvalidWeightVectorError,
+    NotDivisiveError,
     ParameterError,
 )
 
 FULL_SCOPE_LIMIT = 10  # full permutation search allowed while m+1 <= 10
+FACTOR_LIMIT = 10**6  # trial divisors tried by prime_factors
 
 
 # ---------------------------------------------------------------------------
@@ -172,20 +175,6 @@ def is_plucker_point(z, k: int, n: int) -> bool:
     if not any(vec):
         raise ParameterError("the zero vector is excluded from Pl(k, n)")
     return all(rel.evaluate(vec) == 0 for rel in generate_relations(k, n))
-
-
-def sample_plucker_point(k: int, n: int, seed: int) -> tuple:
-    """Minor vector of a random integer k x n matrix, all minors nonzero."""
-    syms = symbols.lattice(k, n).symbols
-    rng = random.Random(seed)
-    while True:
-        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
-        minors = []
-        for sym in syms:
-            sub = [[row[c - 1] for c in sym] for row in mat]
-            minors.append(linalg.det(sub))
-        if all(minors):
-            return tuple(minors)
 
 
 # ---------------------------------------------------------------------------
@@ -315,10 +304,18 @@ def primitive_part(b) -> tuple:
 
 
 def prime_factors(x: int) -> set:
-    """The primes dividing x >= 1."""
+    """The primes dividing x >= 1, by trial division up to FACTOR_LIMIT.
+
+    A cofactor left with no divisor up to D = FACTOR_LIMIT is prime when
+    it is at most D^2; a larger one raises CapacityError.
+    """
     out = set()
     d = 2
     while d * d <= x:
+        if d > FACTOR_LIMIT:
+            raise CapacityError(
+                f"cannot factor {x}: no divisor up to {FACTOR_LIMIT}"
+            )
         while x % d == 0:
             out.add(d)
             x //= d
@@ -672,6 +669,21 @@ def _divisibility_chain_possible(b) -> bool:
 
 def is_descending_divisible(b) -> bool:
     return all(b[i - 1] % b[i] == 0 for i in range(1, len(b)))
+
+
+def presented_weight_vector(b, k: int, n: int) -> WeightVector:
+    """``weight_vector(b, k, n)``, required to be divisibility-descending.
+
+    The integral model and the structure constants run on the divisive
+    presentation (b_i | b_{i-1}); anything else raises NotDivisiveError.
+    """
+    vec = weight_vector(b, k, n)
+    if not is_descending_divisible(vec):
+        raise NotDivisiveError(
+            "needs the divisive presentation b_i | b_{i-1}; "
+            "reorder by a divisive witness"
+        )
+    return vec
 
 
 def is_divisive(b, k: int, n: int, scope: str = "auto"):

@@ -18,8 +18,15 @@ alphabet pair (u, v), u < v:
     b(p_s)   = w_u - w_v             (an integer),
     bwt(p_s) = y_u - y_v - (b(p_s)/b_0) Y_0.
 
-The formal B stands for the degree-one basis class; its powers expand
-through iterated Pieri steps into the chain sums
+The formal B stands for the degree-one basis class.  One Pieri step
+multiplies basis_t by it:
+
+    B * basis_t = (Y_0 - (b_0 / b_t) Y_t) basis_t
+                  + sum over up-covers u of t of (b_0 / b_t) basis_u.
+
+The powers c(q, s) = B^s * basis_q are taken one step at a time,
+c(q, 0) = basis_q and c(q, s) = B * c(q, s - 1).  Unrolled, the
+recurrence is the chain sum
 
     c(q, s)[l] = sum over descending cover chains l -> ... -> q of
                  b_0^r / (b_{l_1} ... b_{l_r}) *
@@ -50,10 +57,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import combinations
 
 from . import gkm, plucker, puzzles, symbols
-from .errors import InternalInconsistencyError, NotDivisiveError, ParameterError
+from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import (
     Poly,
     expand_linear_product,
@@ -66,115 +72,84 @@ class WeightedContext:
     """Shared caches for one (b, k, n) in divisive presentation."""
 
     def __init__(self, b, k: int, n: int):
-        vec = plucker.weight_vector(b, k, n)
-        if not plucker.is_descending_divisible(vec):
-            raise NotDivisiveError(
-                "structure constants need the divisive presentation"
-            )
+        vec = plucker.presented_weight_vector(b, k, n)
         self.b = vec
         self.k = k
         self.n = n
         self.lattice = symbols.lattice(k, n)
         self.wa = plucker.solve_wa(vec, k, n)
+        self._y0 = linear_form(n, self.lattice.symbols[0])
         self._pieri: dict = {}
-        self._line_powers: dict = {}
-        self._piece_checked: set = set()
+        self._pieces: dict = {}
 
     # -- piece data ----------------------------------------------------
 
-    def piece_value(self, u: int, v: int) -> int:
-        """b(p) = w_u - w_v for a reversed-alphabet pair (u, v), u < v.
+    def _piece(self, u: int, v: int) -> tuple:
+        """(b(p), bwt(p)) for a reversed-alphabet pair (u, v), u < v.
 
-        Checked once per pair against a representative symbol pair
-        (lam_e, lam_f) with Y_e - Y_f = y_u - y_v.
+        b(p) = w_u - w_v is checked once per pair against a
+        representative symbol pair (lam_e, lam_f) with
+        Y_e - Y_f = y_u - y_v.
         """
+        cached = self._pieces.get((u, v))
+        if cached is not None:
+            return cached
+        lat = self.lattice
         w = self.wa.W
         value = w[u - 1] - w[v - 1]
-        if (u, v) not in self._piece_checked:
-            lat = self.lattice
-            f_sym = next(
-                sym for sym in lat.symbols if v in sym and u not in sym
+        f_sym = next(sym for sym in lat.symbols if v in sym and u not in sym)
+        e_sym = symbols.exchange(f_sym, v, u)
+        if self.b[lat.index[e_sym]] - self.b[lat.index[f_sym]] != value:
+            raise InternalInconsistencyError(
+                "piece value depends on the representative pair"
             )
-            e_sym = symbols.exchange(f_sym, v, u)
-            delta = self.b[lat.index[e_sym]] - self.b[lat.index[f_sym]]
-            if delta != value:
-                raise InternalInconsistencyError(
-                    "piece value depends on the representative pair"
-                )
-            self._piece_checked.add((u, v))
-        return value
+        bwt = (
+            Poly.variable(self.n, u)
+            - Poly.variable(self.n, v)
+            - Fraction(value, self.b[0]) * self._y0
+        )
+        self._pieces[(u, v)] = (value, bwt)
+        return value, bwt
 
-    def piece_weight_data(self, puz) -> list:
-        """(u, v, b(p), bwt(p)) per equivariant piece of the puzzle."""
-        n = self.n
-        y0 = linear_form(n, self.lattice.symbols[0])
-        out = []
-        for u, v in puz.conjugated_pairs():
-            bp = self.piece_value(u, v)
-            bwt = (
-                Poly.variable(n, u)
-                - Poly.variable(n, v)
-                - Fraction(bp, self.b[0]) * y0
-            )
-            out.append((u, v, bp, bwt))
-        return out
+    def piece_value(self, u: int, v: int) -> int:
+        """b(p) = w_u - w_v for a reversed-alphabet pair (u, v), u < v."""
+        return self._piece(u, v)[0]
 
     def a_coefficients(self, puz) -> list:
         """Coefficients a_0..a_|P| of the piece-factor expansion."""
-        factors = [
-            (bwt, Fraction(bp, self.b[0]))
-            for _, _, bp, bwt in self.piece_weight_data(puz)
-        ]
+        factors = []
+        for u, v in puz.conjugated_pairs():
+            bp, bwt = self._piece(u, v)
+            factors.append((bwt, Fraction(bp, self.b[0])))
         return expand_linear_product(self.n, factors)
 
     # -- Pieri powers ----------------------------------------------------
-
-    def _line_power(self, l: int, exp: int) -> Poly:
-        key = (l, exp)
-        cached = self._line_powers.get(key)
-        if cached is None:
-            n = self.n
-            base = linear_form(n, self.lattice.symbols[0]) - Fraction(
-                self.b[0], self.b[l]
-            ) * linear_form(n, self.lattice.symbols[l])
-            cached = base**exp
-            self._line_powers[key] = cached
-        return cached
 
     def pieri_power(self, q: int, s: int) -> dict:
         """Map l -> coefficient of basis_l in (degree-one class)^s * basis_q."""
         if s < 0:
             raise ParameterError("power must be nonnegative")
-        key = (q, s)
-        cached = self._pieri.get(key)
+        cached = self._pieri.get((q, s))
         if cached is not None:
             return cached
         lat = self.lattice
-        n = self.n
-        out: dict = {}
-        for l in range(lat.m + 1):
-            if not lat.leq_idx(q, l):
+        zero = Poly.zero(self.n)
+        out = self._pieri.setdefault((q, 0), {q: Poly.one(self.n)})
+        for r in range(1, s + 1):
+            if (q, r) in self._pieri:
+                out = self._pieri[(q, r)]
                 continue
-            r = lat.d[l] - lat.d[q]
-            if r > s:
-                continue
-            total = Poly.zero(n)
-            for chain in lat.chains(l, q):
-                denom = 1
-                for t in chain[1:]:
-                    denom *= self.b[t]
-                scale = Fraction(self.b[0] ** r, denom)
-                comp_sum = Poly.zero(n)
-                for J in _compositions(s - r, r + 1):
-                    term = Poly.one(n)
-                    for t, jt in zip(chain, J):
-                        if jt:
-                            term = term * self._line_power(t, jt)
-                    comp_sum = comp_sum + term
-                total = total + scale * comp_sum
-            if not total.is_zero():
-                out[l] = total
-        self._pieri[key] = out
+            # one Pieri step: B * basis_t
+            acc: dict = {}
+            for t, c in out.items():
+                ratio = Fraction(self.b[0], self.b[t])
+                diagonal = self._y0 - ratio * linear_form(self.n, lat.symbols[t])
+                acc[t] = acc.get(t, zero) + c * diagonal
+                up = ratio * c
+                for u in lat.arrows[t]:
+                    acc[u] = acc.get(u, zero) + up
+            out = {l: p for l, p in sorted(acc.items()) if not p.is_zero()}
+            self._pieri[(q, r)] = out
         return out
 
     # -- tables -----------------------------------------------------------
@@ -250,19 +225,8 @@ class WeightedContext:
     # -- positivity -------------------------------------------------------
 
     def positivity_forms(self) -> list:
-        """The rewrite basis (g_1, ..., g_{n-1}, Y_0)."""
-        n = self.n
-        y0 = linear_form(n, self.lattice.symbols[0])
-        w = self.wa.W
-        forms = []
-        for q in range(1, n):
-            forms.append(
-                Poly.variable(n, q)
-                - Poly.variable(n, q + 1)
-                - Fraction(w[q - 1] - w[q], self.b[0]) * y0
-            )
-        forms.append(y0)
-        return forms
+        """The rewrite basis (g_1, ..., g_{n-1}, Y_0), g_q = bwt(q, q+1)."""
+        return [self._piece(q, q + 1)[1] for q in range(1, self.n)] + [self._y0]
 
     @cached_property
     def _positivity_images(self) -> dict:
@@ -274,21 +238,6 @@ class WeightedContext:
         if p.nvars != self.n:
             raise ParameterError(f"expected a polynomial in {self.n} variables")
         return p.substitute(self._positivity_images)
-
-
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for cuts in combinations(range(total + parts - 1), parts - 1):
-        out = []
-        prev = -1
-        for c in cuts:
-            out.append(c - prev - 1)
-            prev = c
-        out.append(total + parts - 2 - prev)
-        yield tuple(out)
 
 
 def context(b, k: int, n: int) -> WeightedContext:

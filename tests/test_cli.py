@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 from wgrass import cli, symbols
 from wgrass.polynomial import Poly
@@ -173,6 +174,26 @@ def test_torsion_primes_must_be_primes(capsys):
 def test_capacity_exit_code():
     code, _ = run_cli("perms", "--k", "2", "--n", "6", "--scope", "full")
     assert code == 4
+
+
+def test_factoring_is_bounded():
+    # a prime past plucker.FACTOR_LIMIT ** 2, as a weight and as --primes;
+    # unbounded trial division never returned on either
+    big = "1000000000000000003"
+    for argv in (
+        ["torsion", f"[{big},1]", "--k", "1", "--n", "2"],
+        ["torsion", "[30,30,25,10,5,5]", "--k", "2", "--n", "4", "--primes", big],
+    ):
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wgrass.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert time.perf_counter() - start < 2, argv
+        assert proc.returncode == 4, argv
+        assert json.loads(proc.stdout)["kind"] == "capacity"
 
 
 def test_size_guards_run_before_any_lattice(monkeypatch, capsys):

@@ -16,6 +16,39 @@ def rank(mat):
     return len(linalg.rref(mat)[1])
 
 
+def _fraction_det(mat):
+    # plain Gaussian elimination over Fraction
+    rows = [[Fraction(x) for x in row] for row in mat]
+    n = len(rows)
+    result = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            result = -result
+        result *= rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c] / rows[c][c]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return result
+
+
+def sample_plucker_point(k, n, seed):
+    """Minor vector of a random integer k x n matrix, all minors nonzero."""
+    syms = symbols.lattice(k, n).symbols
+    rng = random.Random(seed)
+    while True:
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(k)]
+        minors = []
+        for sym in syms:
+            sub = [[row[c - 1] for c in sym] for row in mat]
+            minors.append(int(_fraction_det(sub)))
+        if all(minors):
+            return tuple(minors)
+
+
 def in_row_span(vec, rref_rows, pivots):
     """Dense Fraction reduction against an rref basis; the reference test."""
     v = [Fraction(x) for x in vec]
@@ -46,7 +79,7 @@ def test_relation_span_matches_quadric_kernel():
         pos = {p: t for t, p in enumerate(pairs)}
         rows = []
         for seed in range(len(pairs) + 5):
-            z = plucker.sample_plucker_point(k, n, 1000 + seed)
+            z = sample_plucker_point(k, n, 1000 + seed)
             rows.append([z[r] * z[s] for r, s in pairs])
         kernel_dim = len(pairs) - rank(rows)
         rels = plucker.generate_relations(k, n)
@@ -101,7 +134,7 @@ def test_membership_examples():
 def test_sampled_points_are_members():
     for (k, n) in [(2, 4), (2, 5), (3, 5)]:
         for seed in range(5):
-            z = plucker.sample_plucker_point(k, n, seed)
+            z = sample_plucker_point(k, n, seed)
             assert plucker.is_plucker_point(z, k, n)
             assert all(z)
 
@@ -113,7 +146,7 @@ def test_sample_points_pinned():
     digest = hashlib.sha256()
     for k, n in [(2, 4), (2, 5), (3, 5)]:
         for seed in range(17, 67):
-            z = plucker.sample_plucker_point(k, n, seed)
+            z = sample_plucker_point(k, n, seed)
             assert all(type(x) is int for x in z)
             digest.update(repr(z).encode())
     assert digest.hexdigest() == (
@@ -137,7 +170,7 @@ def test_symbolic_scaling_invariance():
     def orbit_stays(b, k, n, seeds):
         rels = plucker.generate_relations(k, n)
         for seed in range(seeds):
-            z = plucker.sample_plucker_point(k, n, 4000 + seed)
+            z = sample_plucker_point(k, n, 4000 + seed)
             for rel in rels:
                 by_power = {}
                 for (r, s), c in zip(rel.pairs, rel.coefs):
@@ -208,7 +241,7 @@ def test_permutation_counts_2_4():
 def test_witness_signs_act_on_samples():
     for w in plucker.enumerate_plucker_permutations(2, 4, "full"):
         for seed in range(3):
-            z = plucker.sample_plucker_point(2, 4, 300 + seed)
+            z = sample_plucker_point(2, 4, 300 + seed)
             image = [w.signs[i] * z[w.perm[i]] for i in range(6)]
             assert plucker.is_plucker_point(image, 2, 4)
 
@@ -304,7 +337,7 @@ def test_sign_screen_matches_fraction_evaluation():
         pairs = sorted(ctx.pair_pos)
         rref_rows, pivots = linalg.rref(_relation_rows(ctx))
         rref_rows = rref_rows[: len(pivots)]
-        points = [plucker.sample_plucker_point(k, n, 500 + seed)
+        points = [sample_plucker_point(k, n, 500 + seed)
                   for seed in range(5)]
         induced = _induced(k, n)
         tuples = []
@@ -443,6 +476,17 @@ def test_is_divisive_examples():
     assert plucker.is_descending_divisible(image)
     assert plucker.is_divisive((1,) * 6, 2, 4).perm == tuple(range(6))
     assert plucker.is_divisive((5, 1, 4, 3, 6, 2), 2, 4) is None
+
+
+def test_prime_factors_bound():
+    assert plucker.prime_factors(360) == {2, 3, 5}
+    assert plucker.prime_factors(1) == set()
+    p, q = 999983, 1000003  # primes on either side of the divisor bound
+    assert p <= plucker.FACTOR_LIMIT < q
+    # no divisor up to the bound: a cofactor <= bound^2 is prime
+    assert plucker.prime_factors(2 * p * p) == {2, p}
+    with pytest.raises(CapacityError):
+        plucker.prime_factors(q * q)
 
 
 def test_normalize():

@@ -1,8 +1,12 @@
-"""The README library tour runs and prints what its comments say."""
+"""The README examples run and print what their comments say."""
 
 import ast
+import json
 import re
+import shlex
 from pathlib import Path
+
+from wgrass import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -16,3 +20,21 @@ def test_library_tour_runs_as_documented():
     assert ns["ctx"].ordinary_constants(3, 3) == ast.literal_eval(ordinary.group(1))
     cell4 = re.search(r"cell\[4\] is (.+)$", block, re.M)
     assert ns["cell"][4].render() == cell4.group(1).strip()
+
+
+def test_command_examples_run_as_documented(capsys):
+    text = README.read_text()
+    section = text[text.index("## Command line"):]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("wgrass ")]
+    assert len(lines) >= 10
+    for line in lines:
+        command, _, comment = line.partition(" #")
+        argv = shlex.split(command)[1:]
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        try:
+            expected = json.loads(comment)
+        except ValueError:
+            continue  # a prose comment
+        assert json.loads(out) == expected, line

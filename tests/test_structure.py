@@ -58,6 +58,62 @@ def test_pieri_power_matches_iterated_localization():
                 assert ctx.pieri_power(q, s) == expansion
 
 
+def _compositions(total, parts):
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def _chain_sum(ctx, q, s):
+    """c(q, s) by the chain x composition formula of the module docstring."""
+    lat, b, n = ctx.lattice, ctx.b, ctx.n
+    y0 = linear_form(n, lat.symbols[0])
+    lines = [y0 - Fraction(b[0], b[t]) * linear_form(n, sym)
+             for t, sym in enumerate(lat.symbols)]
+    out = {}
+    for l in range(lat.m + 1):
+        total = Poly.zero(n)
+        for chain in lat.chains(l, q):
+            r = len(chain) - 1
+            if r > s:
+                continue
+            denom = 1
+            for t in chain[1:]:
+                denom *= b[t]
+            for J in _compositions(s - r, r + 1):
+                term = Poly.const(n, Fraction(b[0] ** r, denom))
+                for t, jt in zip(chain, J):
+                    term = term * lines[t] ** jt
+                total = total + term
+        if not total.is_zero():
+            out[l] = total
+    return out
+
+
+@pytest.mark.parametrize(
+    "b, k, n",
+    [
+        ((1,) * 6, 2, 4),
+        ((6, 6, 6, 2, 2, 2), 2, 4),
+        ((1,) * 10, 2, 5),
+        ((2, 2, 2, 2, 1, 1, 1, 1, 1, 1), 2, 5),
+        ((1,) * 10, 3, 5),
+        ((2, 2, 2, 2, 2, 2, 1, 1, 1, 1), 3, 5),
+    ],
+)
+def test_pieri_power_matches_chain_sum_formula(b, k, n):
+    ctx = structure.WeightedContext(b, k, n)
+    for q in range(ctx.lattice.m + 1):
+        # the top power first: it takes every step, the rest are memo hits
+        for s in reversed(range(k * (n - k) + 1)):
+            got = ctx.pieri_power(q, s)
+            assert list(got) == sorted(got)
+            assert got == _chain_sum(ctx, q, s), (q, s)
+
+
 def test_pieri_power_vanishes_below_chain_length():
     ctx = structure.context((2, 2, 2, 1, 1, 1), 2, 4)
     lat = ctx.lattice
