@@ -10,23 +10,23 @@ Exit codes: 0 success, 2 invalid input, 3 not found in the searched
 scope, 4 capacity exceeded.  Given the same arguments the output bytes
 are identical across runs; parallelism (``--jobs``) only fans out pure
 per-cell computations and never reorders output.
-"""
 
-from __future__ import annotations
+Each handler imports the layers it uses, so a command pays at start-up
+only for what it runs: ``validate`` never loads the puzzle, oracle or
+structure layers.
+"""
 
 import argparse
 import json
 import os
 import sys
 
-from . import plucker, puzzles, structure, symbols, torsion
 from .errors import (
     CapacityError,
     InternalInconsistencyError,
     NotDivisiveError,
     ParameterError,
 )
-from .polynomial import Poly
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -35,6 +35,8 @@ EXIT_CAPACITY = 4
 
 
 def _parse_vector(text: str, k: int, n: int) -> tuple:
+    from . import plucker
+
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -50,6 +52,8 @@ def _parse_vector(text: str, k: int, n: int) -> tuple:
 
 
 def _ring_cell(task):
+    from . import structure
+
     b, k, n, i, j, level = task
     if level == "equivariant":
         cell = structure.weighted_equivariant_constants(b, k, n, i, j)
@@ -75,17 +79,23 @@ def _map_tasks(tasks, jobs: int):
 
 
 def _cmd_validate(args) -> tuple:
+    from . import plucker
+
     b = _parse_vector(args.b, args.k, args.n)
     return EXIT_OK, {"valid": plucker.validate_weight_vector(b, args.k, args.n)}
 
 
 def _cmd_solve_wa(args) -> tuple:
+    from . import plucker
+
     b = _parse_vector(args.b, args.k, args.n)
     sol = plucker.solve_wa(b, args.k, args.n)
     return EXIT_OK, {"W": list(sol.W), "a": sol.a}
 
 
 def _cmd_perms(args) -> tuple:
+    from . import plucker
+
     perms = plucker.enumerate_plucker_permutations(args.k, args.n, args.scope)
     return EXIT_OK, {
         "k": args.k,
@@ -99,6 +109,8 @@ def _cmd_perms(args) -> tuple:
 
 
 def _cmd_divisive(args) -> tuple:
+    from . import plucker
+
     b = _parse_vector(args.b, args.k, args.n)
     witness = plucker.is_divisive(b, args.k, args.n, args.scope)
     if witness is None:
@@ -115,6 +127,8 @@ def _cmd_divisive(args) -> tuple:
 
 
 def _cmd_classify(args) -> tuple:
+    from . import plucker
+
     b = _parse_vector(args.b, args.k, args.n)
     c = _parse_vector(args.c, args.k, args.n)
     found = plucker.equivalence(b, c, args.k, args.n, args.scope)
@@ -132,6 +146,8 @@ def _cmd_classify(args) -> tuple:
 
 
 def _cmd_torsion(args) -> tuple:
+    from . import torsion
+
     b = _parse_vector(args.b, args.k, args.n)
     primes = None
     if args.primes:
@@ -144,6 +160,10 @@ def _cmd_torsion(args) -> tuple:
 
 
 def _cmd_ring(args) -> tuple:
+    # structure is imported before _map_tasks so that forked workers
+    # inherit it instead of importing it each.
+    from . import plucker, structure, symbols  # noqa: F401
+
     b = plucker.weight_vector(_parse_vector(args.b, args.k, args.n),
                               args.k, args.n)
     level = "ordinary" if args.ordinary else "equivariant"
@@ -190,6 +210,9 @@ def _cmd_ring(args) -> tuple:
 
 
 def _cmd_puzzles(args) -> tuple:
+    from . import puzzles, symbols
+    from .polynomial import Poly
+
     conjugated = args.orientation == "conjugated"
     triple = (args.i, args.j, args.l)
     lat = symbols.lattice(args.k, args.n)
@@ -235,6 +258,8 @@ def _cmd_puzzles(args) -> tuple:
 
 
 def _cmd_poincare(args) -> tuple:
+    from . import torsion
+
     return EXIT_OK, torsion.poincare_ranks(args.k, args.n)
 
 

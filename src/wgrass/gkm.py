@@ -31,17 +31,16 @@ oracle every structure-constant formula is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import plucker, symbols
 from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import Poly, linear_form
 
 
-@dataclass
-class GKMGraph:
+class GKMGraph(NamedTuple):
     """Edge-labelled fixed-point graph for one weight vector."""
 
     k: int

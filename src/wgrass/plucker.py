@@ -44,11 +44,11 @@ preserve the pair structure and so are a subset of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import linalg, symbols
 from .errors import (
@@ -68,8 +68,7 @@ FACTOR_LIMIT = 10**6  # trial divisors tried by prime_factors
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PluckerRelation:
+class PluckerRelation(NamedTuple):
     """A quadratic relation sum_t coefs[t] * z_{pairs[t][0]} z_{pairs[t][1]}."""
 
     pairs: tuple
@@ -239,8 +238,7 @@ def weight_vector(b, k: int, n: int) -> WeightVector:
     return WeightVector(vec, k, n)
 
 
-@dataclass(frozen=True)
-class WASolution:
+class WASolution(NamedTuple):
     """Integer exponent data (W, a) reproducing b_i = a + sum_{u in lam_i} w_u."""
 
     W: tuple
@@ -354,8 +352,7 @@ def normalize(b, k: int, n: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SignedPermutation:
+class SignedPermutation(NamedTuple):
     """A Plucker permutation with a sign witness: z -> (signs_i z_{perm(i)})."""
 
     perm: tuple

@@ -50,7 +50,6 @@ same cached objects.  ``conjugated_product`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -61,8 +60,7 @@ from .polynomial import Poly
 TABLE_LIMIT = 15  # largest C(n, k) for which full tables are enumerated
 
 
-@dataclass(frozen=True)
-class Puzzle:
+class Puzzle(NamedTuple):
     """One tiling; ``pieces`` are (kind, r, j) anchors in scan order."""
 
     n: int

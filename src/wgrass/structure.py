@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from . import gkm, plucker, puzzles, symbols
+from . import plucker, puzzles, symbols
 from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import (
     Poly,
@@ -311,6 +311,8 @@ def verify_positivity(table, b, k: int, n: int) -> tuple:
 
 def localize_table(b, k: int, n: int) -> dict:
     """Oracle table over all (i, j); the comparison target for the pipeline."""
+    from . import gkm  # the pipeline itself never needs the oracle
+
     return symbols.symmetric_table(
         symbols.lattice(k, n).m + 1,
         lambda i, j: gkm.localize_product(b, k, n, i, j),

@@ -31,25 +31,29 @@ computed per admissible permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from . import plucker, symbols
 from .errors import ParameterError
 
 
-@dataclass(frozen=True)
-class LensSpec:
-    """Quotient data of a sphere by a finite cyclic weighted action."""
-
+class _LensFields(NamedTuple):
     order: int
     weights: tuple
 
-    def __post_init__(self):
-        if self.order < 1 or len(self.weights) < 1:
+
+class LensSpec(_LensFields):
+    """Quotient data of a sphere by a finite cyclic weighted action."""
+
+    __slots__ = ()
+
+    def __new__(cls, order: int, weights: tuple):
+        if order < 1 or len(weights) < 1:
             raise ParameterError("lens spec needs order >= 1 and t >= 1 weights")
-        if any(w < 1 for w in self.weights):
+        if any(w < 1 for w in weights):
             raise ParameterError("lens weights must be >= 1")
+        return super().__new__(cls, order, weights)
 
 
 def p_content(x: int, p: int) -> int:
@@ -133,12 +137,21 @@ def no_p_torsion_certificate(b, k: int, n: int, p: int, scope: str = "auto"):
 
 
 def poincare_ranks(k: int, n: int) -> list:
-    """Cell counts per complex dimension 0..k(n-k)."""
-    lat = symbols.lattice(k, n)
-    ranks = [0] * (k * (n - k) + 1)
-    for d in lat.d:
-        ranks[d] += 1
-    return ranks
+    """Cell counts per complex dimension 0..k(n-k).
+
+    These are the coefficients of the Gaussian binomial [n choose k]_q,
+    built by [m, j] = [m-1, j-1] + q^j [m-1, j] without the lattice.
+    """
+    symbols.check_kn(k, n)
+    rows = [[1]] + [[] for _ in range(k)]  # rows[j] = [m choose j]_q
+    for m in range(1, n + 1):
+        for j in range(min(m, k), 0, -1):
+            lower, upper = rows[j - 1], rows[j]
+            out = lower + [0] * (m - j)
+            for d, c in enumerate(upper):
+                out[d + j] += c
+            rows[j] = out
+    return rows[k]
 
 
 def torsion_report(b, k: int, n: int, primes=None, scope: str = "auto") -> dict:

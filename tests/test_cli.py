@@ -1,9 +1,11 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 import time
+from math import comb
 
 from wgrass import cli, symbols
 from wgrass.polynomial import Poly
@@ -138,6 +140,27 @@ def test_puzzles_command():
 def test_poincare():
     code, out = run_cli("poincare", "--k", "2", "--n", "4")
     assert code == 0 and json.loads(out) == [1, 1, 2, 1, 1]
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_poincare_needs_no_lattice():
+    # Counting cells by dimension once built the C(80, 40)-symbol lattice;
+    # the time and memory limits stop a regression early.
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgrass.cli", "poincare", "--k", "40", "--n", "80"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 2
+    ranks = json.loads(proc.stdout)
+    assert proc.returncode == 0
+    assert len(ranks) == 1601 and sum(ranks) == comb(80, 40)
 
 
 def test_invalid_input_exit_codes():

@@ -1,9 +1,12 @@
-"""Importing the CLI does no computation and loads no heavy module."""
+"""Importing the CLI does no computation and loads no heavy module;
+each command loads only the layers it uses."""
 
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import wgrass
 
@@ -33,19 +36,65 @@ print(json.dumps({"sizes": sizes, "loaded": loaded}))
 """
 
 
-def test_import_cli_is_lazy():
+# Runs one command in a fresh process and reports what it imported.
+MODULES_PROBE = """
+import contextlib, io, json, sys
+import wgrass.cli
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = wgrass.cli.main(sys.argv[1:])
+    assert code == 0, code
+print(json.dumps(sorted(
+    m for m in sys.modules if m.startswith("wgrass") or m == "dataclasses"
+)))
+"""
+
+B = "[2,2,2,1,1,1]"  # weighted and already divisive
+KN = ("--k", "2", "--n", "4")
+HEAVY = {"wgrass.polynomial", "wgrass.puzzles", "wgrass.structure", "wgrass.gkm"}
+COMMANDS = {  # command: (argv, modules it must not load)
+    "validate": (("validate", B, *KN), HEAVY),
+    "solve-wa": (("solve-wa", B, *KN), HEAVY),
+    "divisive": (("divisive", B, *KN), HEAVY),
+    "classify": (("classify", B, B, *KN), HEAVY),
+    "torsion": (("torsion", B, *KN), HEAVY),
+    "poincare": (("poincare", *KN), HEAVY),
+    "perms": (("perms", *KN, "--scope", "sn"), HEAVY),
+    "ring": (("--jobs", "1", "ring", B, *KN), {"wgrass.gkm", "wgrass.torsion"}),
+    "puzzles": (("puzzles", *KN, "--i", "1", "--j", "1", "--l", "3"), set()),
+}
+
+
+def _run(code, *args):
     src = os.path.dirname(os.path.dirname(os.path.abspath(wgrass.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
     )
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *CACHES],
+        [sys.executable, "-c", code, *args],
         capture_output=True,
         text=True,
         env=env,
         check=True,
     )
-    report = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+def test_import_cli_is_lazy():
+    report = _run(PROBE, *CACHES)
     assert report["sizes"] == {name: 0 for name in CACHES}
     assert report["loaded"] == []
+
+
+def test_import_cli_loads_no_layer():
+    assert _run(MODULES_PROBE) == ["wgrass", "wgrass.cli", "wgrass.errors"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_its_layers(command):
+    argv, absent = COMMANDS[command]
+    loaded = set(_run(MODULES_PROBE, *argv))
+    assert "wgrass.cli" in loaded
+    assert "dataclasses" not in loaded
+    assert not loaded & absent, sorted(loaded & absent)

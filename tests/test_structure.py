@@ -2,6 +2,9 @@
 
 import random
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from math import gcd, lcm, prod
 
 import pytest
 
@@ -191,6 +194,37 @@ def test_oracle_equality_weighted_projective_space():
             )
     assert ctx.ordinary_constants(1, 1) == {2: 2}
     assert ctx.ordinary_constants(1, 2) == {}
+
+
+def _kawasaki_l(b, j):
+    """lcm over (j+1)-subsets S of b of prod(S) / gcd(S) (Kawasaki 1973)."""
+    out = 1
+    for subset in combinations(b, j + 1):
+        out = lcm(out, prod(subset) // reduce(gcd, subset))
+    return out
+
+
+def test_weighted_projective_space_matches_kawasaki():
+    # Gr_b(1, n) and Gr_b(n-1, n) are weighted projective spaces, where
+    # xi_i xi_j = (l_i l_j / l_{i+j}) xi_{i+j}: a third, closed-form route
+    rng = random.Random(3)
+    for n in range(3, 11):
+        for _ in range(3):
+            chain = [rng.randint(1, 3)]
+            for _ in range(n - 1):
+                chain.append(chain[-1] * rng.choice((1, 1, 2, 3)))
+            b = tuple(reversed(chain))  # b_i divides b_{i-1}
+            ls = [_kawasaki_l(b, j) for j in range(n)]
+            for k in (1, n - 1):
+                for i in range(n):
+                    for j in range(i, n):
+                        want = {}
+                        if i + j <= n - 1:
+                            value, rest = divmod(ls[i] * ls[j], ls[i + j])
+                            assert rest == 0
+                            want = {i + j: value}
+                        got = structure.ordinary_constants(b, k, n, i, j)
+                        assert got == want, (b, k, n, i, j)
 
 
 def test_oracle_equality_spot_checks_larger_sizes():

@@ -6,7 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
-from wgrass import plucker, torsion
+from wgrass import plucker, symbols, torsion
 from wgrass.errors import InvalidWeightVectorError, ParameterError
 from test_symbols import q_binomial
 
@@ -246,3 +246,18 @@ def test_torsion_free_needs_every_prime_of_b_certified():
 def test_poincare_ranks():
     assert torsion.poincare_ranks(2, 4) == [1, 1, 2, 1, 1]
     assert torsion.poincare_ranks(2, 5) == q_binomial(5, 2)
+    for n in range(2, 10):  # against a census of the lattice dimensions
+        for k in range(1, n):
+            census = [0] * (k * (n - k) + 1)
+            for d in symbols.lattice(k, n).d:
+                census[d] += 1
+            assert torsion.poincare_ranks(k, n) == census, (k, n)
+    for k, n in ((0, 3), (3, 3), (4, 3)):
+        with pytest.raises(ParameterError):
+            torsion.poincare_ranks(k, n)
+
+
+def test_lens_spec_rejects_bad_specs():
+    for order, weights in ((0, (1,)), (1, ()), (1, (0,))):
+        with pytest.raises(ParameterError):
+            torsion.LensSpec(order, weights)
