@@ -224,16 +224,10 @@ def _cmd_puzzles(args) -> tuple:
     found = puzzles.puzzles_for(args.k, args.n, *triple)
     entries = []
     for puz in found:
-        if conjugated:
-            pairs = puz.conjugated_pairs()
-            weight = puz.conjugated_weight()
-        else:
-            pairs = puz.equivariant
-            weight = Poly.one(args.n)
-            for a, c in pairs:
-                weight = weight * (
-                    Poly.variable(args.n, a) - Poly.variable(args.n, c)
-                )
+        pairs = puz.conjugated_pairs() if conjugated else puz.equivariant
+        weight = Poly.one(args.n)
+        for x, y in pairs:
+            weight = weight * (Poly.variable(args.n, x) - Poly.variable(args.n, y))
         entry = {
             "equivariant_pieces": [list(p) for p in pairs],
             "weight": weight.render(),

@@ -84,15 +84,14 @@ def _interpolate_value(constraints, degree: int, n: int) -> Poly:
 
     ``constraints`` is a list of (s, s_prime, value): the result must be
     congruent to ``value`` modulo (y_{s_prime} - y_s), i.e. agree with it
-    after substituting y_s -> y_{s_prime}.  Built incrementally: the
-    correction after the first t congruences is divisible by the product
-    of their labels, so it is recovered by exact division after
-    substitution.  Uniqueness holds because the labels are pairwise
-    coprime and their count exceeds the degree.
+    once y_s is identified with y_{s_prime} (``Poly.permute_variables``
+    with {s: s_prime}).  Built incrementally: the correction after the
+    first t congruences is divisible by the product of their labels, so
+    it is recovered by exact division after the identification.
+    Uniqueness holds because the labels are pairwise coprime and their
+    count exceeds the degree.
     """
-    subs = [
-        {s: Poly.variable(n, sp)} for s, sp, _ in constraints
-    ]
+    subs = [{s: sp} for s, sp, _ in constraints]
     alpha = constraints[0][2]
     prod_e = Poly.one(n)
     for t in range(1, len(constraints)):
@@ -101,16 +100,16 @@ def _interpolate_value(constraints, degree: int, n: int) -> Poly:
             Poly.variable(n, sp_prev) - Poly.variable(n, s_prev)
         )
         value = constraints[t][2]
-        rem = (value - alpha).substitute(subs[t])
+        rem = (value - alpha).permute_variables(subs[t])
         if rem.is_zero():
             continue
-        pd = prod_e.substitute(subs[t])
+        pd = prod_e.permute_variables(subs[t])
         g = rem.divide_exact(pd)
         if g is None:
             raise InternalInconsistencyError("congruence system is not solvable")
         alpha = alpha + prod_e * g
     for (s, sp, value), sub in zip(constraints, subs):
-        if not (alpha - value).substitute(sub).is_zero():
+        if not (alpha - value).permute_variables(sub).is_zero():
             raise InternalInconsistencyError("interpolated value fails a congruence")
     if not (alpha.is_zero() or
             (alpha.is_homogeneous() and alpha.degree() == degree)):
@@ -129,6 +128,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
     """
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
+    graph = build_graph((1,) * m1, k, n)
     matrix = []
     for i in range(m1):
         row: list = []
@@ -137,11 +137,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
                 row.append(Poly.zero(n))
                 continue
             if j == i:
-                diag = Poly.one(n)
-                yi = linear_form(n, lat.symbols[i])
-                for l in lat.R[i]:
-                    diag = diag * (linear_form(n, lat.symbols[l]) - yi)
-                row.append(diag)
+                row.append(_diagonal(graph, lat, i))
                 continue
             constraints = []
             for s, sp in symbols.reversal_pairs(lat.symbols[j]):
@@ -150,7 +146,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
             row.append(_interpolate_value(constraints, lat.d[i], n))
         matrix.append(tuple(row))
     out = tuple(matrix)
-    _validate_basis(out, lat, (1,) * m1)
+    _validate_basis(out, graph)
     return out
 
 
@@ -173,6 +169,7 @@ def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
     base = kt_restrictions(k, n)
     if all(x == 1 for x in vec):
         return base
+    graph = build_graph(vec, k, n)
     wa = plucker.solve_wa(vec, k, n)
     matrix = []
     for i in range(lat.m + 1):
@@ -191,14 +188,22 @@ def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
             row.append(entry.substitute(images) if images else entry)
         matrix.append(tuple(row))
     out = tuple(matrix)
-    _validate_basis(out, lat, vec)
+    _validate_basis(out, graph)
     return out
 
 
-def _validate_basis(matrix, lat, vec) -> None:
+def _diagonal(graph: GKMGraph, lat, i: int) -> Poly:
+    """The pinned value at lam_i: the product of the edge labels into it."""
+    diag = Poly.one(graph.n)
+    for l in lat.R[i]:
+        diag = diag * graph.labels[(l, i)]
+    return diag
+
+
+def _validate_basis(matrix, graph: GKMGraph) -> None:
     """Pinning conditions, the closed row-1 form, and GKM membership."""
-    n = lat.n
-    graph = build_graph(vec, lat.k, lat.n)
+    n, vec = graph.n, graph.b
+    lat = symbols.lattice(graph.k, n)
     for i in range(lat.m + 1):
         for j in range(lat.m + 1):
             entry = matrix[i][j]
@@ -220,13 +225,7 @@ def _validate_basis(matrix, lat, vec) -> None:
                 )
                 if matrix[1][j] != want:
                     raise InternalInconsistencyError("row 1 closed form fails")
-        diag = Poly.one(n)
-        yi = linear_form(n, lat.symbols[i])
-        for l in lat.R[i]:
-            diag = diag * (
-                linear_form(n, lat.symbols[l]) - Fraction(vec[l], vec[i]) * yi
-            )
-        if matrix[i][i] != diag:
+        if matrix[i][i] != _diagonal(graph, lat, i):
             raise InternalInconsistencyError("diagonal product formula fails")
     for i in range(lat.m + 1):
         if not is_class(graph, matrix[i]):

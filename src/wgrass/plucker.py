@@ -9,8 +9,7 @@ is cut out by the quadratic exchange relations
 one for every head (i_1 < ... < i_{k-1}) and tail (l_0 < ... < l_k),
 where symbol r_j sorts (i_1, ..., i_{k-1}, l_j) (with the sorting sign
 folded into the coefficient) and s_j is the tail with l_j removed.
-For 2k > n the same set is produced through the complement bijection
-with Pl(n-k, n).
+The same construction serves every k, 2k > n included.
 
 A weight vector b (positive integers, one per coordinate) is *valid*
 when every relation has constant pair-sum b_{r_j} + b_{s_j}; exactly
@@ -107,9 +106,7 @@ def _canonical_relation(term_map: dict):
     items = [(pair, c) for pair, c in sorted(term_map.items()) if c]
     if len(items) < 2:
         return None
-    g = 0
-    for _, c in items:
-        g = gcd(g, abs(c))
+    g = gcd(*(c for _, c in items))
     lead = items[0][1]
     flip = -1 if lead < 0 else 1
     pairs = tuple(pair for pair, _ in items)
@@ -117,7 +114,9 @@ def _canonical_relation(term_map: dict):
     return PluckerRelation(pairs, coefs)
 
 
-def _direct_relations(k: int, n: int) -> set:
+@lru_cache(maxsize=None)
+def generate_relations(k: int, n: int) -> tuple:
+    """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
     index = symbols.lattice(k, n).index
     rels = set()
     for head in combinations(range(1, n + 1), k - 1):
@@ -135,33 +134,6 @@ def _direct_relations(k: int, n: int) -> set:
             rel = _canonical_relation(term_map)
             if rel is not None:
                 rels.add(rel)
-    return rels
-
-
-@lru_cache(maxsize=None)
-def generate_relations(k: int, n: int) -> tuple:
-    """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
-    index = symbols.lattice(k, n).index
-    if 2 * k <= n:
-        rels = _direct_relations(k, n)
-    else:
-        kp = n - k
-        syms_p = symbols.lattice(kp, n).symbols
-        comp_idx = [index[symbols.complement(s, n)] for s in syms_p]
-        comp_sign = [
-            _sort_sign(symbols.complement(s, n) + s)[1] for s in syms_p
-        ]
-        rels = set()
-        for rel in _direct_relations(kp, n):
-            term_map: dict = {}
-            for (r, s), c in zip(rel.pairs, rel.coefs):
-                cr, cs = comp_idx[r], comp_idx[s]
-                pair = (cr, cs) if cr <= cs else (cs, cr)
-                coef = c * comp_sign[r] * comp_sign[s]
-                term_map[pair] = term_map.get(pair, 0) + coef
-            mapped = _canonical_relation(term_map)
-            if mapped is not None:
-                rels.add(mapped)
     return tuple(sorted(rels, key=lambda rel: rel.pairs))
 
 
@@ -288,16 +260,11 @@ def weights_from_wa(W, a: int, k: int, n: int) -> tuple:
 
 
 def is_primitive(b) -> bool:
-    g = 0
-    for x in b:
-        g = gcd(g, x)
-    return g == 1
+    return gcd(*b) == 1
 
 
 def primitive_part(b) -> tuple:
-    g = 0
-    for x in b:
-        g = gcd(g, x)
+    g = gcd(*b)
     return tuple(x // g for x in b)
 
 
@@ -543,13 +510,8 @@ def _sn_induced_permutation(phi, k: int, n: int) -> tuple:
 
 def _full_scope_candidates(k: int, n: int):
     """Backtracking enumeration of pair-structure-preserving permutations."""
-    rels = generate_relations(k, n)
-    m1 = symbols.count(k, n)
-    pairs = {pair for rel in rels for pair in rel.pairs}
-    partners = [set() for _ in range(m1)]
-    for r, s in pairs:
-        partners[r].add(s)
-        partners[s].add(r)
+    ctx = _permutation_context(k, n)
+    m1, pairs = ctx.m1, ctx.pair_pos
 
     sigma = [-1] * m1
     used = [False] * m1
@@ -658,12 +620,6 @@ def apply_permutation(sigma, b, k: int, n: int) -> tuple:
     return tuple(vec[perm[i]] for i in range(len(vec)))
 
 
-def _divisibility_chain_possible(b) -> bool:
-    vals = sorted(b, reverse=True)
-    return all(vals[i + 1] and vals[i] % vals[i + 1] == 0
-               for i in range(len(vals) - 1))
-
-
 def is_descending_divisible(b) -> bool:
     return all(b[i - 1] % b[i] == 0 for i in range(1, len(b)))
 
@@ -686,7 +642,7 @@ def presented_weight_vector(b, k: int, n: int) -> WeightVector:
 def is_divisive(b, k: int, n: int, scope: str = "auto"):
     """A Plucker permutation sigma with b_{sigma(i)} | b_{sigma(i-1)}, or None."""
     vec = weight_vector(b, k, n)
-    if not _divisibility_chain_possible(vec):
+    if not is_descending_divisible(sorted(vec, reverse=True)):
         return None
     for witness in scope_ladder(k, n, scope):
         if is_descending_divisible(apply_permutation(witness, vec, k, n)):
@@ -710,16 +666,10 @@ def equivalence(b, c, k: int, n: int, scope: str = "auto"):
     """
     vb = weight_vector(b, k, n)
     vc = weight_vector(c, k, n)
-    gb = 0
-    gc = 0
-    for x in vb:
-        gb = gcd(gb, x)
-    for x in vc:
-        gc = gcd(gc, x)
-    pb = [x // gb for x in vb]
-    pc = [x // gc for x in vc]
-    r = Fraction(gc, gb)
+    pb = primitive_part(vb)
+    pc = primitive_part(vc)
+    r = Fraction(gcd(*vc), gcd(*vb))
     for witness in scope_ladder(k, n, scope):
-        if list(apply_permutation(witness, pb, k, n)) == pc:
+        if apply_permutation(witness, pb, k, n) == pc:
             return witness, r
     return None

@@ -432,7 +432,13 @@ class Poly:
         )
 
     def permute_variables(self, images: dict) -> "Poly":
-        """Relabel variables by the 1-based index map ``images``."""
+        """Relabel variables by the 1-based index map ``images``.
+
+        Unmapped variables keep their index.  The map need not be
+        injective: {s: t} identifies y_s with y_t, i.e. it is the
+        substitution y_s -> y_t, done by merging exponents without any
+        multiplication.  ``gkm`` relies on this.
+        """
         terms = {}
         for expo, c in self.terms.items():
             new = [0] * self.nvars

@@ -38,13 +38,15 @@ yields the equivariant table; it must agree with the localization
 oracle entrywise.
 
 Ordinary route.  In ordinary cohomology only dimension-matching triples
-survive; the constant is the puzzle count plus correction terms
+survive; the constant is the sum of
 
     D(i, j; l, q) = sum over chains l -> ... -> q of
                     (sum_P prod_s b(p_s)) / (b_{l_1} ... b_{l_d}),
 
-summed over q strictly below l and above i, j.  Results are checked to
-be nonnegative integers.
+over q below l and above i, j.  The term q = l, one chain of length
+zero and puzzles without equivariant pieces, is the puzzle count.  The
+numerator sum_P prod_s b(p_s) depends only on (i, j; q), so it is taken
+once per q.  Results are checked to be nonnegative integers.
 
 Positivity.  Equivariant constants rewritten in the forms
 
@@ -174,35 +176,29 @@ class WeightedContext:
             self.lattice.m + 1, self.equivariant_constants
         )
 
-    def classical_constant(self, i: int, j: int, l: int) -> int:
-        """Unweighted dimension-matching constant: the puzzle count."""
-        lat = self.lattice
-        if lat.d[i] + lat.d[j] != lat.d[l]:
-            raise ParameterError("classical constants need matching dimensions")
-        return len(puzzles.puzzles_for(self.k, self.n, i, j, l))
-
     def ordinary_constants(self, i: int, j: int) -> dict:
         """Map l (dimension-matching only) -> integer structure constant."""
         lat = self.lattice
+        upper = lat.upper_set(i, j)
         target_d = lat.d[i] + lat.d[j]
-        out = {}
-        for l in lat.upper_set(i, j):
-            if lat.d[l] != target_d:
+        targets = [l for l in upper if lat.d[l] == target_d]
+        numerators = {}
+        for q in upper:
+            if not any(lat.leq_idx(q, l) for l in targets):
                 continue
-            total = Fraction(self.classical_constant(i, j, l))
-            for q in lat.upper_set(i, j):
-                if q == l or not lat.leq_idx(q, l):
-                    continue
-                found = puzzles.puzzles_for(self.k, self.n, i, j, q)
-                if not found:
-                    continue
-                numerator = 0
-                for puz in found:
-                    prod = 1
-                    for u, v in puz.conjugated_pairs():
-                        prod *= self.piece_value(u, v)
-                    numerator += prod
-                if numerator == 0:
+            numerator = 0
+            for puz in puzzles.puzzles_for(self.k, self.n, i, j, q):
+                prod = 1
+                for u, v in puz.conjugated_pairs():
+                    prod *= self.piece_value(u, v)
+                numerator += prod
+            if numerator:
+                numerators[q] = numerator
+        out = {}
+        for l in targets:
+            total = Fraction(0)
+            for q, numerator in numerators.items():
+                if not lat.leq_idx(q, l):
                     continue
                 for chain in lat.chains(l, q):
                     denom = 1

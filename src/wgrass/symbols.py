@@ -119,12 +119,6 @@ def sigma_r_word(w: str) -> str:
     return w[::-1]
 
 
-def complement(sym: Symbol, n: int) -> Symbol:
-    """The complementary (n-k)-symbol."""
-    inside = set(sym)
-    return tuple(i for i in range(1, n + 1) if i not in inside)
-
-
 class SymbolLattice:
     """All Schubert symbols of one (k, n) with their order data.
 
@@ -134,7 +128,7 @@ class SymbolLattice:
     - ``d[i]``, ``dprime[i]``: dimension and codimension of symbol i,
     - ``R[i]``, ``I[i]``, ``Ad[i]``: index lists (sorted),
     - ``arrows[i]``: up-covers (j with lam_i <= lam_j, d_j = d_i + 1),
-    - ``down_covers[i]``: the opposite covers,
+    - ``down_covers[i]``: the opposite covers, read off ``arrows``,
     - ``sigma_r_index[i]``: index of the sigma_r image of symbol i.
 
     Instances are immutable after construction and cached per (k, n).
@@ -169,14 +163,10 @@ class SymbolLattice:
             )
             for i in range(self.m + 1)
         ]
-        self.down_covers = [
-            sorted(
-                j
-                for j, dj in enumerate(self.d)
-                if dj == self.d[i] - 1 and self._leq[j][i]
-            )
-            for i in range(self.m + 1)
-        ]
+        self.down_covers = [[] for _ in self.symbols]
+        for i, ups in enumerate(self.arrows):
+            for j in ups:
+                self.down_covers[j].append(i)
         self.sigma_r_index = [
             self.index[sigma_r(sym, n)] for sym in self.symbols
         ]

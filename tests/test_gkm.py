@@ -1,5 +1,7 @@
 """GKM model: graph, basis restrictions, localization oracle."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -163,6 +165,24 @@ def test_restrictions_json_roundtrip():
         for j, text in row.items():
             assert Poly.parse(text, 4) == mat[int(i)][int(j)]
     assert "0" not in data["5"]  # zeros are omitted
+
+
+RESTRICTION_DIGESTS = {
+    ((2, 5), 1): "12b3876e31fd74e921d93f475af4f46c038214286b66b477ab41b8405835b7ee",
+    ((2, 5), 2): "043e120676e63e8ca9ea885bc01aa831249e3a3f45ea822a23dd90d141796fb4",
+    ((3, 5), 1): "a123c5cdcb1cdfbb5c7bdd19ec709364f7161df706f8d158980309c1f6fa4f36",
+    ((3, 5), 2): "0009704908a80be719efa7fa7c4619d35aaa751defa60e1493695c8876f69106",
+    ((2, 6), 1): "f82255bea2596dfae303aa754f93252905a05c37891505700eb29959dcbb1f18",
+    ((2, 6), 2): "60918e95fb4ffcf76b74fcb142d68849a1e7edba99a3536562539341e0a9868d",
+}
+
+
+def test_restrictions_pinned():
+    # the unit vector and the divisive vector 2 on symbols containing 1
+    for ((k, n), top), want in RESTRICTION_DIGESTS.items():
+        b = tuple(top if 1 in s else 1 for s in symbols.enumerate_symbols(k, n))
+        text = json.dumps(gkm.restrictions_as_json(b, k, n), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, (k, n, top)
 
 
 def test_unit_structure_constants_match_puzzle_counts():

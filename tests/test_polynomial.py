@@ -97,6 +97,19 @@ def test_substitute_matches_evaluation():
         assert substituted.evaluate(point) == direct
 
 
+def test_permute_variables_identifies_like_substitute():
+    # a non-injective map {s: t} is the substitution y_s -> y_t
+    rng = random.Random(11)
+    for _ in range(40):
+        s, t, u = rng.sample(range(1, 5), 3)
+        images = {s: t}
+        if rng.random() < 0.5:
+            images[u] = rng.randint(1, 4)
+        p = random_poly(rng, n=4, degree=4, terms=5)
+        want = p.substitute({v: y(w) for v, w in images.items()})
+        assert p.permute_variables(images) == want
+
+
 def test_expand_linear_product_examples():
     n = 4
     a1 = y(1) * y(2)

@@ -160,7 +160,7 @@ def test_oracle_equality_2_5_weighted_sample():
 
 
 def test_oracle_equality_3_5_all_pairs():
-    # k = 3 exercises the complement-generated relations end to end
+    # k = 3 exercises the relations at 2k > n end to end
     b = (1,) * 10
     ctx = structure.context(b, 3, 5)
     for i in range(10):
@@ -316,6 +316,17 @@ def test_every_divisive_2_4_presentation_has_b1_eq_b2():
         presented = plucker.apply_permutation(witness, b, 2, 4)
         assert presented[1] == presented[2]
         checked += 1
+
+
+def test_ordinary_table_enumerates_needed_boundaries_only():
+    # only the q below some dimension-matching l are enumerated, each once
+    syms = symbols.enumerate_symbols(3, 6)
+    for top in (1, 2):
+        b = tuple(top if 1 in s else 1 for s in syms)
+        puzzles._enumerate_cached.cache_clear()
+        structure.context.cache_clear()
+        structure.context(b, 3, 6).ordinary_table()
+        assert puzzles._enumerate_cached.cache_info().currsize == 472, top
 
 
 def test_ordinary_pieri_rule():
