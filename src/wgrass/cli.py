@@ -33,6 +33,8 @@ EXIT_INVALID = 2
 EXIT_NOT_FOUND = 3
 EXIT_CAPACITY = 4
 
+RING_LIMIT = 35  # largest C(n, k) that ring tabulates; (3, 7) fits
+
 
 def _parse_vector(text: str, k: int, n: int) -> tuple:
     from . import plucker
@@ -164,8 +166,11 @@ def _cmd_ring(args) -> tuple:
     # inherit it instead of importing it each.
     from . import plucker, structure, symbols  # noqa: F401
 
-    b = plucker.weight_vector(_parse_vector(args.b, args.k, args.n),
-                              args.k, args.n)
+    parsed = _parse_vector(args.b, args.k, args.n)
+    m1 = symbols.count(args.k, args.n)
+    if m1 > RING_LIMIT:
+        raise CapacityError(f"ring tables need C(n, k) <= {RING_LIMIT}, got {m1}")
+    b = plucker.weight_vector(parsed, args.k, args.n)
     level = "ordinary" if args.ordinary else "equivariant"
     presented = b
     witness = None
@@ -176,7 +181,6 @@ def _cmd_ring(args) -> tuple:
                 "ring computation requires a divisive weight vector"
             )
         witness, presented = found
-    m1 = symbols.lattice(args.k, args.n).m + 1
     tasks = [
         (presented, args.k, args.n, i, j, level)
         for i in range(m1)

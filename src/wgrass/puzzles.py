@@ -37,7 +37,12 @@ an integer id, every cell position the tuple of pieces anchored there
 (edge-id/label pairs, covered cell positions, (kind, r, j) anchor), and
 the boundary words map to fixed edge ids.  The depth-first search keeps
 the edge labels in a flat list (-1 = unlabelled) and undoes each
-placement on backtrack.
+placement on backtrack.  The south word touches only the edges
+H(n, .) of the last row, so one search per (nw, ne) pair serves every
+south word: only the nw and ne edges are labelled up front, each leaf
+reads its south word off those edges, and the search, cached per
+(nw, ne), buckets the tilings by south word.  A fixed south word would
+only prune the same tree, so each bucket keeps the fill order.
 
 Orientation.  ``puzzles_for`` has one orientation: the boundary of the
 symbol triple (i, j; l) is the reversed words of the three symbols.
@@ -51,6 +56,7 @@ same cached objects.  ``conjugated_product`` and
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import symbols
@@ -177,34 +183,38 @@ def enumerate_puzzles(nw: str, ne: str, south: str) -> list:
     n = len(nw)
     for w in (nw, ne, south):
         _check_word(w, n)
-    return list(_enumerate_cached(nw, ne, south))
+    return list(_enumerate_cached(nw, ne).get(south, ()))
 
 
 @lru_cache(maxsize=None)
-def _enumerate_cached(nw: str, ne: str, south: str) -> tuple:
+def _enumerate_cached(nw: str, ne: str) -> MappingProxyType:
+    """Read-only map south word -> tilings with the nw and ne words."""
     n = len(nw)
     catalogue = _catalogue(n)
     cells = catalogue.cells
     size = len(cells)
+    south_edges = catalogue.boundary[2]
     labels = [-1] * catalogue.edge_count  # -1: not yet labelled
-    for ids, word in zip(catalogue.boundary, (nw, ne, south)):
+    for ids, word in zip(catalogue.boundary, (nw, ne)):
         for edge, letter in zip(ids, word):
             labels[edge] = int(letter)
     covered = [False] * size
     placements: list = []
-    results: list = []
+    results: dict = {}
 
     def dfs(pos: int) -> None:
         while pos < size and covered[pos]:
             pos += 1
         if pos == size:
+            south = "".join("01"[labels[edge]] for edge in south_edges)
+            found = results.setdefault(south, [])
+            # the puzzles of one south word share one boundary tuple
+            boundary = found[0].boundary if found else (nw, ne, south)
             equiv = tuple(
                 sorted((j + n - r, j) for kind, r, j in placements
                        if kind == "rhE")
             )
-            results.append(
-                Puzzle(n, (nw, ne, south), tuple(placements), equiv)
-            )
+            found.append(Puzzle(n, boundary, tuple(placements), equiv))
             return
         for assign, spots, anchor in cells[pos]:
             # spots[0] is pos, uncovered; a rhombus's second cell is last
@@ -230,7 +240,9 @@ def _enumerate_cached(nw: str, ne: str, south: str) -> tuple:
                 labels[edge] = -1
 
     dfs(0)
-    return tuple(results)
+    return MappingProxyType(
+        {south: tuple(found) for south, found in results.items()}
+    )
 
 
 def puzzles_for(k: int, n: int, i: int, j: int, l: int) -> list:

@@ -161,14 +161,20 @@ class WeightedContext:
         lat = self.lattice
         out: dict = {}
         for q in lat.upper_set(i, j):
+            # contraction is linear: sum a_s over the puzzles first
+            sums: list = []
             for puz in puzzles.puzzles_for(self.k, self.n, i, j, q):
-                coeffs = self.a_coefficients(puz)
-                for s, a_s in enumerate(coeffs):
-                    if a_s.is_zero():
-                        continue
-                    for l, piece in self.pieri_power(q, s).items():
-                        prev = out.get(l, Poly.zero(self.n))
-                        out[l] = prev + a_s * piece
+                for s, a_s in enumerate(self.a_coefficients(puz)):
+                    if s < len(sums):
+                        sums[s] = sums[s] + a_s
+                    else:
+                        sums.append(a_s)
+            for s, a_s in enumerate(sums):
+                if a_s.is_zero():
+                    continue
+                for l, piece in self.pieri_power(q, s).items():
+                    prev = out.get(l, Poly.zero(self.n))
+                    out[l] = prev + a_s * piece
         return {l: p for l, p in sorted(out.items()) if not p.is_zero()}
 
     def equivariant_table(self) -> dict:

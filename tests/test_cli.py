@@ -1,10 +1,12 @@
 """Command-line surface: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import resource
 import subprocess
 import sys
 import time
+from itertools import combinations
 from math import comb
 
 from wgrass import cli, symbols
@@ -161,6 +163,46 @@ def test_poincare_needs_no_lattice():
     ranks = json.loads(proc.stdout)
     assert proc.returncode == 0
     assert len(ranks) == 1601 and sum(ranks) == comb(80, 40)
+
+
+def test_ring_is_bounded_before_any_relation_work():
+    # Above cli.RING_LIMIT symbols, ring exits 4 on the count alone; the
+    # time and memory limits stop a regression that builds the lattice or
+    # scans the relations first.
+    for k, n in ((5, 10), (8, 16)):
+        ones = json.dumps([1] * comb(n, k), separators=(",", ":"))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "wgrass.cli", "--jobs", "1", "ring", ones,
+             "--k", str(k), "--n", str(n), "--ordinary"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+            preexec_fn=_limit_memory,
+        )
+        assert time.perf_counter() - start < 2, (k, n)
+        assert proc.returncode == 4, (k, n)
+        assert json.loads(proc.stdout)["kind"] == "capacity"
+
+
+RING_DIGESTS = {
+    (3, 6, 1, True): "1387a7075e18d7fdb87efc3b512210e6b7239e0a812f567cfd8820c6e0bfd130",
+    (3, 6, 2, True): "eb440038bfa6d527f969027b301978f09e12247e65d0b4e0256debf79b1287b7",
+    (2, 6, 1, False): "28eb68986ea69bb6c4f8b4bd376b23b4aa66f072b98e5f63f506852c11318cdc",
+    (2, 6, 3, False): "a692f0378fe8df82498cfc02b624a4d7efe96dc88f233fe7b8cb3ea5fde82752",
+}
+
+
+def test_ring_stdout_pinned(capsys):
+    # SHA-256 of the stdout bytes of ring tables, unit and weighted by w on
+    # the symbols containing 1; a faster pipeline must print the same bytes
+    for (k, n, w, ordinary), digest in RING_DIGESTS.items():
+        b = [w if 1 in sym else 1 for sym in combinations(range(1, n + 1), k)]
+        argv = ["--jobs", "1", "ring", json.dumps(b, separators=(",", ":")),
+                "--k", str(k), "--n", str(n)] + ["--ordinary"] * ordinary
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode()
+        assert hashlib.sha256(out).hexdigest() == digest, (k, n, w, ordinary)
 
 
 def test_invalid_input_exit_codes():

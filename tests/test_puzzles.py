@@ -51,6 +51,31 @@ def test_word_validation():
         puzzles.enumerate_puzzles("102", "100", "100")
 
 
+def test_south_word_is_looked_up_after_the_search():
+    w0 = symbols.sigma_r_word(symbols.lattice(2, 4).words[0])
+    assert puzzles.enumerate_puzzles(w0, w0, w0)
+    # the (nw, ne) search is cached now; the south word is still checked
+    for bad in ("110", "11000", "1102"):
+        with pytest.raises(ParameterError):
+            puzzles.enumerate_puzzles(w0, w0, bad)
+    # well formed, but no tiling has this south word
+    assert puzzles.enumerate_puzzles(w0, w0, "0000") == []
+
+
+def test_south_buckets_partition_the_leaves():
+    n = 5
+    words = symbols.lattice(3, n).words
+    souths = ["".join(bits) for bits in product("01", repeat=n)]
+    for nw, ne in product(words, repeat=2):
+        leaves = sum(map(len, puzzles._enumerate_cached(nw, ne).values()))
+        total = 0
+        for south in souths:
+            found = puzzles.enumerate_puzzles(nw, ne, south)
+            assert all(puz.boundary == (nw, ne, south) for puz in found)
+            total += len(found)
+        assert total == leaves, (nw, ne)
+
+
 def test_identity_boundary_single_weightless_puzzle():
     lat = symbols.lattice(2, 4)
     w0 = symbols.sigma_r_word(lat.words[0])

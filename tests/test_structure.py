@@ -319,14 +319,15 @@ def test_every_divisive_2_4_presentation_has_b1_eq_b2():
 
 
 def test_ordinary_table_enumerates_needed_boundaries_only():
-    # only the q below some dimension-matching l are enumerated, each once
+    # one search per (nw, ne) pair that has some q below a dimension-
+    # matching l; a pair with no such target is never searched
     syms = symbols.enumerate_symbols(3, 6)
     for top in (1, 2):
         b = tuple(top if 1 in s else 1 for s in syms)
         puzzles._enumerate_cached.cache_clear()
         structure.context.cache_clear()
         structure.context(b, 3, 6).ordinary_table()
-        assert puzzles._enumerate_cached.cache_info().currsize == 472, top
+        assert puzzles._enumerate_cached.cache_info().currsize == 117, top
 
 
 def test_ordinary_pieri_rule():
