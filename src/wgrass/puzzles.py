@@ -30,27 +30,45 @@ directions to south-edge columns c = j (southwest) and a = j + n - r
 carries the conjugated factor y_u - y_v with (u, v) = (n+1-a, n+1-c);
 on the words as they are it would carry y_a - y_c.
 
-Search.  The cells are filled in row-major order: U(r, 1), D(r, 1),
-U(r, 2), ..., row by row.  The piece catalogue of size n is built once,
-on the first enumeration of that size, and cached per n: every edge gets
-an integer id, every cell position the tuple of pieces anchored there
-(edge-id/label pairs, covered cell positions, (kind, r, j) anchor), and
-the boundary words map to fixed edge ids.  The depth-first search keeps
-the edge labels in a flat list (-1 = unlabelled) and undoes each
-placement on backtrack.  The south word touches only the edges
-H(n, .) of the last row, so one search per (nw, ne) pair serves every
-south word: only the nw and ne edges are labelled up front, each leaf
-reads its south word off those edges, and the search, cached per
-(nw, ne), buckets the tilings by south word.  A fixed south word would
-only prune the same tree, so each bucket keeps the fill order.
+Search.  The cells are filled in row-major order: U(r, 1), D(r, 1), U(r,
+2), ..., row by row.  The piece catalogue of size n is built once, on
+the first search or frontier pass of that size, and cached per n: every
+edge gets an integer id, every cell position the tuple of pieces
+anchored there (edge-id/label pairs, covered cell positions, (kind, r,
+j) anchor), and the boundary words map to fixed edge ids.  The
+depth-first search keeps the edge labels in a flat list (-1 =
+unlabelled) and undoes each placement on backtrack.  The south word
+touches only the edges H(n, .) of the last row, so one search per (nw,
+ne) pair serves every south word: only the nw and ne edges are labelled
+up front, each leaf reads its south word off those edges, and the
+search, cached per (nw, ne), buckets the tilings by south word.  A fixed
+south word would only prune the same tree, so each bucket keeps the fill
+order.  The search serves the ``puzzles`` command and the tests; the
+structure constants never build a tiling.
+
+Transfer matrix.  ``frontier_sums`` walks the same cells in the same
+order with the nw and ne words fixed, and keeps, in place of one
+partial tiling, every distinct state with the sum of the weights of the
+partial tilings that reach it.  A state is one int: 2 bits per edge
+(unset, 0 or 1) and one bit per cell, set when a rhombus placed earlier
+covers it.  An edge is cleared after the last cell whose pieces read
+it, except the south edges, so partial tilings that differ only behind
+the frontier reach the same state, and equal states add their weights.
+A weight is an integer polynomial, its monomials packed into ints; an
+equivariant piece multiplies it by a factor the caller gives per
+conjugated pair (u, v).  States whose weight cancels to zero are kept,
+so the final states, which hold only the south edges, are exactly the
+south words some tiling reaches.  ``symbol_sums`` maps them to symbols
+and checks dominance and the piece-count balance.
 
 Orientation.  ``puzzles_for`` has one orientation: the boundary of the
 symbol triple (i, j; l) is the reversed words of the three symbols.
 The raw orientation, on the words as they are, needs no second path:
 reversing a word is sigma_r on its symbol, so the raw puzzles of
 (i, j; l) are ``puzzles_for`` at (sigma_r i, sigma_r j; sigma_r l), the
-same cached objects.  ``conjugated_product`` and
-``conjugated_constants`` sum conjugated weights into tables.
+same cached objects.  ``conjugated_product`` (one frontier pass with
+the factors y_u - y_v) and ``conjugated_constants`` sum conjugated
+weights into tables.
 """
 
 from __future__ import annotations
@@ -60,8 +78,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import symbols
-from .errors import CapacityError, ParameterError
-from .polynomial import Poly
+from .errors import CapacityError, InternalInconsistencyError, ParameterError
+from .polynomial import Poly, _packer
 
 TABLE_LIMIT = 15  # largest C(n, k) for which full tables are enumerated
 
@@ -78,12 +96,6 @@ class Puzzle(NamedTuple):
         """(u, v) with u < v for the reversed-alphabet factors y_u - y_v."""
         n = self.n
         return [(n + 1 - a, n + 1 - c) for a, c in self.equivariant]
-
-    def conjugated_weight(self) -> Poly:
-        total = Poly.one(self.n)
-        for u, v in self.conjugated_pairs():
-            total = total * (Poly.variable(self.n, u) - Poly.variable(self.n, v))
-        return total
 
 
 def _check_word(w: str, n: int) -> None:
@@ -140,11 +152,15 @@ class _Catalogue(NamedTuple):
     row-major fill order, as (((edge, label), ...), covered positions,
     (kind, r, j) anchor) in the order the search tries them.
     ``boundary`` holds the edge ids of the nw, ne and south words.
+    ``steps[pos]`` is the same cell for ``frontier_sums``, on its state
+    bits: (covered bit, keep mask, ((forbidden, added, pair), ...)),
+    pair the conjugated (u, v) of an equivariant piece and None else.
     """
 
     edge_count: int
     boundary: tuple
     cells: tuple
+    steps: tuple
 
 
 @lru_cache(maxsize=None)
@@ -175,7 +191,32 @@ def _catalogue(n: int) -> _Catalogue:
              (kind, r, j))
             for kind, assign, covers in shapes
         ))
-    return _Catalogue(len(edge_ids), boundary, tuple(table))
+    # frontier_sums: edge e is bits 2e, 2e+1 (00 unset, 01 label 0, 10
+    # label 1) and cell pos is bit 2 * edge_count + pos, set when covered
+    last = {}  # edge -> last position whose pieces read it
+    for pos, pieces in enumerate(table):
+        for assign, _, _ in pieces:
+            for edge, _ in assign:
+                last[edge] = pos
+    for edge in boundary[2]:
+        last[edge] = len(table)  # the south word is read off the end
+    cover = [1 << 2 * len(edge_ids) + pos for pos in range(len(table))]
+    steps = []
+    for pos, pieces in enumerate(table):
+        dead = sum(3 << 2 * e for e, at in last.items() if at == pos)
+        moves = []
+        for assign, spots, (kind, r, j) in pieces:
+            added = sum(label + 1 << 2 * e for e, label in assign)
+            # a set field conflicts exactly when it holds the other label
+            forbidden = sum(2 - label << 2 * e for e, label in assign)
+            if len(spots) == 2:
+                added |= cover[spots[1]]
+                forbidden |= cover[spots[1]]
+            # (n + 1 - a, n + 1 - c) with a = j + n - r and c = j
+            pair = (r + 1 - j, n + 1 - j) if kind == "rhE" else None
+            moves.append((forbidden, added, pair))
+        steps.append((cover[pos], ~(cover[pos] | dead), tuple(moves)))
+    return _Catalogue(len(edge_ids), boundary, tuple(table), tuple(steps))
 
 
 def enumerate_puzzles(nw: str, ne: str, south: str) -> list:
@@ -245,6 +286,99 @@ def _enumerate_cached(nw: str, ne: str) -> MappingProxyType:
     )
 
 
+def frontier_sums(nw: str, ne: str, factors: dict) -> dict:
+    """Map south word -> sum over the tilings with the nw and ne words of
+    the product of factors[(u, v)] over their equivariant pieces.
+
+    ``factors`` maps every conjugated pair u < v to a Poly with integer
+    coefficients, all in the same variables; a tiling without
+    equivariant pieces adds 1.  Every south word some tiling reaches is
+    a key, also when its sum cancels to zero.
+    """
+    n = len(nw)
+    for w in (nw, ne):
+        _check_word(w, n)
+    catalogue = _catalogue(n)
+    nvars = next(iter(factors.values())).nvars
+    pack, unpack = _packer(nvars, n * (n - 1) // 2)  # one factor per rhE
+    packed = {
+        pair: [(pack(e), c) for e, c in f.terms.items()]
+        for pair, f in factors.items()
+    }
+    start = 0
+    for ids, word in zip(catalogue.boundary, (nw, ne)):
+        for edge, letter in zip(ids, word):
+            start |= int(letter) + 1 << 2 * edge
+    states = {start: {pack((0,) * nvars): 1}}
+    for cover, keep, moves in catalogue.steps:
+        reached: dict = {}
+        fresh = set()  # keys whose weight dict belongs to this step
+
+        def add(key, weight):
+            known = reached.get(key)
+            if known is None:
+                reached[key] = weight
+                return
+            if key not in fresh:
+                known = reached[key] = dict(known)
+                fresh.add(key)
+            get = known.get
+            for e, c in weight.items():
+                known[e] = get(e, 0) + c
+
+        for state, weight in states.items():
+            if state & cover:
+                add(state & keep, weight)
+                continue
+            for forbidden, added, pair in moves:
+                if state & forbidden:
+                    continue
+                if pair is not None:
+                    product: dict = {}
+                    get = product.get
+                    for e1, c1 in weight.items():
+                        for e2, c2 in packed[pair]:
+                            e = e1 + e2
+                            product[e] = get(e, 0) + c1 * c2
+                    add((state | added) & keep, product)
+                else:
+                    add((state | added) & keep, weight)
+        states = reached
+    # only the south edges are left in the final states
+    return {
+        "".join("01"[(state >> 2 * e & 3) - 1] for e in catalogue.boundary[2]):
+        Poly(nvars, {unpack(e): c for e, c in weight.items()})
+        for state, weight in states.items()
+    }
+
+
+def symbol_sums(k: int, n: int, i: int, j: int, factors: dict) -> dict:
+    """Map q -> frontier sum over the puzzles of (i, j; q), reversed words.
+
+    Checks every reached q: it must dominate both inputs, and its sum
+    must be homogeneous of degree dim(i) + dim(j) - dim(q), the piece-
+    count balance, as long as every factor is homogeneous of degree 1.
+    """
+    lat = symbols.lattice(k, n)
+    rev = [symbols.sigma_r_word(w) for w in lat.words]
+    index = {w: q for q, w in enumerate(rev)}
+    upper = set(lat.upper_set(i, j))
+    out = {}
+    for south, total in frontier_sums(rev[i], rev[j], factors).items():
+        q = index.get(south)
+        if q not in upper:
+            raise InternalInconsistencyError(
+                "puzzle found outside the dominance region"
+            )
+        expected = lat.d[i] + lat.d[j] - lat.d[q]
+        if any(sum(e) != expected for e in total.terms):
+            raise InternalInconsistencyError(
+                "piece count violates the dimension balance"
+            )
+        out[q] = total
+    return out
+
+
 def puzzles_for(k: int, n: int, i: int, j: int, l: int) -> list:
     """Puzzles on the reversed words of the symbol triple (i, j; l).
 
@@ -263,34 +397,15 @@ def puzzles_for(k: int, n: int, i: int, j: int, l: int) -> list:
 def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
     """Map l -> sum of conjugated weights over Delta^{rev w_l}_{rev w_i, rev w_j}.
 
-    Every enumerated puzzle is checked against the piece-count balance
-    dim(i) + dim(j) - dim(l), and puzzles may only appear at l dominating
-    both inputs.
+    One frontier pass with the factors y_u - y_v; ``symbol_sums``
+    checks dominance and the piece-count balance.
     """
-    from .errors import InternalInconsistencyError
-
-    lat = symbols.lattice(k, n)
-    upper = set(lat.upper_set(i, j))
-    out = {}
-    for l in range(lat.m + 1):
-        found = puzzles_for(k, n, i, j, l)
-        if not found:
-            continue
-        expected = lat.d[i] + lat.d[j] - lat.d[l]
-        if l not in upper or expected < 0:
-            raise InternalInconsistencyError(
-                "puzzle found outside the dominance region"
-            )
-        total = Poly.zero(n)
-        for puz in found:
-            if len(puz.equivariant) != expected:
-                raise InternalInconsistencyError(
-                    "piece count violates the dimension balance"
-                )
-            total = total + puz.conjugated_weight()
-        if not total.is_zero():
-            out[l] = total
-    return out
+    factors = {
+        (u, v): Poly.variable(n, u) - Poly.variable(n, v)
+        for u in range(1, n) for v in range(u + 1, n + 1)
+    }
+    sums = symbol_sums(k, n, i, j, factors)
+    return {l: total for l, total in sorted(sums.items()) if total}
 
 
 def conjugated_constants(k: int, n: int) -> dict:

@@ -37,6 +37,19 @@ zero when s < r = dim(l) - dim(q).  Contracting a_s(P) against c(q, s)
 yields the equivariant table; it must agree with the localization
 oracle entrywise.
 
+The contraction is linear, so only sum_P a_s(P) over the puzzles of
+(i, j; q) is needed, and no puzzle is built: one transfer-matrix pass
+per (i, j) (``puzzles.symbol_sums``) gives, for every q at once,
+
+    sum_P prod_s (b_0 (y_u - y_v) - b(p_s) Y_0 + b(p_s) B),
+
+an integer polynomial in (y, B) equal to b_0^|P| times the product
+above, |P| = dim(i) + dim(j) - dim(q).  In divisive presentation every
+b_t divides b_0, which the context checks, so c(q, s) is integral
+too.  Each q is scaled to the common denominator b_0^T,
+T = dim(i) + dim(j) - min dim(q), the contraction runs in integers,
+and each entry is divided by b_0^T once.
+
 Ordinary route.  In ordinary cohomology only dimension-matching triples
 survive; the constant is the sum of
 
@@ -45,8 +58,11 @@ survive; the constant is the sum of
 
 over q below l and above i, j.  The term q = l, one chain of length
 zero and puzzles without equivariant pieces, is the puzzle count.  The
-numerator sum_P prod_s b(p_s) depends only on (i, j; q), so it is taken
-once per q.  Results are checked to be nonnegative integers.
+numerator sum_P prod_s b(p_s) depends only on (i, j; q); one frontier
+pass with the factors b(p) B gives it for every q.  Each chain term is
+taken as an integer over b_0^dim(l), with b_0 / b_t in place of
+1 / b_t, and each entry is divided once and checked to be a
+nonnegative integer.
 
 Positivity.  Equivariant constants rewritten in the forms
 
@@ -59,11 +75,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import combinations
 
 from . import plucker, puzzles, symbols
 from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import (
     Poly,
+    _build,
     expand_linear_product,
     linear_basis_images,
     linear_form,
@@ -81,6 +99,12 @@ class WeightedContext:
         self.lattice = symbols.lattice(k, n)
         self.wa = plucker.solve_wa(vec, k, n)
         self._y0 = linear_form(n, self.lattice.symbols[0])
+        ratios = [divmod(vec[0], bt) for bt in vec]
+        if any(rem for _, rem in ratios):
+            raise InternalInconsistencyError(
+                "every b_t must divide b_0 in divisive presentation"
+            )
+        self._ratios = [ratio for ratio, _ in ratios]  # b_0 / b_t
         self._pieri: dict = {}
         self._pieces: dict = {}
 
@@ -125,6 +149,31 @@ class WeightedContext:
             factors.append((bwt, Fraction(bp, self.b[0])))
         return expand_linear_product(self.n, factors)
 
+    @cached_property
+    def equivariant_factors(self) -> dict:
+        """(u, v) -> b_0 (y_u - y_v) + b(p) (B - Y_0) over (y_1..y_n, B).
+
+        That is b_0 times bwt(p) + (b(p)/b_0) B, with integer
+        coefficients; one factor per pair u < v.
+        """
+        n = self.n
+        y = [Poly.variable(n + 1, s) for s in range(1, n + 2)]  # y[n] is B
+        shift = y[n] - linear_form(n + 1, self.lattice.symbols[0])
+        return {
+            (u, v): self.b[0] * (y[u - 1] - y[v - 1])
+            + self.piece_value(u, v) * shift
+            for u, v in combinations(range(1, n + 1), 2)
+        }
+
+    @cached_property
+    def ordinary_factors(self) -> dict:
+        """(u, v) -> b(p) B over (y_1..y_n, B), one per pair u < v."""
+        big_b = Poly.variable(self.n + 1, self.n + 1)
+        return {
+            (u, v): self.piece_value(u, v) * big_b
+            for u, v in combinations(range(1, self.n + 1), 2)
+        }
+
     # -- Pieri powers ----------------------------------------------------
 
     def pieri_power(self, q: int, s: int) -> dict:
@@ -144,7 +193,7 @@ class WeightedContext:
             # one Pieri step: B * basis_t
             acc: dict = {}
             for t, c in out.items():
-                ratio = Fraction(self.b[0], self.b[t])
+                ratio = self._ratios[t]
                 diagonal = self._y0 - ratio * linear_form(self.n, lat.symbols[t])
                 acc[t] = acc.get(t, zero) + c * diagonal
                 up = ratio * c
@@ -159,23 +208,34 @@ class WeightedContext:
     def equivariant_constants(self, i: int, j: int) -> dict:
         """Map l -> equivariant structure constant polynomial."""
         lat = self.lattice
+        n = self.n
+        sums = puzzles.symbol_sums(
+            self.k, n, i, j, self.equivariant_factors
+        )
+        reached = [q for q, total in sums.items() if total]
+        if not reached:
+            return {}
+        # the sum of (i, j; q) carries b_0^(d_i + d_j - d_q); scale every
+        # q to b_0^top and divide once at the end
+        top = lat.d[i] + lat.d[j] - min(lat.d[q] for q in reached)
         out: dict = {}
-        for q in lat.upper_set(i, j):
-            # contraction is linear: sum a_s over the puzzles first
-            sums: list = []
-            for puz in puzzles.puzzles_for(self.k, self.n, i, j, q):
-                for s, a_s in enumerate(self.a_coefficients(puz)):
-                    if s < len(sums):
-                        sums[s] = sums[s] + a_s
-                    else:
-                        sums.append(a_s)
-            for s, a_s in enumerate(sums):
-                if a_s.is_zero():
-                    continue
+        for q in reached:
+            by_power: dict = {}
+            for e, c in sums[q].terms.items():
+                by_power.setdefault(e[n], {})[e[:n]] = c
+            scale = self.b[0] ** (lat.d[q] + top - lat.d[i] - lat.d[j])
+            for s, terms in by_power.items():
+                a_s = Poly(n, terms) * scale
                 for l, piece in self.pieri_power(q, s).items():
-                    prev = out.get(l, Poly.zero(self.n))
-                    out[l] = prev + a_s * piece
-        return {l: p for l, p in sorted(out.items()) if not p.is_zero()}
+                    if l in out:
+                        out[l] = out[l] + a_s * piece
+                    else:
+                        out[l] = a_s * piece
+        denominator = self.b[0] ** top
+        return {
+            l: _build(n, p.terms, denominator)
+            for l, p in sorted(out.items()) if not p.is_zero()
+        }
 
     def equivariant_table(self) -> dict:
         return symbols.symmetric_table(
@@ -185,38 +245,35 @@ class WeightedContext:
     def ordinary_constants(self, i: int, j: int) -> dict:
         """Map l (dimension-matching only) -> integer structure constant."""
         lat = self.lattice
-        upper = lat.upper_set(i, j)
         target_d = lat.d[i] + lat.d[j]
-        targets = [l for l in upper if lat.d[l] == target_d]
-        numerators = {}
-        for q in upper:
-            if not any(lat.leq_idx(q, l) for l in targets):
-                continue
-            numerator = 0
-            for puz in puzzles.puzzles_for(self.k, self.n, i, j, q):
-                prod = 1
-                for u, v in puz.conjugated_pairs():
-                    prod *= self.piece_value(u, v)
-                numerator += prod
-            if numerator:
-                numerators[q] = numerator
+        targets = [l for l in lat.upper_set(i, j) if lat.d[l] == target_d]
+        if not targets:
+            return {}
+        sums = puzzles.symbol_sums(self.k, self.n, i, j, self.ordinary_factors)
+        # sum_P prod b(p), the only coefficient of B^(d_i + d_j - d_q)
+        numerators = {
+            q: sum(total.terms.values()) for q, total in sums.items() if total
+        }
         out = {}
         for l in targets:
-            total = Fraction(0)
+            # each chain term numerator / (b_{l_1} ... b_{l_r}) over the
+            # common denominator b_0^(d_l)
+            scaled = 0
             for q, numerator in numerators.items():
                 if not lat.leq_idx(q, l):
                     continue
                 for chain in lat.chains(l, q):
-                    denom = 1
+                    term = numerator * self.b[0] ** (lat.d[l] + 1 - len(chain))
                     for t in chain[1:]:
-                        denom *= self.b[t]
-                    total += Fraction(numerator, denom)
-            if total:
-                if total.denominator != 1 or total < 0:
+                        term *= self._ratios[t]
+                    scaled += term
+            if scaled:
+                total, rem = divmod(scaled, self.b[0] ** lat.d[l])
+                if rem or total < 0:
                     raise InternalInconsistencyError(
                         "ordinary constant must be a nonnegative integer"
                     )
-                out[l] = int(total)
+                out[l] = total
         return out
 
     def ordinary_table(self) -> dict:

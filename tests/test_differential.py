@@ -16,7 +16,7 @@ import pytest
 from wgrass import gkm, plucker, structure, symbols
 
 # (k, n, vectors drawn, cells compared per vector; None = all)
-PLAN = [(2, 5, 2, None), (3, 5, 2, None), (2, 6, 1, 4)]
+PLAN = [(2, 5, 2, None), (3, 5, 2, None), (2, 6, 1, 4), (2, 7, 1, 4)]
 
 
 def draw_presented(rng, k, n):

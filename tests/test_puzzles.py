@@ -2,11 +2,12 @@
 
 import hashlib
 import json
+import random
 from itertools import product
 
 import pytest
 
-from wgrass import cli, puzzles, symbols
+from wgrass import cli, plucker, puzzles, structure, symbols
 from wgrass.errors import CapacityError, ParameterError
 from wgrass.polynomial import Poly
 
@@ -76,13 +77,45 @@ def test_south_buckets_partition_the_leaves():
         assert total == leaves, (nw, ne)
 
 
+@pytest.mark.parametrize("k,n", [(2, 4), (3, 5), (2, 6)])
+def test_frontier_sums_match_enumeration(k, n):
+    # enumeration is the independent reference for the transfer matrix
+    rng = random.Random(f"frontier:{k},{n}")
+    a = rng.randint(1, 3)
+    W = [a * rng.randint(1, 4)] + [0] * (n - 1)
+    ctx = structure.context(plucker.weights_from_wa(W, a, k, n), k, n)
+    unit = {
+        (u, v): y(u, n) - y(v, n)
+        for u in range(1, n) for v in range(u + 1, n + 1)
+    }
+    factor_sets = (unit, ctx.ordinary_factors, ctx.equivariant_factors)
+    words = symbols.lattice(k, n).words
+    for nw, ne in product(words, repeat=2):
+        found = puzzles._enumerate_cached(nw, ne)
+        for factors in factor_sets:
+            sums = puzzles.frontier_sums(nw, ne, factors)
+            assert sums.keys() == found.keys(), (nw, ne)
+            nvars = next(iter(factors.values())).nvars
+            for south, tilings in found.items():
+                total = Poly.zero(nvars)
+                for puz in tilings:
+                    weight = Poly.one(nvars)
+                    for pair in puz.conjugated_pairs():
+                        weight = weight * factors[pair]
+                    total = total + weight
+                assert sums[south] == total, (nw, ne, south)
+
+
 def test_identity_boundary_single_weightless_puzzle():
     lat = symbols.lattice(2, 4)
     w0 = symbols.sigma_r_word(lat.words[0])
     found = puzzles.enumerate_puzzles(w0, w0, w0)
     assert len(found) == 1
     assert found[0].equivariant == ()
-    assert found[0].conjugated_weight() == Poly.one(4)
+    weight = Poly.one(4)
+    for u, v in found[0].conjugated_pairs():
+        weight = weight * (y(u) - y(v))
+    assert weight == Poly.one(4)
 
 
 def test_self_boundary_weight_l3():

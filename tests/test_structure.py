@@ -318,16 +318,14 @@ def test_every_divisive_2_4_presentation_has_b1_eq_b2():
         checked += 1
 
 
-def test_ordinary_table_enumerates_needed_boundaries_only():
-    # one search per (nw, ne) pair that has some q below a dimension-
-    # matching l; a pair with no such target is never searched
-    syms = symbols.enumerate_symbols(3, 6)
-    for top in (1, 2):
-        b = tuple(top if 1 in s else 1 for s in syms)
+def test_pipeline_enumerates_no_puzzles():
+    # both routes read the frontier sums; no tiling is ever built
+    for k, n, table in ((3, 6, "ordinary_table"), (2, 6, "equivariant_table")):
+        b = tuple(2 if 1 in s else 1 for s in symbols.enumerate_symbols(k, n))
         puzzles._enumerate_cached.cache_clear()
         structure.context.cache_clear()
-        structure.context(b, 3, 6).ordinary_table()
-        assert puzzles._enumerate_cached.cache_info().currsize == 117, top
+        getattr(structure.context(b, k, n), table)()
+        assert puzzles._enumerate_cached.cache_info().currsize == 0, (k, n)
 
 
 def test_ordinary_pieri_rule():
