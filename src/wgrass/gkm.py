@@ -20,24 +20,38 @@ b = 1 values under the per-column substitution
 
     y_s  ->  y_s - (w_s / b_j) * Y_{lam_j}
 
-with (W, a) the integer exponent data of b.  Both matrices are verified
-against the three pinning conditions, the closed row-1 form, and GKM
-membership at build time.
+with (W, a) the integer exponent data of b.
 
-``localize_product`` multiplies two basis classes pointwise and peels
-the expansion coefficients by increasing index; it is the independent
-oracle every structure-constant formula is tested against.
+The basis is held in integer form: the value of class i at lam_t is
+stored times b_t^{d_i}, as a map from packed monomials to ints (one
+``_packer`` per (n, 2 max d)).  Weighted rows come from the integer
+images y_s -> b_t y_s - w_s Y_{lam_t}; every entry is homogeneous, so
+that is exactly this scale of the substitution above and no Fraction
+is built.  At this scale the closed row-1 form reads b_j Y_0 - b_0 Y_j,
+the pinned diagonal is the product of the integer labels
+b_i Y_l - b_l Y_i, and GKM membership divides the integer difference
+across an edge by the primitive label.  These checks and the pinning
+conditions run on every matrix at build time.  The ``Poly`` matrices of
+``kt_restrictions`` and ``weighted_restrictions`` are read off the
+integer rows with one division per entry.
+
+``localize_product`` multiplies two integer rows pointwise and peels
+the expansion coefficients by increasing index, in integers; it is the
+independent oracle every structure-constant formula is tested against.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
 from . import plucker, symbols
 from .errors import InternalInconsistencyError, ParameterError
-from .polynomial import Poly, linear_form
+from .polynomial import (
+    Poly, _build, _cleared, _divide_packed, _mul_packed, _packer, linear_form,
+)
 
 
 class GKMGraph(NamedTuple):
@@ -65,18 +79,61 @@ def build_graph(b, k: int, n: int) -> GKMGraph:
     return GKMGraph(k, n, vec, tuple(edges), labels)
 
 
+def _integer_label(graph: GKMGraph, pack, l: int, j: int) -> dict:
+    """Packed b_j Y_l - b_l Y_j: b_j times Y_l - (b_l / b_j) Y_j."""
+    lat = symbols.lattice(graph.k, graph.n)
+    label = (
+        linear_form(graph.n, lat.symbols[l]) * graph.b[j]
+        - linear_form(graph.n, lat.symbols[j]) * graph.b[l]
+    )
+    return {pack(e): c for e, c in label.terms.items()}
+
+
+def _primitive(terms: dict) -> dict:
+    content = gcd(*terms.values())
+    return {key: c // content for key, c in terms.items()}
+
+
+def _row_is_class(graph: GKMGraph, labels: dict, unpack, row, scales) -> bool:
+    """GKM membership of the class with value row[t] / scales[t] at t.
+
+    ``row`` holds packed integer maps and ``labels`` the primitive
+    packed edge labels.  Across the edge (l, j) the difference is
+    scaled to the integer map (s_l row[j] - s_j row[l]) / gcd(s_l, s_j),
+    which the label divides in Q[y] iff ``_divide_packed`` finds a
+    quotient (Gauss's lemma).
+    """
+    for l, j in graph.edges:
+        hi, lo = row[j], row[l]
+        if not (hi or lo):
+            continue
+        g = gcd(scales[j], scales[l])
+        diff = {key: c * (scales[l] // g) for key, c in hi.items()}
+        _mul_packed(lo, {0: 1}, diff, -(scales[j] // g))  # {0: 1} packs 1
+        if diff and _divide_packed(diff, labels[(l, j)], unpack) is None:
+            return False
+    return True
+
+
 def is_class(graph: GKMGraph, values) -> bool:
     """True iff every edge label divides the difference across the edge."""
     vals = list(values)
     if len(vals) != len(symbols.lattice(graph.k, graph.n).symbols):
         raise ParameterError("need one polynomial per fixed point")
-    for (i, j) in graph.edges:
-        diff = vals[j] - vals[i]
-        if diff.is_zero():
-            continue
-        if diff.divide_exact(graph.labels[(i, j)]) is None:
-            return False
-    return True
+    if any(v.nvars != graph.n for v in vals):
+        raise ParameterError(f"values must be polynomials in {graph.n} variables")
+    pack, unpack = _packer(graph.n, max(1, *(v.degree() for v in vals)))
+    cleared = [_cleared(v.terms) for v in vals]
+    scale = lcm(*(d for _, d in cleared))
+    row = [
+        {pack(e): c * (scale // d) for e, c in terms.items()}
+        for terms, d in cleared
+    ]
+    labels = {
+        edge: _primitive(_integer_label(graph, pack, *edge))
+        for edge in graph.edges
+    }
+    return _row_is_class(graph, labels, unpack, row, [1] * len(row))
 
 
 def _interpolate_value(constraints, degree: int, n: int) -> Poly:
@@ -117,6 +174,41 @@ def _interpolate_value(constraints, degree: int, n: int) -> Poly:
     return alpha
 
 
+class _Restrictions(tuple):
+    """A restriction matrix of Polys, rows by basis index, and its integer form.
+
+    ``rows[i][t]`` maps packed monomials (``pack``) to ints and equals
+    b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
+    ``diagonals[l]`` is (primitive part, content) of rows[l][l].  Built
+    by ``_restrictions``.
+    """
+
+
+def _restrictions(graph: GKMGraph, pack, unpack, rows) -> _Restrictions:
+    """The Poly matrix of integer ``rows``: one division per entry."""
+    lat = symbols.lattice(graph.k, graph.n)
+    out = _Restrictions(
+        tuple(
+            _build(
+                graph.n,
+                {unpack(key): c for key, c in entry.items()},
+                graph.b[t] ** lat.d[i],
+            )
+            for t, entry in enumerate(row)
+        )
+        for i, row in enumerate(rows)
+    )
+    out.graph, out.lat, out.rows = graph, lat, rows
+    out.pack, out.unpack = pack, unpack
+    out.diagonals = []
+    for l, row in enumerate(rows):
+        content = gcd(*row[l].values())
+        out.diagonals.append(
+            ({key: c // content for key, c in row[l].items()}, content)
+        )
+    return out
+
+
 @lru_cache(maxsize=None)
 def kt_restrictions(k: int, n: int) -> tuple:
     """Basis restriction matrix at b = (1, ..., 1), rows by basis index.
@@ -124,7 +216,8 @@ def kt_restrictions(k: int, n: int) -> tuple:
     Entry [i][j] is the value of basis class i at fixed point j.  Row i
     is built by increasing j: off the upper set the value is zero, the
     diagonal is the pinned product, and every later vertex is the unique
-    homogeneous solution of the congruences along edges into it.
+    homogeneous solution of the congruences along edges into it.  The
+    rows are then packed, validated and read back as the result.
     """
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
@@ -145,8 +238,13 @@ def kt_restrictions(k: int, n: int) -> tuple:
                 constraints.append((s, sp, row[l]))
             row.append(_interpolate_value(constraints, lat.d[i], n))
         matrix.append(tuple(row))
-    out = tuple(matrix)
-    _validate_basis(out, graph)
+    pack, unpack = _packer(n, 2 * max(lat.d))
+    rows = [
+        [{pack(e): c for e, c in entry.terms.items()} for entry in row]
+        for row in matrix
+    ]
+    out = _restrictions(graph, pack, unpack, rows)
+    _validate_basis(out)
     return out
 
 
@@ -170,26 +268,42 @@ def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
     if all(x == 1 for x in vec):
         return base
     graph = build_graph(vec, k, n)
-    wa = plucker.solve_wa(vec, k, n)
-    matrix = []
-    for i in range(lat.m + 1):
-        row = []
-        for j in range(lat.m + 1):
-            entry = base[i][j]
-            if entry.is_zero():
-                row.append(entry)
-                continue
-            yj = linear_form(n, lat.symbols[j])
-            images = {
-                s: Poly.variable(n, s) - Fraction(wa.W[s - 1], vec[j]) * yj
-                for s in range(1, n + 1)
-                if wa.W[s - 1]
-            }
-            row.append(entry.substitute(images) if images else entry)
-        matrix.append(tuple(row))
-    out = tuple(matrix)
-    _validate_basis(out, graph)
+    out = _restrictions(
+        graph, base.pack, base.unpack, _substituted_rows(graph, lat, base)
+    )
+    _validate_basis(out)
     return out
+
+
+def _substituted_rows(graph: GKMGraph, lat, base) -> list:
+    """Integer rows of a weighted vector from the b = 1 matrix ``base``.
+
+    Column t substitutes y_s -> b_t y_s - w_s Y_t.  Every entry of row i
+    is homogeneous of degree d_i, so this is b_t^{d_i} times the
+    rational substitution y_s -> y_s - (w_s / b_t) Y_t.  Only the
+    variables with w_s != 0 go through ``Poly.substitute``; the factor
+    b_t of every other variable is folded into the coefficients.
+    """
+    n, vec, pack = graph.n, graph.b, base.pack
+    w = plucker.solve_wa(vec, graph.k, n).W
+    mapped = [s for s in range(n) if w[s]]
+    rows = [[{} for _ in vec] for _ in vec]
+    for t, bt in enumerate(vec):
+        yt = linear_form(n, lat.symbols[t])
+        images = {s + 1: Poly.variable(n, s + 1) * bt - w[s] * yt for s in mapped}
+        for i, row in enumerate(base):
+            entry = row[t]
+            if entry.is_zero():
+                continue
+            d = lat.d[i]
+            scaled = Poly(n, {
+                e: c * bt ** (d - sum(e[s] for s in mapped))
+                for e, c in entry.terms.items()
+            })
+            rows[i][t] = {
+                pack(e): c for e, c in scaled.substitute(images).terms.items()
+            }
+    return rows
 
 
 def _diagonal(graph: GKMGraph, lat, i: int) -> Poly:
@@ -200,35 +314,46 @@ def _diagonal(graph: GKMGraph, lat, i: int) -> Poly:
     return diag
 
 
-def _validate_basis(matrix, graph: GKMGraph) -> None:
-    """Pinning conditions, the closed row-1 form, and GKM membership."""
-    n, vec = graph.n, graph.b
-    lat = symbols.lattice(graph.k, n)
+def _validate_basis(matrix: _Restrictions) -> None:
+    """Pinning conditions, the closed row-1 form, and GKM membership.
+
+    All checks run on the integer rows: entry [i][t] is compared at the
+    scale b_t^{d_i}, so the row-1 form reads b_j Y_0 - b_0 Y_j and the
+    diagonal is the product of the integer labels b_i Y_l - b_l Y_i.
+    """
+    graph, rows, pack = matrix.graph, matrix.rows, matrix.pack
+    n, vec, lat = graph.n, graph.b, matrix.lat
+    labels = {edge: _integer_label(graph, pack, *edge) for edge in graph.edges}
     for i in range(lat.m + 1):
+        # the packed monomials of degree d fill [lowest, highest]
+        d = lat.d[i]
+        lowest = pack((0,) * (n - 1) + (d,))
+        highest = pack((d,) + (0,) * (n - 1))
         for j in range(lat.m + 1):
-            entry = matrix[i][j]
+            entry = rows[i][j]
             if not lat.leq_idx(i, j):
-                if not entry.is_zero():
+                if entry:
                     raise InternalInconsistencyError("support leaks downward")
                 continue
-            if entry.is_zero():
+            if not entry:
                 if j == i:
                     raise InternalInconsistencyError("diagonal entry vanishes")
                 continue
-            if not (entry.is_homogeneous() and entry.degree() == lat.d[i]):
+            if not all(lowest <= key <= highest for key in entry):
                 raise InternalInconsistencyError("entry with wrong degree")
         if i == 1:
-            y0 = linear_form(n, lat.symbols[0])
             for j in range(1, lat.m + 1):
-                want = y0 - Fraction(vec[0], vec[j]) * linear_form(
-                    n, lat.symbols[j]
-                )
-                if matrix[1][j] != want:
+                if rows[1][j] != _integer_label(graph, pack, 0, j):
                     raise InternalInconsistencyError("row 1 closed form fails")
-        if matrix[i][i] != _diagonal(graph, lat, i):
+        diag = {0: 1}
+        for l in lat.R[i]:
+            diag = _mul_packed(diag, labels[(l, i)])
+        if rows[i][i] != diag:
             raise InternalInconsistencyError("diagonal product formula fails")
-    for i in range(lat.m + 1):
-        if not is_class(graph, matrix[i]):
+    primitive = {edge: _primitive(label) for edge, label in labels.items()}
+    for i, row in enumerate(rows):
+        scales = [bt ** lat.d[i] for bt in vec]
+        if not _row_is_class(graph, primitive, matrix.unpack, row, scales):
             raise InternalInconsistencyError("basis row fails GKM membership")
 
 
@@ -248,36 +373,52 @@ def restrictions_as_json(b, k: int, n: int) -> dict:
 def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
     """Expansion of basis_i * basis_j in the basis, by localization.
 
-    Multiplies the two restriction rows pointwise, then repeatedly peels
-    the smallest-index nonzero residual component by exact division with
-    the diagonal.  Raises on any division failure or nonzero residue;
-    for integral divisive b the coefficients are checked integral.
+    Multiplies the two integer restriction rows pointwise, which scales
+    the residual at t by b_t^{d_i + d_j}, then peels the smallest-index
+    nonzero residual component l of degree d_l <= d_i + d_j: with
+    e = d_i + d_j - d_l, the coefficient is residual[l] / (b_l^e R[l][l])
+    and residual[u] loses coefficient * R[l][u] * b_u^e.  The division
+    runs by the primitive part of R[l][l], so a failed division ("not
+    exact") stays distinct from a non-integral coefficient.  Raises on
+    either, on a nonzero residual left over, and on a coefficient of the
+    wrong degree.
     """
     matrix = weighted_restrictions(b, k, n)
-    lat = symbols.lattice(k, n)
-    m1 = lat.m + 1
-    residual = [matrix[i][t] * matrix[j][t] for t in range(m1)]
+    lat = matrix.lat
+    lat.check_index(i, j)
+    rows, vec, unpack = matrix.rows, matrix.graph.b, matrix.unpack
+    top = lat.d[i] + lat.d[j]
+    residual = [
+        _mul_packed(ri, rj) if ri and rj else {}
+        for ri, rj in zip(rows[i], rows[j])
+    ]
     out = {}
-    for l in range(m1):
-        v = residual[l]
-        if v.is_zero():
+    for l, v in enumerate(residual):
+        e = top - lat.d[l]
+        if not v or e < 0:
             continue
-        coeff = v.divide_exact(matrix[l][l])
-        if coeff is None:
+        prim, content = matrix.diagonals[l]
+        quot = _divide_packed(v, prim, unpack)
+        if quot is None:
             raise InternalInconsistencyError("localization peel is not exact")
-        out[l] = coeff
-        for u in range(l, m1):
-            entry = matrix[l][u]
-            if not entry.is_zero():
-                residual[u] = residual[u] - coeff * entry
-    if any(not r.is_zero() for r in residual):
+        den = content * vec[l] ** e
+        coeff = {}
+        for key, c in quot.items():
+            q, r = divmod(c, den)
+            if r:
+                raise InternalInconsistencyError(
+                    "non-integral localized coefficient for integral divisive b"
+                )
+            coeff[key] = q
+        residual[l] = {}
+        for u in range(l + 1, lat.m + 1):
+            if rows[l][u]:
+                _mul_packed(coeff, rows[l][u], residual[u], -vec[u] ** e)
+        out[l] = _build(n, {unpack(key): c for key, c in coeff.items()})
+    if any(residual):
         raise InternalInconsistencyError("nonzero residual after peeling")
     for l, coeff in out.items():
-        expected = lat.d[i] + lat.d[j] - lat.d[l]
+        expected = top - lat.d[l]
         if not (coeff.is_homogeneous() and coeff.degree() == expected):
             raise InternalInconsistencyError("coefficient with wrong degree")
-        if not coeff.is_integral():
-            raise InternalInconsistencyError(
-                "non-integral localized coefficient for integral divisive b"
-            )
     return out

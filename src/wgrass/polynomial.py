@@ -15,6 +15,9 @@ denominators first: they run on integer coefficients and divide once
 at the end, because ``int`` arithmetic is several times cheaper than
 ``Fraction`` arithmetic.  Inside them a monomial is packed into one
 int (``_packer``), so that multiplying monomials is an int addition.
+The kernels on such packed integer term maps, ``_mul_packed`` and
+``_divide_packed``, are shared with ``gkm``, which keeps its
+restriction rows packed.
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
 name list, so the same class also serves rewritten bases such as
@@ -89,6 +92,69 @@ def _packer(nvars: int, top: int) -> tuple:
     return pack, unpack
 
 
+def _mul_packed(a: dict, b: dict, into: dict | None = None, scale: int = 1) -> dict:
+    """``into`` + scale * a * b over packed term maps, without zero terms.
+
+    A packed term map sends packed monomials (``_packer``) to ints, so
+    multiplying two monomials is one int addition.  ``into`` is updated
+    in place and returned; without it a new map is built.
+    """
+    terms = {} if into is None else into
+    get = terms.get
+    for k1, c1 in a.items():
+        c1 *= scale
+        for k2, c2 in b.items():
+            k = k1 + k2
+            terms[k] = get(k, 0) + c1 * c2
+    for k in [k for k, c in terms.items() if not c]:
+        del terms[k]
+    return terms
+
+
+def _divide_packed(num: dict, den: dict, unpack) -> dict | None:
+    """q with num == den * q over packed integer term maps, or None.
+
+    ``den`` must be primitive (content 1): by Gauss's lemma a quotient
+    in Q[y] then lies in Z[y], so a coefficient that den's leading one
+    does not divide proves non-divisibility.  The remainder's terms sit
+    in a heap ordered by grlex, largest first; ``num`` is not changed.
+    """
+    from heapq import heapify, heappop, heappush
+
+    klead = max(den)  # packed ints order like grlex
+    lead = unpack(klead)
+    dc = den[klead]
+    rest = [(k, c) for k, c in den.items() if k != klead]
+    rem = dict(num)
+    heap = [-k for k in rem]  # a max-heap of packed monomials
+    heapify(heap)
+    quot: dict = {}
+    while heap:
+        k = -heappop(heap)
+        c = rem.pop(k, 0)
+        if not c:  # cancelled after it was queued
+            continue
+        if not all(map(ge, unpack(k), lead)):
+            return None
+        q, r = divmod(c, dc)
+        if r:
+            return None
+        kq = k - klead
+        quot[kq] = q
+        for kd, dv in rest:
+            tgt = kq + kd
+            t = q * dv
+            old = rem.get(tgt)
+            if old is None:
+                rem[tgt] = -t
+                heappush(heap, -tgt)
+            elif old == t:
+                del rem[tgt]
+            else:
+                rem[tgt] = old - t
+    return quot
+
+
 def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two term maps, without the zero terms."""
     if not (a and b):
@@ -96,15 +162,10 @@ def _mul_terms(a: dict, b: dict) -> dict:
     pack, unpack = _packer(
         len(next(iter(a))), max(map(sum, a)) + max(map(sum, b))
     )
-    packed = [(pack(e), c) for e, c in b.items()]
-    terms: dict = {}
-    get = terms.get
-    for e1, c1 in a.items():
-        k1 = pack(e1)
-        for k2, c2 in packed:
-            k = k1 + k2
-            terms[k] = get(k, 0) + c1 * c2
-    return {unpack(k): c for k, c in terms.items() if c}
+    prod = _mul_packed(
+        {pack(e): c for e, c in a.items()}, {pack(e): c for e, c in b.items()}
+    )
+    return {unpack(k): c for k, c in prod.items()}
 
 
 def _accumulate(into: dict, terms) -> None:
@@ -323,8 +384,7 @@ class Poly:
         Runs in integers: with self = A / da and divisor = g * P / db, P
         primitive, Gauss's lemma puts A / P in Z[y] whenever it exists,
         so a leading coefficient that P's does not divide proves
-        non-divisibility.  The remainder's terms sit in a heap ordered
-        by grlex, largest first.
+        non-divisibility (``_divide_packed``).
         """
         if not isinstance(divisor, Poly):
             raise ParameterError("divisor must be a Poly")
@@ -336,43 +396,17 @@ class Poly:
         top = self.degree()
         if divisor.degree() > top:
             return None
-        from heapq import heapify, heappop, heappush
-
         pack, unpack = _packer(self.nvars, top)
         lifted, da = _cleared(self.terms)
-        rem = {pack(e): c for e, c in lifted.items()}
         prim, db = _cleared(divisor.terms)
         g = gcd(*prim.values())
-        lead = max(prim, key=_grlex_key)
-        dc = prim[lead] // g
-        klead = pack(lead)
-        rest = [(pack(e), c // g) for e, c in prim.items() if e != lead]
-        heap = [-k for k in rem]  # a max-heap of packed monomials
-        heapify(heap)
-        quot: dict = {}
-        while heap:
-            k = -heappop(heap)
-            c = rem.pop(k, 0)
-            if not c:  # cancelled after it was queued
-                continue
-            if not all(map(ge, unpack(k), lead)):
-                return None
-            q, r = divmod(c, dc)
-            if r:
-                return None
-            kq = k - klead
-            quot[kq] = q
-            for kd, dv in rest:
-                tgt = kq + kd
-                t = q * dv
-                old = rem.get(tgt)
-                if old is None:
-                    rem[tgt] = -t
-                    heappush(heap, -tgt)
-                elif old == t:
-                    del rem[tgt]
-                else:
-                    rem[tgt] = old - t
+        quot = _divide_packed(
+            {pack(e): c for e, c in lifted.items()},
+            {pack(e): c // g for e, c in prim.items()},
+            unpack,
+        )
+        if quot is None:
+            return None
         num, den = db, da * g
         h = gcd(num, den)
         num, den = num // h, den // h

@@ -360,6 +360,7 @@ def symbol_sums(k: int, n: int, i: int, j: int, factors: dict) -> dict:
     count balance, as long as every factor is homogeneous of degree 1.
     """
     lat = symbols.lattice(k, n)
+    lat.check_index(i, j)
     rev = [symbols.sigma_r_word(w) for w in lat.words]
     index = {w: q for q, w in enumerate(rev)}
     upper = set(lat.upper_set(i, j))
@@ -386,9 +387,7 @@ def puzzles_for(k: int, n: int, i: int, j: int, l: int) -> list:
     are the puzzles of the sigma_r image of the triple.
     """
     lat = symbols.lattice(k, n)
-    for idx in (i, j, l):
-        if not 0 <= idx <= lat.m:
-            raise ParameterError(f"symbol index {idx} out of range")
+    lat.check_index(i, j, l)
     words = [symbols.sigma_r_word(lat.words[t]) for t in (i, j, l)]
     return enumerate_puzzles(words[0], words[1], words[2])
 

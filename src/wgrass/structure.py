@@ -184,6 +184,7 @@ class WeightedContext:
         if cached is not None:
             return cached
         lat = self.lattice
+        lat.check_index(q)
         zero = Poly.zero(self.n)
         out = self._pieri.setdefault((q, 0), {q: Poly.one(self.n)})
         for r in range(1, s + 1):
@@ -245,6 +246,7 @@ class WeightedContext:
     def ordinary_constants(self, i: int, j: int) -> dict:
         """Map l (dimension-matching only) -> integer structure constant."""
         lat = self.lattice
+        lat.check_index(i, j)
         target_d = lat.d[i] + lat.d[j]
         targets = [l for l in lat.upper_set(i, j) if lat.d[l] == target_d]
         if not targets:

@@ -175,6 +175,12 @@ class SymbolLattice:
     def leq_idx(self, i: int, j: int) -> bool:
         return self._leq[i][j]
 
+    def check_index(self, *idxs) -> None:
+        """Raise ParameterError unless every index names a symbol, 0..m."""
+        for idx in idxs:
+            if not (isinstance(idx, int) and 0 <= idx <= self.m):
+                raise ParameterError(f"symbol index {idx} out of range")
+
     def upper_set(self, *idxs: int) -> list[int]:
         """Indices q with lam_q >= lam_i for every given i, ascending."""
         return [

@@ -8,7 +8,9 @@ from fractions import Fraction
 import pytest
 
 from wgrass import gkm, puzzles, symbols
-from wgrass.errors import NotDivisiveError, ParameterError
+from wgrass.errors import (
+    InternalInconsistencyError, NotDivisiveError, ParameterError,
+)
 from wgrass.polynomial import Poly, linear_form
 
 
@@ -199,3 +201,134 @@ def test_unit_structure_constants_match_puzzle_counts():
     # the degree-one class squared hits each cover with multiplicity one
     out = gkm.localize_product(b1, 2, 4, 1, 1)
     assert out[2] == Poly.one(4) and out[3] == Poly.one(4)
+
+
+# -- the Poly-based peel, kept as the reference of the integer one ----------
+
+
+def reference_localize(b, k, n, i, j):
+    """basis_i * basis_j peeled on the Poly matrix, one rational step at a time."""
+    matrix = gkm.weighted_restrictions(b, k, n)
+    lat = symbols.lattice(k, n)
+    m1 = lat.m + 1
+    residual = [matrix[i][t] * matrix[j][t] for t in range(m1)]
+    out = {}
+    for l in range(m1):
+        v = residual[l]
+        if v.is_zero():
+            continue
+        coeff = v.divide_exact(matrix[l][l])
+        assert coeff is not None, (l, v)
+        out[l] = coeff
+        for u in range(l, m1):
+            if not matrix[l][u].is_zero():
+                residual[u] = residual[u] - coeff * matrix[l][u]
+    assert all(r.is_zero() for r in residual)
+    return out
+
+
+def _seeded_vector(k, n, seed):
+    rng = random.Random(seed)
+    a, t = rng.randint(1, 2), rng.randint(1, 5)
+    return tuple(
+        a * (t + 1) if 1 in s else a for s in symbols.enumerate_symbols(k, n)
+    )
+
+
+REFERENCE_CASES = [
+    ((1,) * 6, 2, 4),
+    ((2, 2, 2, 1, 1, 1), 2, 4),
+    ((6, 6, 6, 2, 2, 2), 2, 4),
+    ((1,) * 10, 2, 5),
+    (_seeded_vector(2, 5, 31), 2, 5),
+    ((1,) * 10, 3, 5),
+    (_seeded_vector(3, 5, 37), 3, 5),
+]
+
+
+@pytest.mark.parametrize("b, k, n", REFERENCE_CASES)
+def test_integer_peel_matches_reference(b, k, n):
+    m1 = symbols.count(k, n)
+    for i in range(m1):
+        for j in range(m1):
+            assert gkm.localize_product(b, k, n, i, j) == reference_localize(
+                b, k, n, i, j
+            ), (b, i, j)
+
+
+# -- a corrupted computation fails loudly ------------------------------------
+
+
+def _corrupted(b, k, n, edit):
+    """A fresh matrix on a copy of the cached integer rows, after ``edit``."""
+    matrix = gkm.weighted_restrictions(b, k, n)
+    rows = [[dict(entry) for entry in row] for row in matrix.rows]
+    edit(rows, matrix.pack)
+    return gkm._restrictions(matrix.graph, matrix.pack, matrix.unpack, rows)
+
+
+def _add(rows, pack, i, t, expo, c=1):
+    key = pack(expo)
+    rows[i][t][key] = rows[i][t].get(key, 0) + c
+
+
+def _scale(rows, i, t, c):
+    rows[i][t] = {key: v * c for key, v in rows[i][t].items()}
+
+
+def _put(rows, pack, i, t, expo, c=1):
+    rows[i][t] = {pack(expo): c}
+
+
+def _class_one_as_y1(rows, pack):
+    for t in range(len(rows)):
+        _put(rows, pack, 0, t, (1, 0, 0, 0))
+
+
+PEEL_CORRUPTIONS = [
+    # the divisor at l = 2 is no longer the pinned diagonal
+    ("not exact", (1, 1), lambda rows, pack: _add(rows, pack, 2, 2, (2, 0, 0, 0))),
+    # the diagonal at l = 2 doubled: its coefficient becomes 1/2
+    ("non-integral", (1, 1), lambda rows, pack: _scale(rows, 2, 2, 2)),
+    # class 1 read as 2 at the top vertex, where nothing can be peeled
+    ("nonzero residual", (0, 0),
+     lambda rows, pack: _put(rows, pack, 0, 5, (0, 0, 0, 0), 2)),
+    # class 1 replaced by the class y1, of degree 1
+    ("wrong degree", (0, 0), _class_one_as_y1),
+]
+
+
+@pytest.mark.parametrize("message, cell, edit", PEEL_CORRUPTIONS)
+def test_corrupted_rows_fail_the_peel(monkeypatch, message, cell, edit):
+    b = (1,) * 6
+    bad = _corrupted(b, 2, 4, edit)
+    monkeypatch.setattr(gkm, "_weighted_cached", lambda *args: bad)
+    with pytest.raises(InternalInconsistencyError, match=message):
+        gkm.localize_product(b, 2, 4, *cell)
+
+
+VALIDATION_CORRUPTIONS = [
+    ("support leaks", lambda rows, pack: _add(rows, pack, 3, 2, (1, 1, 0, 0))),
+    ("wrong degree", lambda rows, pack: _add(rows, pack, 2, 4, (1, 0, 0, 0))),
+    ("row 1 closed form", lambda rows, pack: _add(rows, pack, 1, 3, (0, 1, 0, 0))),
+    ("diagonal product", lambda rows, pack: _add(rows, pack, 2, 2, (2, 0, 0, 0))),
+    ("GKM membership", lambda rows, pack: _add(rows, pack, 2, 5, (2, 0, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("message, edit", VALIDATION_CORRUPTIONS)
+def test_corrupted_rows_fail_validation(message, edit):
+    for b in [(1,) * 6, (2, 2, 2, 1, 1, 1), (6, 6, 6, 3, 3, 3)]:
+        gkm._validate_basis(_corrupted(b, 2, 4, lambda rows, pack: None))
+        with pytest.raises(InternalInconsistencyError, match=message):
+            gkm._validate_basis(_corrupted(b, 2, 4, edit))
+
+
+def test_is_class_rejects_perturbed_weighted_row():
+    b = (6, 6, 6, 3, 3, 3)
+    mat = gkm.weighted_restrictions(b, 2, 4)
+    graph = gkm.build_graph(b, 2, 4)
+    assert gkm.is_class(graph, mat[1])
+    row = list(mat[1])
+    row[3] = row[3] + y(2)
+    assert not gkm.is_class(graph, row)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wgrass import cli, gkm, plucker, structure
+from wgrass import cli, gkm, plucker, puzzles, structure
 from wgrass.errors import InvalidWeightVectorError, ParameterError
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -91,6 +91,26 @@ def test_oracle_cache_rejects_entries_equal_to_cached_ints():
             gkm.weighted_restrictions(bad, 2, 4)
         with pytest.raises(ParameterError):
             gkm.localize_product(bad, 2, 4, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 6])
+def test_symbol_index_checked_at_every_entry_point(bad):
+    # m + 1 = 6 at (2, 4); a negative index must not wrap around
+    b = (2, 2, 2, 1, 1, 1)
+    calls = [
+        lambda: gkm.localize_product(b, 2, 4, bad, 0),
+        lambda: gkm.localize_product(b, 2, 4, 0, bad),
+        lambda: structure.ordinary_constants(b, 2, 4, bad, 0),
+        lambda: structure.weighted_equivariant_constants(b, 2, 4, 0, bad),
+        lambda: structure.context(b, 2, 4).equivariant_constants(bad, 1),
+        lambda: structure.context(b, 2, 4).ordinary_constants(1, bad),
+        lambda: structure.context(b, 2, 4).pieri_power(bad, 1),
+        lambda: puzzles.conjugated_product(2, 4, bad, 1),
+        lambda: puzzles.puzzles_for(2, 4, 0, 0, bad),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError, match=f"symbol index {bad} out of range"):
+            call()
 
 
 def test_structure_wrappers_accept_lists_and_reject_booleans():
