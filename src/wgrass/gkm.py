@@ -24,7 +24,10 @@ with (W, a) the integer exponent data of b.
 
 The basis is held in integer form: the value of class i at lam_t is
 stored times b_t^{d_i}, as a map from packed monomials to ints (one
-``_packer`` per (n, 2 max d)).  Weighted rows come from the integer
+``_packer`` per (n, 2 max d)).  The b = 1 interpolation runs on these
+maps: identifying y_s with y_s' moves the exponent field of s onto
+that of s', and each correction is an exact division by the primitive
+packed product of the labels so far.  Weighted rows come from the integer
 images y_s -> b_t y_s - w_s Y_{lam_t}; every entry is homogeneous, so
 that is exactly this scale of the substitution above and no Fraction
 is built.  At this scale the closed row-1 form reads b_j Y_0 - b_0 Y_j,
@@ -50,7 +53,14 @@ from typing import NamedTuple
 from . import plucker, symbols
 from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import (
-    Poly, _build, _cleared, _divide_packed, _mul_packed, _packer, linear_form,
+    Poly,
+    _build,
+    _cleared,
+    _divide_packed,
+    _identify_packed,
+    _mul_packed,
+    _packer,
+    linear_form,
 )
 
 
@@ -136,40 +146,48 @@ def is_class(graph: GKMGraph, values) -> bool:
     return _row_is_class(graph, labels, unpack, row, [1] * len(row))
 
 
-def _interpolate_value(constraints, degree: int, n: int) -> Poly:
+def _interpolate_value(constraints, degree: int, n: int, top: int) -> dict:
     """The unique homogeneous degree-d polynomial matching the congruences.
 
-    ``constraints`` is a list of (s, s_prime, value): the result must be
-    congruent to ``value`` modulo (y_{s_prime} - y_s), i.e. agree with it
-    once y_s is identified with y_{s_prime} (``Poly.permute_variables``
-    with {s: s_prime}).  Built incrementally: the correction after the
-    first t congruences is divisible by the product of their labels, so
-    it is recovered by exact division after the identification.
+    ``constraints`` is a list of (s, s_prime, value), value a packed
+    integer map: the result must be congruent to ``value`` modulo
+    (y_{s_prime} - y_s), i.e. agree with it once y_s is identified with
+    y_{s_prime} (``_identify_packed``).  Built incrementally: the correction
+    after the first t congruences is divisible by the product of their
+    labels, so it is recovered by exact division after the
+    identification; that product stays primitive under it, so by
+    Gauss's lemma ``_divide_packed`` finds every quotient in Q[y].
     Uniqueness holds because the labels are pairwise coprime and their
-    count exceeds the degree.
+    count exceeds the degree.  Values and result are packed with
+    ``_packer(n, top)``, top >= degree.
     """
-    subs = [{s: sp} for s, sp, _ in constraints]
-    alpha = constraints[0][2]
-    prod_e = Poly.one(n)
+    pack, unpack = _packer(n, top)
+    unit = [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
+    alpha = dict(constraints[0][2])
+    prod_e = {0: 1}  # 0 packs the monomial 1
     for t in range(1, len(constraints)):
         s_prev, sp_prev, _ = constraints[t - 1]
-        prod_e = prod_e * (
-            Poly.variable(n, sp_prev) - Poly.variable(n, s_prev)
-        )
-        value = constraints[t][2]
-        rem = (value - alpha).permute_variables(subs[t])
-        if rem.is_zero():
+        label = {unit[sp_prev - 1]: 1, unit[s_prev - 1]: -1}
+        prod_e = _mul_packed(prod_e, label)
+        s, sp, value = constraints[t]
+        diff = dict(value)
+        _mul_packed(alpha, {0: 1}, diff, -1)
+        rem = _identify_packed(diff, s, sp, n, top)
+        if not rem:
             continue
-        pd = prod_e.permute_variables(subs[t])
-        g = rem.divide_exact(pd)
+        g = _divide_packed(rem, _identify_packed(prod_e, s, sp, n, top), unpack)
         if g is None:
             raise InternalInconsistencyError("congruence system is not solvable")
-        alpha = alpha + prod_e * g
-    for (s, sp, value), sub in zip(constraints, subs):
-        if not (alpha - value).permute_variables(sub).is_zero():
+        _mul_packed(prod_e, g, alpha)
+    for s, sp, value in constraints:
+        diff = dict(alpha)
+        _mul_packed(value, {0: 1}, diff, -1)
+        if _identify_packed(diff, s, sp, n, top):
             raise InternalInconsistencyError("interpolated value fails a congruence")
-    if not (alpha.is_zero() or
-            (alpha.is_homogeneous() and alpha.degree() == degree)):
+    # the packed monomials of degree d fill [lowest, highest]
+    lowest = pack((0,) * (n - 1) + (degree,))
+    highest = pack((degree,) + (0,) * (n - 1))
+    if not all(lowest <= key <= highest for key in alpha):
         raise InternalInconsistencyError("interpolated value has wrong degree")
     return alpha
 
@@ -214,35 +232,33 @@ def kt_restrictions(k: int, n: int) -> tuple:
     """Basis restriction matrix at b = (1, ..., 1), rows by basis index.
 
     Entry [i][j] is the value of basis class i at fixed point j.  Row i
-    is built by increasing j: off the upper set the value is zero, the
-    diagonal is the pinned product, and every later vertex is the unique
-    homogeneous solution of the congruences along edges into it.  The
-    rows are then packed, validated and read back as the result.
+    is built by increasing j, on packed integer maps: off the upper set
+    the value is zero, the diagonal is the pinned product, and every
+    later vertex is the unique homogeneous solution of the congruences
+    along edges into it.  The rows are then validated and read back as
+    the result.
     """
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
     graph = build_graph((1,) * m1, k, n)
-    matrix = []
+    top = 2 * max(lat.d)  # localize_product multiplies two rows
+    pack, unpack = _packer(n, top)
+    rows = []
     for i in range(m1):
         row: list = []
         for j in range(m1):
             if not lat.leq_idx(i, j):
-                row.append(Poly.zero(n))
+                row.append({})
                 continue
             if j == i:
-                row.append(_diagonal(graph, lat, i))
+                row.append(_diagonal(graph, pack, i))
                 continue
             constraints = []
             for s, sp in symbols.reversal_pairs(lat.symbols[j]):
                 l = lat.index[symbols.exchange(lat.symbols[j], s, sp)]
                 constraints.append((s, sp, row[l]))
-            row.append(_interpolate_value(constraints, lat.d[i], n))
-        matrix.append(tuple(row))
-    pack, unpack = _packer(n, 2 * max(lat.d))
-    rows = [
-        [{pack(e): c for e, c in entry.terms.items()} for entry in row]
-        for row in matrix
-    ]
+            row.append(_interpolate_value(constraints, lat.d[i], n, top))
+        rows.append(row)
     out = _restrictions(graph, pack, unpack, rows)
     _validate_basis(out)
     return out
@@ -260,7 +276,13 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
     return _weighted_cached(plucker.check_weight_vector_shape(b, k, n), k, n)
 
 
-@lru_cache(maxsize=None)
+# weighted matrices kept per process, so that a long-lived process
+# checking many vectors stays bounded; a (2, 6) matrix, Poly and
+# integer form, holds about 0.6 MB
+WEIGHTED_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=WEIGHTED_CACHE_SIZE)
 def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
     vec = plucker.presented_weight_vector(b, k, n)
     lat = symbols.lattice(k, n)
@@ -306,11 +328,12 @@ def _substituted_rows(graph: GKMGraph, lat, base) -> list:
     return rows
 
 
-def _diagonal(graph: GKMGraph, lat, i: int) -> Poly:
-    """The pinned value at lam_i: the product of the edge labels into it."""
-    diag = Poly.one(graph.n)
-    for l in lat.R[i]:
-        diag = diag * graph.labels[(l, i)]
+def _diagonal(graph: GKMGraph, pack, i: int) -> dict:
+    """The pinned value at lam_i, packed and scaled by b_i^{d_i}: the
+    product of the integer labels b_i Y_l - b_l Y_i into it."""
+    diag = {0: 1}
+    for l in symbols.lattice(graph.k, graph.n).R[i]:
+        diag = _mul_packed(diag, _integer_label(graph, pack, l, i))
     return diag
 
 
@@ -323,7 +346,6 @@ def _validate_basis(matrix: _Restrictions) -> None:
     """
     graph, rows, pack = matrix.graph, matrix.rows, matrix.pack
     n, vec, lat = graph.n, graph.b, matrix.lat
-    labels = {edge: _integer_label(graph, pack, *edge) for edge in graph.edges}
     for i in range(lat.m + 1):
         # the packed monomials of degree d fill [lowest, highest]
         d = lat.d[i]
@@ -345,12 +367,12 @@ def _validate_basis(matrix: _Restrictions) -> None:
             for j in range(1, lat.m + 1):
                 if rows[1][j] != _integer_label(graph, pack, 0, j):
                     raise InternalInconsistencyError("row 1 closed form fails")
-        diag = {0: 1}
-        for l in lat.R[i]:
-            diag = _mul_packed(diag, labels[(l, i)])
-        if rows[i][i] != diag:
+        if rows[i][i] != _diagonal(graph, pack, i):
             raise InternalInconsistencyError("diagonal product formula fails")
-    primitive = {edge: _primitive(label) for edge, label in labels.items()}
+    primitive = {
+        edge: _primitive(_integer_label(graph, pack, *edge))
+        for edge in graph.edges
+    }
     for i, row in enumerate(rows):
         scales = [bt ** lat.d[i] for bt in vec]
         if not _row_is_class(graph, primitive, matrix.unpack, row, scales):

@@ -16,8 +16,11 @@ at the end, because ``int`` arithmetic is several times cheaper than
 ``Fraction`` arithmetic.  Inside them a monomial is packed into one
 int (``_packer``), so that multiplying monomials is an int addition.
 The kernels on such packed integer term maps, ``_mul_packed`` and
-``_divide_packed``, are shared with ``gkm``, which keeps its
-restriction rows packed.
+``_divide_packed``, are shared with the pipeline (``puzzles``,
+``structure``) and the oracle (``gkm``), which pack their input once
+and unpack once at their public return.  Substitution packs the
+images and the kept part of every term once, runs Horner's rule on
+packed maps and unpacks the result once.
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
 name list, so the same class also serves rewritten bases such as
@@ -62,6 +65,17 @@ def _cleared(terms: dict) -> tuple:
     }, d
 
 
+def _field_bits(top: int) -> int:
+    """Bits per field of a monomial packed for degrees <= top.
+
+    In ``_packer(nvars, top)`` the exponent of variable v (0-based)
+    sits at bit (nvars - 1 - v) * bits and the total degree at bit
+    nvars * bits, so a field is read or moved by shifts alone
+    (``_identify_packed``, ``_split_last``).
+    """
+    return 8 * max(1, (top.bit_length() + 7) // 8)
+
+
 def _packer(nvars: int, top: int) -> tuple:
     """(pack, unpack) between exponent tuples and ints, for degree <= top.
 
@@ -70,7 +84,7 @@ def _packer(nvars: int, top: int) -> tuple:
     256**w > top.  Packed ints compare like ``_grlex_key`` and multiply
     monomials by addition, as long as no degree exceeds top.
     """
-    w = max(1, (top.bit_length() + 7) // 8)
+    w = _field_bits(top) // 8
     size = (nvars + 1) * w
     if w == 1:  # every degree below 256: bytes() packs and unpacks in C
         def pack(e):
@@ -90,6 +104,41 @@ def _packer(nvars: int, top: int) -> tuple:
                 int.from_bytes(raw[i:i + w], "big") for i in range(w, size, w)
             )
     return pack, unpack
+
+
+def _identify_packed(terms: dict, s: int, sp: int, nvars: int, top: int) -> dict:
+    """Packed ``terms`` with y_s identified with y_sp (1-based), no zeros.
+
+    The exponent field of y_s is added onto that of y_sp; the total
+    degree does not change, so no field overflows.
+    """
+    bits = _field_bits(top)
+    shift = bits * (nvars - s)
+    mask = (1 << bits) - 1
+    move = (1 << bits * (nvars - sp)) - (1 << shift)
+    out: dict = {}
+    get = out.get
+    for key, c in terms.items():
+        key += (key >> shift & mask) * move
+        out[key] = get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _split_last(terms: dict, nvars: int, top: int) -> dict:
+    """Map e -> the packed ``terms`` of exponent e in the last variable.
+
+    Each part is repacked without that variable, in nvars - 1
+    variables for the same top: the last field is dropped and e is
+    taken off the degree field.
+    """
+    bits = _field_bits(top)
+    mask = (1 << bits) - 1
+    degree_field = bits * (nvars - 1)
+    out: dict = {}
+    for key, c in terms.items():
+        e = key & mask
+        out.setdefault(e, {})[(key >> bits) - (e << degree_field)] = c
+    return out
 
 
 def _mul_packed(a: dict, b: dict, into: dict | None = None, scale: int = 1) -> dict:
@@ -175,24 +224,18 @@ def _accumulate(into: dict, terms) -> None:
         into[e] = get(e, 0) + c
 
 
-def _horner(items: list, images: list, pos: int, kept: list, n: int) -> dict:
-    """Expand the (expo, c) ``items`` under the substitution ``images``.
+def _horner(items: list, images: list, pos: int) -> dict:
+    """Expand the (expo, c, kept key) ``items`` under ``images``.
 
-    ``images`` lists (variable, image terms) pairs; variables in
-    ``kept`` map to themselves in the n target variables.  Horner's rule
-    runs in the variable of images[pos] over the groups of items with
-    equal exponent there, each group expanded recursively in the later
-    images, so an image is multiplied in once per degree step instead of
-    once per term.
+    ``images`` lists (variable, packed image) pairs; ``kept key`` is
+    the packed monomial of the item's variables that map to themselves.
+    Horner's rule runs in the variable of images[pos] over the groups of
+    items with equal exponent there, each group expanded recursively in
+    the later images, so an image is multiplied in once per degree step
+    instead of once per term.  The result is a packed term map.
     """
     if pos == len(images):  # items differ only in their kept exponents
-        out = {}
-        for expo, c in items:
-            mono = [0] * n
-            for v in kept:
-                mono[v] = expo[v]
-            out[tuple(mono)] = c
-        return out
+        return {key: c for _, c, key in items}
     v, image = images[pos]
     groups: dict = {}
     for item in items:
@@ -200,10 +243,10 @@ def _horner(items: list, images: list, pos: int, kept: list, n: int) -> dict:
     acc: dict = {}
     for e in range(max(groups), -1, -1):
         if acc:
-            acc = _mul_terms(acc, image)
+            acc = _mul_packed(acc, image)
         group = groups.get(e)
         if group:
-            _accumulate(acc, _horner(group, images, pos + 1, kept, n).items())
+            _accumulate(acc, _horner(group, images, pos + 1).items())
     return acc
 
 
@@ -449,19 +492,30 @@ class Poly:
             return Poly.zero(target_n)
         cleared = [(v, _cleared(img.terms)) for v, img in mapped]
         scale = lcm(1, *(d for _, (_, d) in cleared))
-        bases = [
-            (v, {e: c * (scale // d) for e, c in t.items()})
-            for v, (t, d) in cleared
-        ]
         lifted, lift = _cleared(self.terms)
         weights = {e: sum(e[v] for v, _ in mapped) for e in lifted}
         deg = max(weights.values())
-        terms = [
-            (e, c * scale ** (deg - weights[e])) for e, c in lifted.items()
+        # the largest degree a term, and so any partial Horner sum, reaches
+        degrees = [(v, max(img.degree(), 0)) for v, img in mapped]
+        top = max(
+            sum(e[v] for v in kept) + sum(e[v] * dv for v, dv in degrees)
+            for e in lifted
+        )
+        pack, unpack = _packer(target_n, top)
+        bases = [
+            (v, {pack(e): c * (scale // d) for e, c in t.items()})
+            for v, (t, d) in cleared
         ]
+        items = []
+        mono = [0] * target_n
+        for e, c in lifted.items():
+            for v in kept:
+                mono[v] = e[v]
+            items.append((e, c * scale ** (deg - weights[e]), pack(mono)))
+        terms = _horner(items, bases, 0)
         return _build(
             target_n,
-            _horner(terms, bases, 0, kept, target_n),
+            {unpack(key): c for key, c in terms.items()},
             lift * scale**deg,
         )
 
@@ -601,23 +655,13 @@ def expand_linear_product(nvars: int, factors) -> list:
     return [_build(nvars, c, scale ** len(factors)) for c in coeffs]
 
 
-def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:
-    """Rewrite p in the coordinates given by n independent linear forms.
-
-    The result is a polynomial in len(forms) fresh variables g_1..g_n
-    with p == result(g_i -> forms[i]).  Raises when the forms are not a
-    basis of the linear span of the original variables.
-    """
-    if len(forms) != p.nvars:
-        raise ParameterError("need exactly nvars linear forms")
-    return p.substitute(linear_basis_images(forms))
-
-
 def linear_basis_images(forms: list) -> dict:
     """The substitution y_s -> (expression in g_1..g_n) inverting ``forms``.
 
-    ``rewrite_in_linear_basis`` applies it; callers that rewrite many
-    polynomials in one basis build it once.
+    p.substitute(images) rewrites p in the coordinates g_1..g_n given
+    by the n independent linear forms; callers that rewrite many
+    polynomials in one basis build the images once.  Raises when the
+    forms are not a basis of the linear span of the variables.
     """
     from .linalg import invert
 

@@ -54,12 +54,15 @@ partial tilings that reach it.  A state is one int: 2 bits per edge
 covers it.  An edge is cleared after the last cell whose pieces read
 it, except the south edges, so partial tilings that differ only behind
 the frontier reach the same state, and equal states add their weights.
-A weight is an integer polynomial, its monomials packed into ints; an
+A weight is a packed integer term map (``polynomial._packer``); an
 equivariant piece multiplies it by a factor the caller gives per
-conjugated pair (u, v).  States whose weight cancels to zero are kept,
-so the final states, which hold only the south edges, are exactly the
-south words some tiling reaches.  ``symbol_sums`` maps them to symbols
-and checks dominance and the piece-count balance.
+conjugated pair (u, v), packed for degrees up to
+``max_equivariant_pieces(n)``.  States whose weight cancels to zero
+are kept, so the final states, which hold only the south edges, are
+exactly the south words some tiling reaches.  ``symbol_sums`` maps
+them to symbols and checks dominance and the piece-count balance on
+the packed keys; the sums stay packed for the contraction in
+``structure``.
 
 Orientation.  ``puzzles_for`` has one orientation: the boundary of the
 symbol triple (i, j; l) is the reversed words of the three symbols.
@@ -79,7 +82,7 @@ from typing import NamedTuple
 
 from . import symbols
 from .errors import CapacityError, InternalInconsistencyError, ParameterError
-from .polynomial import Poly, _packer
+from .polynomial import _build, _packer
 
 TABLE_LIMIT = 15  # largest C(n, k) for which full tables are enumerated
 
@@ -286,30 +289,37 @@ def _enumerate_cached(nw: str, ne: str) -> MappingProxyType:
     )
 
 
+def max_equivariant_pieces(n: int) -> int:
+    """n(n - 1)/2, the cells of size n that anchor an equivariant piece.
+
+    No partial tiling carries more, so this bounds the degree of every
+    frontier weight; the factors and sums of ``frontier_sums`` are
+    packed with ``_packer(nvars, max_equivariant_pieces(n))``.
+    """
+    return n * (n - 1) // 2
+
+
 def frontier_sums(nw: str, ne: str, factors: dict) -> dict:
     """Map south word -> sum over the tilings with the nw and ne words of
     the product of factors[(u, v)] over their equivariant pieces.
 
-    ``factors`` maps every conjugated pair u < v to a Poly with integer
-    coefficients, all in the same variables; a tiling without
-    equivariant pieces adds 1.  Every south word some tiling reaches is
-    a key, also when its sum cancels to zero.
+    ``factors`` maps every conjugated pair u < v to a packed integer
+    term map, all packed alike for degrees up to
+    ``max_equivariant_pieces(n)``; a tiling without equivariant pieces
+    adds 1, the packed monomial 0.  The sums are packed the same way,
+    without zero terms.  Every south word some tiling reaches is a key,
+    also when its sum cancels to zero.
     """
     n = len(nw)
     for w in (nw, ne):
         _check_word(w, n)
     catalogue = _catalogue(n)
-    nvars = next(iter(factors.values())).nvars
-    pack, unpack = _packer(nvars, n * (n - 1) // 2)  # one factor per rhE
-    packed = {
-        pair: [(pack(e), c) for e, c in f.terms.items()]
-        for pair, f in factors.items()
-    }
+    packed = {pair: list(f.items()) for pair, f in factors.items()}
     start = 0
     for ids, word in zip(catalogue.boundary, (nw, ne)):
         for edge, letter in zip(ids, word):
             start |= int(letter) + 1 << 2 * edge
-    states = {start: {pack((0,) * nvars): 1}}
+    states = {start: {0: 1}}
     for cover, keep, moves in catalogue.steps:
         reached: dict = {}
         fresh = set()  # keys whose weight dict belongs to this step
@@ -347,23 +357,28 @@ def frontier_sums(nw: str, ne: str, factors: dict) -> dict:
     # only the south edges are left in the final states
     return {
         "".join("01"[(state >> 2 * e & 3) - 1] for e in catalogue.boundary[2]):
-        Poly(nvars, {unpack(e): c for e, c in weight.items()})
+        {e: c for e, c in weight.items() if c}
         for state, weight in states.items()
     }
 
 
-def symbol_sums(k: int, n: int, i: int, j: int, factors: dict) -> dict:
+def symbol_sums(
+    k: int, n: int, i: int, j: int, factors: dict, nvars: int
+) -> dict:
     """Map q -> frontier sum over the puzzles of (i, j; q), reversed words.
 
-    Checks every reached q: it must dominate both inputs, and its sum
-    must be homogeneous of degree dim(i) + dim(j) - dim(q), the piece-
-    count balance, as long as every factor is homogeneous of degree 1.
+    ``factors`` are packed in ``nvars`` variables as ``frontier_sums``
+    asks, and so are the sums.  Checks every reached q: it must
+    dominate both inputs, and every packed key of its sum must have
+    degree dim(i) + dim(j) - dim(q), the piece-count balance, as long
+    as every factor is homogeneous of degree 1.
     """
     lat = symbols.lattice(k, n)
     lat.check_index(i, j)
     rev = [symbols.sigma_r_word(w) for w in lat.words]
     index = {w: q for q, w in enumerate(rev)}
     upper = set(lat.upper_set(i, j))
+    pack, _ = _packer(nvars, max_equivariant_pieces(n))
     out = {}
     for south, total in frontier_sums(rev[i], rev[j], factors).items():
         q = index.get(south)
@@ -371,8 +386,11 @@ def symbol_sums(k: int, n: int, i: int, j: int, factors: dict) -> dict:
             raise InternalInconsistencyError(
                 "puzzle found outside the dominance region"
             )
-        expected = lat.d[i] + lat.d[j] - lat.d[q]
-        if any(sum(e) != expected for e in total.terms):
+        # the packed monomials of degree d fill [lowest, highest]
+        d = lat.d[i] + lat.d[j] - lat.d[q]
+        lowest = pack((0,) * (nvars - 1) + (d,))
+        highest = pack((d,) + (0,) * (nvars - 1))
+        if not all(lowest <= key <= highest for key in total):
             raise InternalInconsistencyError(
                 "piece count violates the dimension balance"
             )
@@ -399,12 +417,17 @@ def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
     One frontier pass with the factors y_u - y_v; ``symbol_sums``
     checks dominance and the piece-count balance.
     """
+    pack, unpack = _packer(n, max_equivariant_pieces(n))
+    unit = [pack(tuple(int(s == v) for s in range(n))) for v in range(n)]
     factors = {
-        (u, v): Poly.variable(n, u) - Poly.variable(n, v)
+        (u, v): {unit[u - 1]: 1, unit[v - 1]: -1}
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
-    sums = symbol_sums(k, n, i, j, factors)
-    return {l: total for l, total in sorted(sums.items()) if total}
+    sums = symbol_sums(k, n, i, j, factors, n)
+    return {
+        l: _build(n, {unpack(key): c for key, c in total.items()})
+        for l, total in sorted(sums.items()) if total
+    }
 
 
 def conjugated_constants(k: int, n: int) -> dict:

@@ -50,6 +50,14 @@ too.  Each q is scaled to the common denominator b_0^T,
 T = dim(i) + dim(j) - min dim(q), the contraction runs in integers,
 and each entry is divided by b_0^T once.
 
+The contraction runs on packed integer term maps
+(``polynomial._packer``), packed for one degree bound in the whole
+context: the frontier sums come packed in (y_1..y_n, B), and
+``_split_last`` reads the power s of B off its field and repacks the
+rest in y_1..y_n alone.  The Pieri memo holds packed maps too, so every product is one
+``_mul_packed`` into the entry it feeds, and each entry is unpacked
+once, when it is divided.
+
 Ordinary route.  In ordinary cohomology only dimension-matching triples
 survive; the constant is the sum of
 
@@ -78,10 +86,13 @@ from functools import cached_property, lru_cache
 from itertools import combinations
 
 from . import plucker, puzzles, symbols
-from .errors import InternalInconsistencyError, ParameterError
+from .errors import CapacityError, InternalInconsistencyError, ParameterError
 from .polynomial import (
     Poly,
     _build,
+    _mul_packed,
+    _packer,
+    _split_last,
     expand_linear_product,
     linear_basis_images,
     linear_form,
@@ -105,7 +116,12 @@ class WeightedContext:
                 "every b_t must divide b_0 in divisive presentation"
             )
         self._ratios = [ratio for ratio, _ in ratios]  # b_0 / b_t
-        self._pieri: dict = {}
+        # every packed map of the context reaches at most this degree:
+        # a frontier sum, a B-power s read off it, a Pieri power of that
+        # s and the product of the two
+        self._top = puzzles.max_equivariant_pieces(n)
+        self._pack, self._unpack = _packer(n, self._top)
+        self._pieri: dict = {}  # (q, s) -> {l: packed map}
         self._pieces: dict = {}
 
     # -- piece data ----------------------------------------------------
@@ -149,35 +165,53 @@ class WeightedContext:
             factors.append((bwt, Fraction(bp, self.b[0])))
         return expand_linear_product(self.n, factors)
 
+    def _packed_factors(self, factor) -> dict:
+        """(u, v) -> factor(u, v) over (y_1..y_n, B), packed for the frontier."""
+        pack, _ = _packer(self.n + 1, self._top)
+        return {
+            (u, v): {pack(e): c for e, c in factor(u, v).terms.items()}
+            for u, v in combinations(range(1, self.n + 1), 2)
+        }
+
     @cached_property
     def equivariant_factors(self) -> dict:
         """(u, v) -> b_0 (y_u - y_v) + b(p) (B - Y_0) over (y_1..y_n, B).
 
         That is b_0 times bwt(p) + (b(p)/b_0) B, with integer
-        coefficients; one factor per pair u < v.
+        coefficients; one packed factor per pair u < v.
         """
         n = self.n
         y = [Poly.variable(n + 1, s) for s in range(1, n + 2)]  # y[n] is B
         shift = y[n] - linear_form(n + 1, self.lattice.symbols[0])
-        return {
-            (u, v): self.b[0] * (y[u - 1] - y[v - 1])
+        return self._packed_factors(
+            lambda u, v: self.b[0] * (y[u - 1] - y[v - 1])
             + self.piece_value(u, v) * shift
-            for u, v in combinations(range(1, n + 1), 2)
-        }
+        )
 
     @cached_property
     def ordinary_factors(self) -> dict:
-        """(u, v) -> b(p) B over (y_1..y_n, B), one per pair u < v."""
+        """(u, v) -> b(p) B over (y_1..y_n, B), one packed factor per pair."""
         big_b = Poly.variable(self.n + 1, self.n + 1)
-        return {
-            (u, v): self.piece_value(u, v) * big_b
-            for u, v in combinations(range(1, self.n + 1), 2)
-        }
+        return self._packed_factors(
+            lambda u, v: self.piece_value(u, v) * big_b
+        )
 
     # -- Pieri powers ----------------------------------------------------
 
-    def pieri_power(self, q: int, s: int) -> dict:
-        """Map l -> coefficient of basis_l in (degree-one class)^s * basis_q."""
+    @cached_property
+    def _pieri_diagonals(self) -> list:
+        """Packed Y_0 - (b_0 / b_t) Y_t, the diagonal of one Pieri step."""
+        return [
+            {
+                self._pack(e): c for e, c in (
+                    self._y0 - ratio * linear_form(self.n, sym)
+                ).terms.items()
+            }
+            for ratio, sym in zip(self._ratios, self.lattice.symbols)
+        ]
+
+    def _pieri_packed(self, q: int, s: int) -> dict:
+        """``pieri_power(q, s)`` as packed maps; the context's only Pieri memo."""
         if s < 0:
             raise ParameterError("power must be nonnegative")
         cached = self._pieri.get((q, s))
@@ -185,8 +219,12 @@ class WeightedContext:
             return cached
         lat = self.lattice
         lat.check_index(q)
-        zero = Poly.zero(self.n)
-        out = self._pieri.setdefault((q, 0), {q: Poly.one(self.n)})
+        if s > self._top:
+            raise CapacityError(
+                f"Pieri powers are held up to s = {self._top}, got {s}"
+            )
+        diagonals = self._pieri_diagonals
+        out = self._pieri.setdefault((q, 0), {q: {0: 1}})  # 0 packs 1
         for r in range(1, s + 1):
             if (q, r) in self._pieri:
                 out = self._pieri[(q, r)]
@@ -194,15 +232,20 @@ class WeightedContext:
             # one Pieri step: B * basis_t
             acc: dict = {}
             for t, c in out.items():
-                ratio = self._ratios[t]
-                diagonal = self._y0 - ratio * linear_form(self.n, lat.symbols[t])
-                acc[t] = acc.get(t, zero) + c * diagonal
-                up = ratio * c
+                _mul_packed(c, diagonals[t], acc.setdefault(t, {}))
                 for u in lat.arrows[t]:
-                    acc[u] = acc.get(u, zero) + up
-            out = {l: p for l, p in sorted(acc.items()) if not p.is_zero()}
+                    _mul_packed(c, {0: 1}, acc.setdefault(u, {}), self._ratios[t])
+            out = {l: p for l, p in sorted(acc.items()) if p}
             self._pieri[(q, r)] = out
         return out
+
+    def pieri_power(self, q: int, s: int) -> dict:
+        """Map l -> coefficient of basis_l in (degree-one class)^s * basis_q."""
+        unpack = self._unpack
+        return {
+            l: _build(self.n, {unpack(key): c for key, c in p.items()})
+            for l, p in self._pieri_packed(q, s).items()
+        }
 
     # -- tables -----------------------------------------------------------
 
@@ -211,7 +254,7 @@ class WeightedContext:
         lat = self.lattice
         n = self.n
         sums = puzzles.symbol_sums(
-            self.k, n, i, j, self.equivariant_factors
+            self.k, n, i, j, self.equivariant_factors, n + 1
         )
         reached = [q for q, total in sums.items() if total]
         if not reached:
@@ -221,21 +264,17 @@ class WeightedContext:
         top = lat.d[i] + lat.d[j] - min(lat.d[q] for q in reached)
         out: dict = {}
         for q in reached:
-            by_power: dict = {}
-            for e, c in sums[q].terms.items():
-                by_power.setdefault(e[n], {})[e[:n]] = c
+            # B is the last variable: a_s in y_1..y_n per power s of B
+            by_power = _split_last(sums[q], n + 1, self._top)
             scale = self.b[0] ** (lat.d[q] + top - lat.d[i] - lat.d[j])
-            for s, terms in by_power.items():
-                a_s = Poly(n, terms) * scale
-                for l, piece in self.pieri_power(q, s).items():
-                    if l in out:
-                        out[l] = out[l] + a_s * piece
-                    else:
-                        out[l] = a_s * piece
+            for s, a_s in by_power.items():
+                for l, piece in self._pieri_packed(q, s).items():
+                    _mul_packed(a_s, piece, out.setdefault(l, {}), scale)
         denominator = self.b[0] ** top
+        unpack = self._unpack
         return {
-            l: _build(n, p.terms, denominator)
-            for l, p in sorted(out.items()) if not p.is_zero()
+            l: _build(n, {unpack(key): c for key, c in p.items()}, denominator)
+            for l, p in sorted(out.items()) if p
         }
 
     def equivariant_table(self) -> dict:
@@ -251,10 +290,12 @@ class WeightedContext:
         targets = [l for l in lat.upper_set(i, j) if lat.d[l] == target_d]
         if not targets:
             return {}
-        sums = puzzles.symbol_sums(self.k, self.n, i, j, self.ordinary_factors)
+        sums = puzzles.symbol_sums(
+            self.k, self.n, i, j, self.ordinary_factors, self.n + 1
+        )
         # sum_P prod b(p), the only coefficient of B^(d_i + d_j - d_q)
         numerators = {
-            q: sum(total.terms.values()) for q, total in sums.items() if total
+            q: sum(total.values()) for q, total in sums.items() if total
         }
         out = {}
         for l in targets:
@@ -311,7 +352,13 @@ def context(b, k: int, n: int) -> WeightedContext:
     return _cached_context(plucker.check_weight_vector_shape(b, k, n), k, n)
 
 
-@lru_cache(maxsize=None)
+# contexts kept per process, so that a long-lived process checking
+# many vectors stays bounded; a (2, 6) context holds about 75 KB once
+# its full table has filled the Pieri memo
+CONTEXT_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=CONTEXT_CACHE_SIZE)
 def _cached_context(b: tuple, k: int, n: int) -> WeightedContext:
     return WeightedContext(b, k, n)
 

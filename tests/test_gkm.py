@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from wgrass import gkm, puzzles, symbols
 from wgrass.errors import (
     InternalInconsistencyError, NotDivisiveError, ParameterError,
@@ -332,3 +333,19 @@ def test_is_class_rejects_perturbed_weighted_row():
     row = list(mat[1])
     row[3] = row[3] + y(2)
     assert not gkm.is_class(graph, row)
+
+
+# -- the Poly interpolation and tuple substitution, kept as references ------
+
+
+@pytest.mark.parametrize("k, n", reference.SIZES + ((2, 7),))
+def test_packed_interpolation_matches_reference(k, n):
+    assert tuple(gkm.kt_restrictions(k, n)) == reference.unit_restrictions(k, n)
+
+
+@pytest.mark.parametrize("k, n", reference.SIZES)
+def test_packed_substitution_matches_reference(k, n):
+    # the weighted rows substitute the unit rows, column by column
+    for b in reference.vectors(k, n)[1:]:
+        assert tuple(gkm.weighted_restrictions(b, k, n)) == \
+            reference.weighted_restrictions(b, k, n), b

@@ -9,7 +9,7 @@ import pytest
 
 from wgrass import cli, plucker, puzzles, structure, symbols
 from wgrass.errors import CapacityError, ParameterError
-from wgrass.polynomial import Poly
+from wgrass.polynomial import Poly, _packer
 
 
 def y(i, n=4):
@@ -84,26 +84,38 @@ def test_frontier_sums_match_enumeration(k, n):
     a = rng.randint(1, 3)
     W = [a * rng.randint(1, 4)] + [0] * (n - 1)
     ctx = structure.context(plucker.weights_from_wa(W, a, k, n), k, n)
+    # factors and sums are packed integer maps, packed for this degree
+    top = puzzles.max_equivariant_pieces(n)
+    pack, _ = _packer(n, top)
     unit = {
-        (u, v): y(u, n) - y(v, n)
+        (u, v): {pack(e): c for e, c in (y(u, n) - y(v, n)).terms.items()}
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
-    factor_sets = (unit, ctx.ordinary_factors, ctx.equivariant_factors)
+    factor_sets = []
+    for nvars, factors in ((n, unit), (n + 1, ctx.ordinary_factors),
+                           (n + 1, ctx.equivariant_factors)):
+        _, unpack = _packer(nvars, top)
+        polys = {
+            pair: Poly(nvars, {unpack(key): c for key, c in f.items()})
+            for pair, f in factors.items()
+        }
+        factor_sets.append((nvars, unpack, factors, polys))
     words = symbols.lattice(k, n).words
     for nw, ne in product(words, repeat=2):
         found = puzzles._enumerate_cached(nw, ne)
-        for factors in factor_sets:
+        for nvars, unpack, factors, polys in factor_sets:
             sums = puzzles.frontier_sums(nw, ne, factors)
             assert sums.keys() == found.keys(), (nw, ne)
-            nvars = next(iter(factors.values())).nvars
             for south, tilings in found.items():
                 total = Poly.zero(nvars)
                 for puz in tilings:
                     weight = Poly.one(nvars)
                     for pair in puz.conjugated_pairs():
-                        weight = weight * factors[pair]
+                        weight = weight * polys[pair]
                     total = total + weight
-                assert sums[south] == total, (nw, ne, south)
+                assert all(sums[south].values()), (nw, ne, south)
+                got = Poly(nvars, {unpack(key): c for key, c in sums[south].items()})
+                assert got == total, (nw, ne, south)
 
 
 def test_identity_boundary_single_weightless_puzzle():

@@ -8,8 +8,9 @@ from math import gcd, lcm, prod
 
 import pytest
 
+import reference
 from wgrass import gkm, puzzles, structure, symbols
-from wgrass.errors import NotDivisiveError
+from wgrass.errors import CapacityError, NotDivisiveError
 from wgrass.polynomial import Poly, linear_form
 
 VECTORS_2_4 = [(1,) * 6, (2, 2, 2, 1, 1, 1), (6, 6, 6, 2, 2, 2)]
@@ -125,6 +126,14 @@ def test_pieri_power_vanishes_below_chain_length():
             for l, poly in ctx.pieri_power(q, s).items():
                 assert lat.d[l] - lat.d[q] <= s
                 assert not poly.is_zero()
+
+
+def test_pieri_power_bounded_by_packed_degree():
+    # the memo is packed for degrees up to n(n - 1)/2 = 6 at (2,4)
+    ctx = structure.WeightedContext((2, 2, 2, 1, 1, 1), 2, 4)
+    assert ctx.pieri_power(0, 6)
+    with pytest.raises(CapacityError, match="up to s = 6"):
+        ctx.pieri_power(0, 7)
 
 
 def test_oracle_equality_2_4_all_pairs():
@@ -430,3 +439,64 @@ def test_piece_value_well_defined():
                     e_sym = symbols.exchange(f_sym, v, u)
                     delta = ctx.b[lat.index[e_sym]] - ctx.b[lat.index[f_sym]]
                     assert delta == val
+
+
+# -- the Poly contraction and tuple substitution, kept as references --------
+
+
+@pytest.mark.parametrize("k, n", reference.SIZES)
+def test_packed_contraction_matches_reference(k, n):
+    # every cell i <= j of the pipeline table; the rest is its mirror
+    m1 = symbols.count(k, n)
+    for b in reference.vectors(k, n):
+        ctx = structure.context(b, k, n)
+        for i in range(m1):
+            for j in range(i, m1):
+                assert ctx.equivariant_constants(i, j) == \
+                    reference.equivariant_constants(ctx, i, j), (b, i, j)
+
+
+@pytest.mark.parametrize("k, n", reference.SIZES)
+def test_packed_positivity_rewrite_matches_reference(k, n):
+    # every cell up to (3,5); at n = 6 the tuple route takes about 20 s
+    # for every cell, so six seeded cells per vector
+    m1 = symbols.count(k, n)
+    cells = [(i, j) for i in range(m1) for j in range(i, m1)]
+    if n >= 6:
+        cells = random.Random(f"positivity:{k},{n}").sample(cells, 6)
+    for b in reference.vectors(k, n):
+        ctx = structure.context(b, k, n)
+        for i, j in cells:
+            for l, value in ctx.equivariant_constants(i, j).items():
+                assert ctx.change_basis_positivity(value) == \
+                    reference.substitute(value, ctx._positivity_images), (b, i, j, l)
+
+
+def test_vector_caches_are_bounded():
+    # 40 distinct seeded (2,4) vectors through the context and the
+    # weighted basis cache; both keep at most their fixed number
+    syms = symbols.enumerate_symbols(2, 4)
+    pairs = random.Random("bounded caches").sample(
+        [(a, t) for a in range(1, 9) for t in range(1, 9)], 40
+    )
+    vecs = [tuple(a * (t + 1) if 1 in s else a for s in syms) for a, t in pairs]
+    structure.context.cache_clear()
+    gkm._weighted_cached.cache_clear()
+    first = vecs[0]
+    cell = structure.context(first, 2, 4).equivariant_constants(2, 3)
+    rows = gkm.weighted_restrictions(first, 2, 4)
+    for b in vecs:
+        assert structure.context(b, 2, 4).equivariant_constants(2, 3) == \
+            gkm.localize_product(b, 2, 4, 2, 3)
+        assert structure.context.cache_info().currsize <= \
+            structure.CONTEXT_CACHE_SIZE
+        assert gkm._weighted_cached.cache_info().currsize <= \
+            gkm.WEIGHTED_CACHE_SIZE
+    assert structure.context.cache_info().maxsize == structure.CONTEXT_CACHE_SIZE
+    assert gkm._weighted_cached.cache_info().maxsize == gkm.WEIGHTED_CACHE_SIZE
+    # the first vector was evicted: it is recomputed, equal to before
+    misses = structure.context.cache_info().misses
+    assert structure.context(first, 2, 4).equivariant_constants(2, 3) == cell
+    assert structure.context.cache_info().misses == misses + 1
+    again = gkm.weighted_restrictions(first, 2, 4)
+    assert again is not rows and again == rows
