@@ -7,8 +7,9 @@ label
 
     Y_{lam_i} - (b_i / b_j) * Y_{lam_j},      Y_lam = sum_{s in lam} y_s,
 
-divides the difference of the two components.  Integral labels need the
-weight vector in divisibility-descending presentation (b_i | b_{i-1}).
+divides the difference of the two components.  The divisive
+presentation (b_i | b_{i-1}) makes every label an integer polynomial,
+built once, in ``build_graph``.
 
 The module computes the distinguished basis of this ring.  The basis
 element attached to lam_i is pinned by three conditions: it vanishes
@@ -27,16 +28,16 @@ stored times b_t^{d_i}, as a map from packed monomials to ints (one
 ``_packer`` per (n, 2 max d)).  The b = 1 interpolation runs on these
 maps: identifying y_s with y_s' moves the exponent field of s onto
 that of s', and each correction is an exact division by the primitive
-packed product of the labels so far.  Weighted rows come from the integer
-images y_s -> b_t y_s - w_s Y_{lam_t}; every entry is homogeneous, so
-that is exactly this scale of the substitution above and no Fraction
-is built.  At this scale the closed row-1 form reads b_j Y_0 - b_0 Y_j,
-the pinned diagonal is the product of the integer labels
-b_i Y_l - b_l Y_i, and GKM membership divides the integer difference
-across an edge by the primitive label.  These checks and the pinning
-conditions run on every matrix at build time.  The ``Poly`` matrices of
-``kt_restrictions`` and ``weighted_restrictions`` are read off the
-integer rows with one division per entry.
+packed product of the labels so far.  Weighted rows substitute the
+packed b = 1 rows under the packed integer images
+y_s -> b_t y_s - w_s Y_{lam_t}; every entry is homogeneous, so that is
+exactly this scale of the substitution above.  At this scale the closed
+row-1 form reads b_j Y_0 - b_0 Y_j, the pinned diagonal is b_i^{d_i}
+times the product of the labels into lam_i, and GKM membership divides
+the integer difference across an edge by the label.  These checks and
+the pinning conditions run on every matrix at build time.  The ``Poly``
+matrices of ``kt_restrictions`` and ``weighted_restrictions`` are read
+off the integer rows with one division per entry.
 
 ``localize_product`` multiplies two integer rows pointwise and peels
 the expansion coefficients by increasing index, in integers; it is the
@@ -45,7 +46,6 @@ independent oracle every structure-constant formula is tested against.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
@@ -53,13 +53,14 @@ from typing import NamedTuple
 from . import plucker, symbols
 from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import (
-    Poly,
     _build,
     _cleared,
+    _degree_range,
     _divide_packed,
     _identify_packed,
     _mul_packed,
     _packer,
+    _substitute_packed,
     linear_form,
 )
 
@@ -71,11 +72,16 @@ class GKMGraph(NamedTuple):
     n: int
     b: tuple
     edges: tuple  # (i, j) with lam_i in R(lam_j)
-    labels: dict  # (i, j) -> Poly
+    labels: dict  # (i, j) -> integer Poly, primitive
 
 
 def build_graph(b, k: int, n: int) -> GKMGraph:
-    """GKM graph over all symbols; requires the divisive presentation."""
+    """GKM graph over all symbols; requires the divisive presentation.
+
+    That puts b_j | b_i on every edge (i, j), so the label
+    Y_i - (b_i / b_j) Y_j is the primitive part of b_j Y_i - b_i Y_j:
+    its coefficient on the variable that lam_i gains is 1.
+    """
     vec = plucker.presented_weight_vector(b, k, n)
     lat = symbols.lattice(k, n)
     edges = []
@@ -83,32 +89,26 @@ def build_graph(b, k: int, n: int) -> GKMGraph:
     for j in range(lat.m + 1):
         yj = linear_form(n, lat.symbols[j])
         for i in lat.R[j]:
-            label = linear_form(n, lat.symbols[i]) - Fraction(vec[i], vec[j]) * yj
+            ratio, rest = divmod(vec[i], vec[j])
+            if rest:
+                raise InternalInconsistencyError("b_j does not divide b_i")
             edges.append((i, j))
-            labels[(i, j)] = label
+            labels[(i, j)] = linear_form(n, lat.symbols[i]) - yj * ratio
     return GKMGraph(k, n, vec, tuple(edges), labels)
 
 
-def _integer_label(graph: GKMGraph, pack, l: int, j: int) -> dict:
-    """Packed b_j Y_l - b_l Y_j: b_j times Y_l - (b_l / b_j) Y_j."""
-    lat = symbols.lattice(graph.k, graph.n)
-    label = (
-        linear_form(graph.n, lat.symbols[l]) * graph.b[j]
-        - linear_form(graph.n, lat.symbols[j]) * graph.b[l]
-    )
-    return {pack(e): c for e, c in label.terms.items()}
-
-
-def _primitive(terms: dict) -> dict:
-    content = gcd(*terms.values())
-    return {key: c // content for key, c in terms.items()}
+def _packed_labels(graph: GKMGraph, pack) -> dict:
+    return {
+        edge: {pack(e): c for e, c in label.terms.items()}
+        for edge, label in graph.labels.items()
+    }
 
 
 def _row_is_class(graph: GKMGraph, labels: dict, unpack, row, scales) -> bool:
     """GKM membership of the class with value row[t] / scales[t] at t.
 
-    ``row`` holds packed integer maps and ``labels`` the primitive
-    packed edge labels.  Across the edge (l, j) the difference is
+    ``row`` holds packed integer maps and ``labels`` the packed edge
+    labels.  Across the edge (l, j) the difference is
     scaled to the integer map (s_l row[j] - s_j row[l]) / gcd(s_l, s_j),
     which the label divides in Q[y] iff ``_divide_packed`` finds a
     quotient (Gauss's lemma).
@@ -139,11 +139,9 @@ def is_class(graph: GKMGraph, values) -> bool:
         {pack(e): c * (scale // d) for e, c in terms.items()}
         for terms, d in cleared
     ]
-    labels = {
-        edge: _primitive(_integer_label(graph, pack, *edge))
-        for edge in graph.edges
-    }
-    return _row_is_class(graph, labels, unpack, row, [1] * len(row))
+    return _row_is_class(
+        graph, _packed_labels(graph, pack), unpack, row, [1] * len(row)
+    )
 
 
 def _interpolate_value(constraints, degree: int, n: int, top: int) -> dict:
@@ -184,9 +182,7 @@ def _interpolate_value(constraints, degree: int, n: int, top: int) -> dict:
         _mul_packed(value, {0: 1}, diff, -1)
         if _identify_packed(diff, s, sp, n, top):
             raise InternalInconsistencyError("interpolated value fails a congruence")
-    # the packed monomials of degree d fill [lowest, highest]
-    lowest = pack((0,) * (n - 1) + (degree,))
-    highest = pack((degree,) + (0,) * (n - 1))
+    lowest, highest = _degree_range(pack, n, degree)
     if not all(lowest <= key <= highest for key in alpha):
         raise InternalInconsistencyError("interpolated value has wrong degree")
     return alpha
@@ -243,6 +239,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
     graph = build_graph((1,) * m1, k, n)
     top = 2 * max(lat.d)  # localize_product multiplies two rows
     pack, unpack = _packer(n, top)
+    labels = _packed_labels(graph, pack)
     rows = []
     for i in range(m1):
         row: list = []
@@ -251,7 +248,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
                 row.append({})
                 continue
             if j == i:
-                row.append(_diagonal(graph, pack, i))
+                row.append(_diagonal(graph, labels, i))
                 continue
             constraints = []
             for s, sp in symbols.reversal_pairs(lat.symbols[j]):
@@ -303,37 +300,34 @@ def _substituted_rows(graph: GKMGraph, lat, base) -> list:
     Column t substitutes y_s -> b_t y_s - w_s Y_t.  Every entry of row i
     is homogeneous of degree d_i, so this is b_t^{d_i} times the
     rational substitution y_s -> y_s - (w_s / b_t) Y_t.  Only the
-    variables with w_s != 0 go through ``Poly.substitute``; the factor
-    b_t of every other variable is folded into the coefficients.
+    variables with w_s != 0 are expanded; the factor b_t of every other
+    variable is folded into the coefficients (``_substitute_packed``).
     """
-    n, vec, pack = graph.n, graph.b, base.pack
+    n, vec, pack, unpack = graph.n, graph.b, base.pack, base.unpack
     w = plucker.solve_wa(vec, graph.k, n).W
     mapped = [s for s in range(n) if w[s]]
+    kept = [s for s in range(n) if not w[s]]
+    unit = [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
     rows = [[{} for _ in vec] for _ in vec]
     for t, bt in enumerate(vec):
-        yt = linear_form(n, lat.symbols[t])
-        images = {s + 1: Poly.variable(n, s + 1) * bt - w[s] * yt for s in mapped}
-        for i, row in enumerate(base):
-            entry = row[t]
-            if entry.is_zero():
-                continue
-            d = lat.d[i]
-            scaled = Poly(n, {
-                e: c * bt ** (d - sum(e[s] for s in mapped))
-                for e, c in entry.terms.items()
-            })
-            rows[i][t] = {
-                pack(e): c for e, c in scaled.substitute(images).terms.items()
-            }
+        yt = {unit[u - 1]: 1 for u in lat.symbols[t]}
+        images = [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in mapped]
+        for i, row in enumerate(base.rows):
+            if row[t]:
+                rows[i][t] = _substitute_packed(
+                    {unpack(key): c for key, c in row[t].items()},
+                    images, kept, n, pack, bt, lat.d[i],
+                )
     return rows
 
 
-def _diagonal(graph: GKMGraph, pack, i: int) -> dict:
-    """The pinned value at lam_i, packed and scaled by b_i^{d_i}: the
-    product of the integer labels b_i Y_l - b_l Y_i into it."""
-    diag = {0: 1}
-    for l in symbols.lattice(graph.k, graph.n).R[i]:
-        diag = _mul_packed(diag, _integer_label(graph, pack, l, i))
+def _diagonal(graph: GKMGraph, labels: dict, i: int) -> dict:
+    """The pinned value at lam_i, scaled by b_i^{d_i}: b_i^{d_i} times
+    the product of the packed ``labels`` into it."""
+    lat = symbols.lattice(graph.k, graph.n)
+    diag = {0: graph.b[i] ** lat.d[i]}  # 0 packs the monomial 1
+    for l in lat.R[i]:
+        diag = _mul_packed(diag, labels[(l, i)])
     return diag
 
 
@@ -346,11 +340,9 @@ def _validate_basis(matrix: _Restrictions) -> None:
     """
     graph, rows, pack = matrix.graph, matrix.rows, matrix.pack
     n, vec, lat = graph.n, graph.b, matrix.lat
+    labels = _packed_labels(graph, pack)
     for i in range(lat.m + 1):
-        # the packed monomials of degree d fill [lowest, highest]
-        d = lat.d[i]
-        lowest = pack((0,) * (n - 1) + (d,))
-        highest = pack((d,) + (0,) * (n - 1))
+        lowest, highest = _degree_range(pack, n, lat.d[i])
         for j in range(lat.m + 1):
             entry = rows[i][j]
             if not lat.leq_idx(i, j):
@@ -364,18 +356,16 @@ def _validate_basis(matrix: _Restrictions) -> None:
             if not all(lowest <= key <= highest for key in entry):
                 raise InternalInconsistencyError("entry with wrong degree")
         if i == 1:
+            y0 = linear_form(n, lat.symbols[0])
             for j in range(1, lat.m + 1):
-                if rows[1][j] != _integer_label(graph, pack, 0, j):
+                closed = y0 * vec[j] - linear_form(n, lat.symbols[j]) * vec[0]
+                if rows[1][j] != {pack(e): c for e, c in closed.terms.items()}:
                     raise InternalInconsistencyError("row 1 closed form fails")
-        if rows[i][i] != _diagonal(graph, pack, i):
+        if rows[i][i] != _diagonal(graph, labels, i):
             raise InternalInconsistencyError("diagonal product formula fails")
-    primitive = {
-        edge: _primitive(_integer_label(graph, pack, *edge))
-        for edge in graph.edges
-    }
     for i, row in enumerate(rows):
         scales = [bt ** lat.d[i] for bt in vec]
-        if not _row_is_class(graph, primitive, matrix.unpack, row, scales):
+        if not _row_is_class(graph, labels, matrix.unpack, row, scales):
             raise InternalInconsistencyError("basis row fails GKM membership")
 
 

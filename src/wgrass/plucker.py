@@ -591,15 +591,21 @@ def enumerate_plucker_permutations(k: int, n: int, scope: str = "full") -> list:
 
 
 def scope_ladder(k: int, n: int, scope: str = "auto"):
-    """Yield permutations in the search order identity, sn, full."""
-    if scope != "auto":
-        yield from enumerate_plucker_permutations(k, n, scope)
-        return
-    m1 = symbols.count(k, n)
+    """Permutations in the search order identity, sn, full, made lazily.
+
+    An unknown scope raises on the call, before any search begins."""
+    if scope not in ("auto", "identity", "sn", "full"):
+        raise ParameterError(f"unknown scope {scope!r}")
+    ladder = [scope]
+    if scope == "auto":
+        ladder = ["identity", "sn"]
+        if symbols.count(k, n) <= FULL_SCOPE_LIMIT:
+            ladder.append("full")
+    return _first_occurrences(k, n, ladder)
+
+
+def _first_occurrences(k: int, n: int, ladder: list):
     seen = set()
-    ladder = ["identity", "sn"]
-    if m1 <= FULL_SCOPE_LIMIT:
-        ladder.append("full")
     for sc in ladder:
         for w in enumerate_plucker_permutations(k, n, sc):
             if w.perm not in seen:
@@ -642,9 +648,10 @@ def presented_weight_vector(b, k: int, n: int) -> WeightVector:
 def is_divisive(b, k: int, n: int, scope: str = "auto"):
     """A Plucker permutation sigma with b_{sigma(i)} | b_{sigma(i-1)}, or None."""
     vec = weight_vector(b, k, n)
+    ladder = scope_ladder(k, n, scope)
     if not is_descending_divisible(sorted(vec, reverse=True)):
         return None
-    for witness in scope_ladder(k, n, scope):
+    for witness in ladder:
         if is_descending_divisible(apply_permutation(witness, vec, k, n)):
             return witness
     return None

@@ -18,9 +18,9 @@ int (``_packer``), so that multiplying monomials is an int addition.
 The kernels on such packed integer term maps, ``_mul_packed`` and
 ``_divide_packed``, are shared with the pipeline (``puzzles``,
 ``structure``) and the oracle (``gkm``), which pack their input once
-and unpack once at their public return.  Substitution packs the
-images and the kept part of every term once, runs Horner's rule on
-packed maps and unpacks the result once.
+and unpack once at their public return.  Substitution runs Horner's
+rule on packed images and kept parts (``_substitute_packed``, which
+``gkm`` also runs on its integer rows).
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
 name list, so the same class also serves rewritten bases such as
@@ -104,6 +104,12 @@ def _packer(nvars: int, top: int) -> tuple:
                 int.from_bytes(raw[i:i + w], "big") for i in range(w, size, w)
             )
     return pack, unpack
+
+
+def _degree_range(pack, nvars: int, d: int) -> tuple:
+    """(lowest, highest): the monomials of degree d packed by ``pack`` fill
+    this range, because the degree field is the most significant one."""
+    return pack((0,) * (nvars - 1) + (d,)), pack((d,) + (0,) * (nvars - 1))
 
 
 def _identify_packed(terms: dict, s: int, sp: int, nvars: int, top: int) -> dict:
@@ -248,6 +254,27 @@ def _horner(items: list, images: list, pos: int) -> dict:
         if group:
             _accumulate(acc, _horner(group, images, pos + 1).items())
     return acc
+
+
+def _substitute_packed(terms: dict, images: list, kept: list, nvars: int,
+                       pack, scale: int, deg: int) -> dict:
+    """Packed sum of c * scale**(deg - w) * (y^e under ``images``), no zeros.
+
+    The sum runs over the int ``terms`` of exponent tuples e, and w is
+    the degree of e in the variables of ``images``, a list of (0-based
+    variable, packed image) pairs.  The ``kept`` variables map to
+    themselves among the ``nvars`` that ``pack`` packs, for every degree
+    a term reaches.
+    """
+    mapped = [v for v, _ in images]
+    items = []
+    mono = [0] * nvars
+    for e, c in terms.items():
+        for v in kept:
+            mono[v] = e[v]
+        weight = sum(e[v] for v in mapped)
+        items.append((e, c * scale ** (deg - weight), pack(mono)))
+    return {key: c for key, c in _horner(items, images, 0).items() if c}
 
 
 def _build(nvars: int, terms: dict, d: int = 1) -> "Poly":
@@ -493,8 +520,7 @@ class Poly:
         cleared = [(v, _cleared(img.terms)) for v, img in mapped]
         scale = lcm(1, *(d for _, (_, d) in cleared))
         lifted, lift = _cleared(self.terms)
-        weights = {e: sum(e[v] for v, _ in mapped) for e in lifted}
-        deg = max(weights.values())
+        deg = max(sum(e[v] for v, _ in mapped) for e in lifted)
         # the largest degree a term, and so any partial Horner sum, reaches
         degrees = [(v, max(img.degree(), 0)) for v, img in mapped]
         top = max(
@@ -506,34 +532,12 @@ class Poly:
             (v, {pack(e): c * (scale // d) for e, c in t.items()})
             for v, (t, d) in cleared
         ]
-        items = []
-        mono = [0] * target_n
-        for e, c in lifted.items():
-            for v in kept:
-                mono[v] = e[v]
-            items.append((e, c * scale ** (deg - weights[e]), pack(mono)))
-        terms = _horner(items, bases, 0)
+        terms = _substitute_packed(lifted, bases, kept, target_n, pack, scale, deg)
         return _build(
             target_n,
             {unpack(key): c for key, c in terms.items()},
             lift * scale**deg,
         )
-
-    def permute_variables(self, images: dict) -> "Poly":
-        """Relabel variables by the 1-based index map ``images``.
-
-        Unmapped variables keep their index.  The map need not be
-        injective: {s: t} identifies y_s with y_t, i.e. it is the
-        substitution y_s -> y_t, done by merging exponents without any
-        multiplication.  ``gkm`` relies on this.
-        """
-        terms = {}
-        for expo, c in self.terms.items():
-            new = [0] * self.nvars
-            for i, e in enumerate(expo, start=1):
-                new[images.get(i, i) - 1] += e
-            terms[tuple(new)] = terms.get(tuple(new), 0) + c
-        return Poly(self.nvars, terms)
 
     def evaluate(self, point) -> Fraction:
         vals = [_coerce(v) for v in point]

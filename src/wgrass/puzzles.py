@@ -82,7 +82,7 @@ from typing import NamedTuple
 
 from . import symbols
 from .errors import CapacityError, InternalInconsistencyError, ParameterError
-from .polynomial import _build, _packer
+from .polynomial import _build, _degree_range, _packer
 
 TABLE_LIMIT = 15  # largest C(n, k) for which full tables are enumerated
 
@@ -386,10 +386,9 @@ def symbol_sums(
             raise InternalInconsistencyError(
                 "puzzle found outside the dominance region"
             )
-        # the packed monomials of degree d fill [lowest, highest]
-        d = lat.d[i] + lat.d[j] - lat.d[q]
-        lowest = pack((0,) * (nvars - 1) + (d,))
-        highest = pack((d,) + (0,) * (nvars - 1))
+        lowest, highest = _degree_range(
+            pack, nvars, lat.d[i] + lat.d[j] - lat.d[q]
+        )
         if not all(lowest <= key <= highest for key in total):
             raise InternalInconsistencyError(
                 "piece count violates the dimension balance"

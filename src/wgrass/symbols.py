@@ -104,11 +104,6 @@ def inversion_set(sym: Symbol, n: int) -> set:
     return {exchange(sym, s, sp) for s, sp in inversion_pairs(sym, n)}
 
 
-def adjacent_set(sym: Symbol, n: int) -> set:
-    """Symbols sharing exactly k-1 entries with sym."""
-    return reversal_set(sym) | inversion_set(sym, n)
-
-
 def sigma_r(sym: Symbol, n: int) -> Symbol:
     """The involution sending entry i to n+1-i (sorted)."""
     return tuple(sorted(n + 1 - e for e in sym))

@@ -168,6 +168,8 @@ def torsion_report(b, k: int, n: int, primes=None, scope: str = "auto") -> dict:
             if plucker.prime_factors(p) != {p}:
                 raise ParameterError(f"{p} is not a prime")
     vec = plucker.weight_vector(b, k, n)
+    # a bad scope is rejected also when no prime is left to search
+    plucker.scope_ladder(k, n, scope)
     support = _prime_support(vec)
     certs = {
         p: no_p_torsion_certificate(vec, k, n, p, scope)

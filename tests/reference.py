@@ -2,7 +2,8 @@
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps: substitution by Horner's rule on
-exponent tuples, the b = 1 congruence interpolation on ``Poly``s, and
+exponent tuples, the b = 1 congruence interpolation on ``Poly``s (with
+the variable identification it needs), and
 the pipeline contraction of frontier sums with Pieri powers in
 ``Poly`` arithmetic.  They share with the routes they check only
 ``Poly`` arithmetic and, for the contraction, the frontier sums.
@@ -119,6 +120,23 @@ def substitute(p: Poly, images: dict) -> Poly:
 # -- the b = 1 interpolation on Polys -----------------------------------------
 
 
+def permute_variables(p: Poly, images: dict) -> Poly:
+    """Relabel the variables of p by the 1-based index map ``images``.
+
+    Unmapped variables keep their index.  The map need not be
+    injective: {s: t} identifies y_s with y_t, i.e. it is the
+    substitution y_s -> y_t, done by merging exponents without any
+    multiplication.
+    """
+    terms = {}
+    for expo, c in p.terms.items():
+        new = [0] * p.nvars
+        for i, e in enumerate(expo, start=1):
+            new[images.get(i, i) - 1] += e
+        terms[tuple(new)] = terms.get(tuple(new), 0) + c
+    return Poly(p.nvars, terms)
+
+
 def interpolate_value(constraints, degree: int, n: int) -> Poly:
     """The homogeneous degree-d solution of the (s, s', value) congruences."""
     subs = [{s: sp} for s, sp, _ in constraints]
@@ -128,15 +146,15 @@ def interpolate_value(constraints, degree: int, n: int) -> Poly:
         s_prev, sp_prev, _ = constraints[t - 1]
         prod_e = prod_e * (Poly.variable(n, sp_prev) - Poly.variable(n, s_prev))
         value = constraints[t][2]
-        rem = (value - alpha).permute_variables(subs[t])
+        rem = permute_variables(value - alpha, subs[t])
         if rem.is_zero():
             continue
-        g = rem.divide_exact(prod_e.permute_variables(subs[t]))
+        g = rem.divide_exact(permute_variables(prod_e, subs[t]))
         if g is None:
             raise InternalInconsistencyError("congruence system is not solvable")
         alpha = alpha + prod_e * g
     for (s, sp, value), sub in zip(constraints, subs):
-        if not (alpha - value).permute_variables(sub).is_zero():
+        if not permute_variables(alpha - value, sub).is_zero():
             raise InternalInconsistencyError("interpolated value fails a congruence")
     if not (alpha.is_zero() or
             (alpha.is_homogeneous() and alpha.degree() == degree)):

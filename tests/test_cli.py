@@ -220,6 +220,21 @@ def test_invalid_input_exit_codes():
         assert code == 2 and json.loads(out)["kind"] == "invalid-input"
 
 
+def test_unknown_scope_is_rejected(capsys):
+    # also where the search ends before its first permutation: a vector
+    # that no order makes divisive, or one with no prime to certify
+    flags = ["--k", "2", "--n", "4", "--scope", "bogus"]
+    for argv in (
+        ["divisive", "[5,1,4,3,6,2]"],
+        ["divisive", "[2,2,2,1,1,1]"],
+        ["classify", "[5,1,4,3,6,2]", "[5,1,4,3,6,2]"],
+        ["torsion", "[1,1,1,1,1,1]"],
+        ["torsion", "[5,1,4,3,6,2]"],
+    ):
+        assert cli.main(argv + flags) == 2, argv
+        assert json.loads(capsys.readouterr().out)["kind"] == "invalid-input"
+
+
 def test_torsion_primes_must_be_primes(capsys):
     argv = ["torsion", "[30,30,25,10,5,5]", "--k", "2", "--n", "4", "--primes"]
     for bad in ("0", "4", "-2", "2,4"):

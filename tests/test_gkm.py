@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -34,6 +35,22 @@ def test_build_graph_unit_labels():
         assert len(terms) == 2
         coeffs = sorted(c for _, c in terms)
         assert coeffs == [Fraction(-1), Fraction(1)]
+
+
+@pytest.mark.parametrize("k, n", reference.SIZES + ((2, 7),))
+def test_labels_are_primitive_integer_forms(k, n):
+    # b_j times the label of (l, j) is b_j Y_l - b_l Y_j, which the
+    # divisive presentation makes integral with content b_j
+    syms = symbols.enumerate_symbols(k, n)
+    forms = [sum((y(s, n) for s in sym), Poly.zero(n)) for sym in syms]
+    for b in reference.vectors(k, n):
+        graph = gkm.build_graph(b, k, n)
+        assert len(graph.labels) == len(graph.edges)
+        for l, j in graph.edges:
+            label = graph.labels[(l, j)]
+            assert label.is_integral(), (b, l, j)
+            assert gcd(*label.terms.values()) == 1, (b, l, j)
+            assert label * b[j] == forms[l] * b[j] - forms[j] * b[l], (b, l, j)
 
 
 def test_build_graph_requires_presentation():
