@@ -34,6 +34,15 @@ EXIT_NOT_FOUND = 3
 EXIT_CAPACITY = 4
 
 RING_LIMIT = 35  # largest C(n, k) that ring tabulates; (3, 7) fits
+PERMS_LIMIT = 12870  # largest C(n, k) that perms prints; (8, 16) fits
+PUZZLES_LIMIT = 924  # largest C(n, k) whose lattice puzzles builds; (6, 12) fits
+POINCARE_LIMIT = 2500  # largest k (n - k) that poincare expands; (50, 100) fits
+
+
+def _check_size(size: int, limit: int, what: str) -> None:
+    """Exit 4 on a size count alone, before anything is built."""
+    if size > limit:
+        raise CapacityError(f"{what} <= {limit}, got {size}")
 
 
 def _parse_vector(text: str, k: int, n: int) -> tuple:
@@ -96,8 +105,9 @@ def _cmd_solve_wa(args) -> tuple:
 
 
 def _cmd_perms(args) -> tuple:
-    from . import plucker
+    from . import plucker, symbols
 
+    _check_size(symbols.count(args.k, args.n), PERMS_LIMIT, "perms prints C(n, k)")
     perms = plucker.enumerate_plucker_permutations(args.k, args.n, args.scope)
     return EXIT_OK, {
         "k": args.k,
@@ -168,8 +178,7 @@ def _cmd_ring(args) -> tuple:
 
     parsed = _parse_vector(args.b, args.k, args.n)
     m1 = symbols.count(args.k, args.n)
-    if m1 > RING_LIMIT:
-        raise CapacityError(f"ring tables need C(n, k) <= {RING_LIMIT}, got {m1}")
+    _check_size(m1, RING_LIMIT, "ring tables need C(n, k)")
     b = plucker.weight_vector(parsed, args.k, args.n)
     level = "ordinary" if args.ordinary else "equivariant"
     presented = b
@@ -217,6 +226,8 @@ def _cmd_puzzles(args) -> tuple:
     from . import puzzles, symbols
     from .polynomial import Poly
 
+    _check_size(symbols.count(args.k, args.n), PUZZLES_LIMIT,
+                "puzzles builds the lattice of C(n, k)")
     conjugated = args.orientation == "conjugated"
     triple = (args.i, args.j, args.l)
     lat = symbols.lattice(args.k, args.n)
@@ -256,8 +267,11 @@ def _cmd_puzzles(args) -> tuple:
 
 
 def _cmd_poincare(args) -> tuple:
-    from . import torsion
+    from . import symbols, torsion
 
+    symbols.check_kn(args.k, args.n)
+    _check_size(args.k * (args.n - args.k), POINCARE_LIMIT,
+                "poincare expands k (n - k)")
     return EXIT_OK, torsion.poincare_ranks(args.k, args.n)
 
 

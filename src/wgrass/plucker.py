@@ -59,6 +59,7 @@ from .errors import (
 )
 
 FULL_SCOPE_LIMIT = 10  # full permutation search allowed while m+1 <= 10
+SN_SCOPE_LIMIT = 8  # sn scope walks all n! column permutations while n <= 8
 FACTOR_LIMIT = 10**6  # trial divisors tried by prime_factors
 
 
@@ -548,6 +549,8 @@ def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
     if scope == "identity":
         return (SignedPermutation(tuple(range(m1)), (1,) * m1),)
     if scope == "sn":
+        if n > SN_SCOPE_LIMIT:
+            raise CapacityError(f"sn scope needs n <= {SN_SCOPE_LIMIT}, got {n}")
         found = {}
         for phi in permutations(range(1, n + 1)):
             sigma = _sn_induced_permutation(phi, k, n)

@@ -58,19 +58,19 @@ rest in y_1..y_n alone.  The Pieri memo holds packed maps too, so every product 
 ``_mul_packed`` into the entry it feeds, and each entry is unpacked
 once, when it is divided.
 
-Ordinary route.  In ordinary cohomology only dimension-matching triples
-survive; the constant is the sum of
+Ordinary route.  The ordinary constants are the equivariant ones at
+y = 0, computed by the same contraction.  There the frontier factors
+become b(p) B and the Pieri step loses its diagonal, so c(q, s)[l] is
+the chain sum above without compositions, nonzero only at
+dim(l) = dim(q) + s.  Every entry left is a constant at a
+dimension-matching l:
 
-    D(i, j; l, q) = sum over chains l -> ... -> q of
-                    (sum_P prod_s b(p_s)) / (b_{l_1} ... b_{l_d}),
+    sum over q and chains l -> ... -> q of
+    (sum_P prod_s b(p_s)) / (b_{l_1} ... b_{l_d}),
 
-over q below l and above i, j.  The term q = l, one chain of length
-zero and puzzles without equivariant pieces, is the puzzle count.  The
-numerator sum_P prod_s b(p_s) depends only on (i, j; q); one frontier
-pass with the factors b(p) B gives it for every q.  Each chain term is
-taken as an integer over b_0^dim(l), with b_0 / b_t in place of
-1 / b_t, and each entry is divided once and checked to be a
-nonnegative integer.
+where the term q = l counts the puzzles without equivariant pieces.
+The level keeps a Pieri memo of its own; each entry is divided by
+b_0^T once and checked to be a nonnegative integer.
 
 Positivity.  Equivariant constants rewritten in the forms
 
@@ -121,7 +121,6 @@ class WeightedContext:
         # s and the product of the two
         self._top = puzzles.max_equivariant_pieces(n)
         self._pack, self._unpack = _packer(n, self._top)
-        self._pieri: dict = {}  # (q, s) -> {l: packed map}
         self._pieces: dict = {}
 
     # -- piece data ----------------------------------------------------
@@ -196,12 +195,12 @@ class WeightedContext:
             lambda u, v: self.piece_value(u, v) * big_b
         )
 
-    # -- Pieri powers ----------------------------------------------------
+    # -- levels: (frontier factors, Pieri diagonals, Pieri memo) ---------
 
     @cached_property
-    def _pieri_diagonals(self) -> list:
-        """Packed Y_0 - (b_0 / b_t) Y_t, the diagonal of one Pieri step."""
-        return [
+    def _equivariant(self) -> tuple:
+        """Factors, packed Pieri diagonals Y_0 - (b_0 / b_t) Y_t and memo."""
+        diagonals = [
             {
                 self._pack(e): c for e, c in (
                     self._y0 - ratio * linear_form(self.n, sym)
@@ -209,12 +208,21 @@ class WeightedContext:
             }
             for ratio, sym in zip(self._ratios, self.lattice.symbols)
         ]
+        return self.equivariant_factors, diagonals, {}
 
-    def _pieri_packed(self, q: int, s: int) -> dict:
-        """``pieri_power(q, s)`` as packed maps; the context's only Pieri memo."""
+    @cached_property
+    def _ordinary(self) -> tuple:
+        """The equivariant level at y = 0: factors b(p) B, no diagonal."""
+        return self.ordinary_factors, [{}] * (self.lattice.m + 1), {}
+
+    # -- Pieri powers ----------------------------------------------------
+
+    def _pieri_packed(self, q: int, s: int, level: tuple) -> dict:
+        """``pieri_power(q, s)`` of a level as packed maps, memoised there."""
         if s < 0:
             raise ParameterError("power must be nonnegative")
-        cached = self._pieri.get((q, s))
+        _, diagonals, memo = level
+        cached = memo.get((q, s))
         if cached is not None:
             return cached
         lat = self.lattice
@@ -223,11 +231,10 @@ class WeightedContext:
             raise CapacityError(
                 f"Pieri powers are held up to s = {self._top}, got {s}"
             )
-        diagonals = self._pieri_diagonals
-        out = self._pieri.setdefault((q, 0), {q: {0: 1}})  # 0 packs 1
+        out = memo.setdefault((q, 0), {q: {0: 1}})  # 0 packs 1
         for r in range(1, s + 1):
-            if (q, r) in self._pieri:
-                out = self._pieri[(q, r)]
+            if (q, r) in memo:
+                out = memo[(q, r)]
                 continue
             # one Pieri step: B * basis_t
             acc: dict = {}
@@ -236,7 +243,7 @@ class WeightedContext:
                 for u in lat.arrows[t]:
                     _mul_packed(c, {0: 1}, acc.setdefault(u, {}), self._ratios[t])
             out = {l: p for l, p in sorted(acc.items()) if p}
-            self._pieri[(q, r)] = out
+            memo[(q, r)] = out
         return out
 
     def pieri_power(self, q: int, s: int) -> dict:
@@ -244,21 +251,19 @@ class WeightedContext:
         unpack = self._unpack
         return {
             l: _build(self.n, {unpack(key): c for key, c in p.items()})
-            for l, p in self._pieri_packed(q, s).items()
+            for l, p in self._pieri_packed(q, s, self._equivariant).items()
         }
 
     # -- tables -----------------------------------------------------------
 
-    def equivariant_constants(self, i: int, j: int) -> dict:
-        """Map l -> equivariant structure constant polynomial."""
+    def _contract(self, i: int, j: int, level: tuple) -> tuple:
+        """(l -> packed b_0^top * constant, b_0^top) of basis_i * basis_j."""
         lat = self.lattice
         n = self.n
-        sums = puzzles.symbol_sums(
-            self.k, n, i, j, self.equivariant_factors, n + 1
-        )
+        sums = puzzles.symbol_sums(self.k, n, i, j, level[0], n + 1)
         reached = [q for q, total in sums.items() if total]
         if not reached:
-            return {}
+            return {}, 1
         # the sum of (i, j; q) carries b_0^(d_i + d_j - d_q); scale every
         # q to b_0^top and divide once at the end
         top = lat.d[i] + lat.d[j] - min(lat.d[q] for q in reached)
@@ -268,13 +273,17 @@ class WeightedContext:
             by_power = _split_last(sums[q], n + 1, self._top)
             scale = self.b[0] ** (lat.d[q] + top - lat.d[i] - lat.d[j])
             for s, a_s in by_power.items():
-                for l, piece in self._pieri_packed(q, s).items():
+                for l, piece in self._pieri_packed(q, s, level).items():
                     _mul_packed(a_s, piece, out.setdefault(l, {}), scale)
-        denominator = self.b[0] ** top
-        unpack = self._unpack
+        return {l: p for l, p in sorted(out.items()) if p}, self.b[0] ** top
+
+    def equivariant_constants(self, i: int, j: int) -> dict:
+        """Map l -> equivariant structure constant polynomial."""
+        out, denominator = self._contract(i, j, self._equivariant)
+        n, unpack = self.n, self._unpack
         return {
             l: _build(n, {unpack(key): c for key, c in p.items()}, denominator)
-            for l, p in sorted(out.items()) if p
+            for l, p in out.items()
         }
 
     def equivariant_table(self) -> dict:
@@ -287,37 +296,20 @@ class WeightedContext:
         lat = self.lattice
         lat.check_index(i, j)
         target_d = lat.d[i] + lat.d[j]
-        targets = [l for l in lat.upper_set(i, j) if lat.d[l] == target_d]
-        if not targets:
+        # no dimension-matching l: skip the frontier pass, most of the cost
+        if not any(lat.d[l] == target_d for l in lat.upper_set(i, j)):
             return {}
-        sums = puzzles.symbol_sums(
-            self.k, self.n, i, j, self.ordinary_factors, self.n + 1
-        )
-        # sum_P prod b(p), the only coefficient of B^(d_i + d_j - d_q)
-        numerators = {
-            q: sum(total.values()) for q, total in sums.items() if total
-        }
-        out = {}
-        for l in targets:
-            # each chain term numerator / (b_{l_1} ... b_{l_r}) over the
-            # common denominator b_0^(d_l)
-            scaled = 0
-            for q, numerator in numerators.items():
-                if not lat.leq_idx(q, l):
-                    continue
-                for chain in lat.chains(l, q):
-                    term = numerator * self.b[0] ** (lat.d[l] + 1 - len(chain))
-                    for t in chain[1:]:
-                        term *= self._ratios[t]
-                    scaled += term
-            if scaled:
-                total, rem = divmod(scaled, self.b[0] ** lat.d[l])
-                if rem or total < 0:
-                    raise InternalInconsistencyError(
-                        "ordinary constant must be a nonnegative integer"
-                    )
-                out[l] = total
-        return out
+        out, denominator = self._contract(i, j, self._ordinary)
+        constants = {}
+        for l, p in out.items():
+            # at y = 0 each entry is the constant term alone, packed as 0
+            total, rem = divmod(p[0], denominator)
+            if rem or total < 0:
+                raise InternalInconsistencyError(
+                    "ordinary constant must be a nonnegative integer"
+                )
+            constants[l] = total
+        return constants
 
     def ordinary_table(self) -> dict:
         return symbols.symmetric_table(

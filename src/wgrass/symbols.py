@@ -22,9 +22,10 @@ For a symbol lam the module computes
   dim(mu) = dim(lam) + 1.
 
 ``SymbolLattice`` precomputes all of this once per (k, n) and memoizes
-saturated descending chains, which the structure-constant formulas
-consume heavily.  Its order table has C(n, k)^2 entries, so size checks
-use ``count`` instead.
+saturated descending chains.  The chains spell out the chain-sum
+formulas of ``structure`` term by term, as an independent reference;
+the pipeline itself takes Pieri steps along ``arrows``.  The order
+table has C(n, k)^2 entries, so size checks use ``count`` instead.
 """
 
 from __future__ import annotations

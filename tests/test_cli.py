@@ -168,20 +168,35 @@ def test_poincare_needs_no_lattice():
 def test_ring_is_bounded_before_any_relation_work():
     # Above cli.RING_LIMIT symbols, ring exits 4 on the count alone; the
     # time and memory limits stop a regression that builds the lattice or
-    # scans the relations first.
-    for k, n in ((5, 10), (8, 16)):
-        ones = json.dumps([1] * comb(n, k), separators=(",", ":"))
+    # scans the relations first.  The commands that take only (k, n), and
+    # the auto ladder's sn rung past plucker.SN_SCOPE_LIMIT, are bounded
+    # the same way.
+    argvs = [
+        ["--jobs", "1", "ring", json.dumps([1] * comb(n, k), separators=(",", ":")),
+         "--k", str(k), "--n", str(n), "--ordinary"]
+        for k, n in ((5, 10), (8, 16))
+    ]
+    kn9 = ["--k", "1", "--n", "9"]  # the identity does not present these
+    argvs += [
+        ["perms", "--k", "7", "--n", "14", "--scope", "sn"],
+        ["perms", "--k", "11", "--n", "22", "--scope", "identity"],
+        ["puzzles", "--k", "7", "--n", "14", "--i", "0", "--j", "0", "--l", "0"],
+        ["poincare", "--k", "200", "--n", "400"],
+        ["divisive", "[1,2,1,1,1,1,1,1,1]", *kn9],
+        ["classify", "[1,2,1,1,1,1,1,1,1]", "[2,1,1,1,1,1,1,1,1]", *kn9],
+        ["torsion", "[1,1,1,1,1,1,1,1,2]", *kn9],
+    ]
+    for argv in argvs:
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "wgrass.cli", "--jobs", "1", "ring", ones,
-             "--k", str(k), "--n", str(n), "--ordinary"],
+            [sys.executable, "-m", "wgrass.cli", *argv],
             capture_output=True,
             text=True,
             timeout=10,
             preexec_fn=_limit_memory,
         )
-        assert time.perf_counter() - start < 2, (k, n)
-        assert proc.returncode == 4, (k, n)
+        assert time.perf_counter() - start < 2, argv[:4]
+        assert proc.returncode == 4, argv[:4]
         assert json.loads(proc.stdout)["kind"] == "capacity"
 
 
@@ -190,6 +205,10 @@ RING_DIGESTS = {
     (3, 6, 2, True): "eb440038bfa6d527f969027b301978f09e12247e65d0b4e0256debf79b1287b7",
     (2, 6, 1, False): "28eb68986ea69bb6c4f8b4bd376b23b4aa66f072b98e5f63f506852c11318cdc",
     (2, 6, 3, False): "a692f0378fe8df82498cfc02b624a4d7efe96dc88f233fe7b8cb3ea5fde82752",
+    (2, 7, 1, True): "cba119a9b690b2388e93fa235dd732aa4ab68f7453e8206e909cfa6e728386f9",
+    (2, 7, 3, True): "f6b92ddf9f41a87efd0b6e6f956cb3b1b085176bd936c4aac896bf54b211aa12",
+    (3, 7, 1, True): "45e57f8df5e449d84d9bc0e2d1de9b4a3d46991e9775b37740601cc4c1aadc83",
+    (3, 7, 2, True): "ec6d2a25e9d77cc2854ed45f052f29b41d42565ae0a009ed38d3eabb3dff306b",
 }
 
 

@@ -353,18 +353,21 @@ def test_ordinary_pieri_rule():
             assert cell == {j: int(v) for j, v in expected.items()}
 
 
-def test_ordinary_matches_degree_zero_equivariant():
-    for b in VECTORS_2_4:
-        ctx = structure.context(b, 2, 4)
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5)])
+def test_ordinary_matches_degree_zero_equivariant(k, n):
+    # the ordinary constants are the equivariant ones at y = 0
+    for b in reference.vectors(k, n):
+        ctx = structure.context(b, k, n)
         lat = ctx.lattice
-        for i in range(6):
-            for j in range(6):
+        size = lat.m + 1
+        for i in range(size):
+            for j in range(size):
                 ordinary = ctx.ordinary_constants(i, j)
                 equivariant = ctx.equivariant_constants(i, j)
-                for l in range(6):
+                for l in range(size):
                     if lat.d[l] != lat.d[i] + lat.d[j]:
                         continue
-                    eq = equivariant.get(l, Poly.zero(4)).constant_value()
+                    eq = equivariant.get(l, Poly.zero(n)).constant_value()
                     assert ordinary.get(l, 0) == eq
 
 
