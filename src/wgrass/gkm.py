@@ -39,9 +39,19 @@ the pinning conditions run on every matrix at build time.  The ``Poly``
 matrices of ``kt_restrictions`` and ``weighted_restrictions`` are read
 off the integer rows with one division per entry.
 
-``localize_product`` multiplies two integer rows pointwise and peels
-the expansion coefficients by increasing index, in integers; it is the
-independent oracle every structure-constant formula is tested against.
+``localize_product`` is the independent oracle every structure-constant
+formula is tested against.  It multiplies two rows pointwise and peels
+the expansion coefficients by increasing index, in integers, on the
+b = 1 rows: in the coordinates z_s = y_s - (w_s / b_t) Y_t of its own
+column t every weighted entry is the b = 1 entry, which has 1.4-13
+times fewer terms than the weighted entry in y.  Two integer maps per
+column join these coordinates to y (``_ColumnMaps``): each coefficient
+goes to y once, by z_s -> b_t y_s - w_s Y_t, for the output and the
+integrality check, and from y into every later column it is
+subtracted from, by y_s -> a z_s + w_s Z_t.  On a form of degree e
+they scale by b_t^e and a^e, so the residual is kept at the scale
+a^(d_i + d_j).  The weighted rows in y serve the validation, the
+``Poly`` matrix and ``restrictions_as_json``.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from .polynomial import (
     _cleared,
     _degree_range,
     _divide_packed,
+    _guard_bits,
     _identify_packed,
     _mul_packed,
     _packer,
@@ -104,14 +115,14 @@ def _packed_labels(graph: GKMGraph, pack) -> dict:
     }
 
 
-def _row_is_class(graph: GKMGraph, labels: dict, unpack, row, scales) -> bool:
+def _row_is_class(graph: GKMGraph, labels: dict, guard: int, row, scales) -> bool:
     """GKM membership of the class with value row[t] / scales[t] at t.
 
-    ``row`` holds packed integer maps and ``labels`` the packed edge
-    labels.  Across the edge (l, j) the difference is
-    scaled to the integer map (s_l row[j] - s_j row[l]) / gcd(s_l, s_j),
-    which the label divides in Q[y] iff ``_divide_packed`` finds a
-    quotient (Gauss's lemma).
+    ``row`` holds packed integer maps, ``labels`` the packed edge
+    labels and ``guard`` the ``_guard_bits`` of their packing.  Across
+    the edge (l, j) the difference is scaled to the integer map
+    (s_l row[j] - s_j row[l]) / gcd(s_l, s_j), which the label divides
+    in Q[y] iff ``_divide_packed`` finds a quotient (Gauss's lemma).
     """
     for l, j in graph.edges:
         hi, lo = row[j], row[l]
@@ -120,7 +131,7 @@ def _row_is_class(graph: GKMGraph, labels: dict, unpack, row, scales) -> bool:
         g = gcd(scales[j], scales[l])
         diff = {key: c * (scales[l] // g) for key, c in hi.items()}
         _mul_packed(lo, {0: 1}, diff, -(scales[j] // g))  # {0: 1} packs 1
-        if diff and _divide_packed(diff, labels[(l, j)], unpack) is None:
+        if diff and _divide_packed(diff, labels[(l, j)], guard) is None:
             return False
     return True
 
@@ -132,7 +143,8 @@ def is_class(graph: GKMGraph, values) -> bool:
         raise ParameterError("need one polynomial per fixed point")
     if any(v.nvars != graph.n for v in vals):
         raise ParameterError(f"values must be polynomials in {graph.n} variables")
-    pack, unpack = _packer(graph.n, max(1, *(v.degree() for v in vals)))
+    top = max(1, *(v.degree() for v in vals))
+    pack, _ = _packer(graph.n, top)
     cleared = [_cleared(v.terms) for v in vals]
     scale = lcm(*(d for _, d in cleared))
     row = [
@@ -140,7 +152,8 @@ def is_class(graph: GKMGraph, values) -> bool:
         for terms, d in cleared
     ]
     return _row_is_class(
-        graph, _packed_labels(graph, pack), unpack, row, [1] * len(row)
+        graph, _packed_labels(graph, pack), _guard_bits(graph.n, top), row,
+        [1] * len(row),
     )
 
 
@@ -159,8 +172,9 @@ def _interpolate_value(constraints, degree: int, n: int, top: int) -> dict:
     count exceeds the degree.  Values and result are packed with
     ``_packer(n, top)``, top >= degree.
     """
-    pack, unpack = _packer(n, top)
-    unit = [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
+    pack, _ = _packer(n, top)
+    guard = _guard_bits(n, top)
+    unit = _unit_monomials(n, pack)
     alpha = dict(constraints[0][2])
     prod_e = {0: 1}  # 0 packs the monomial 1
     for t in range(1, len(constraints)):
@@ -173,7 +187,7 @@ def _interpolate_value(constraints, degree: int, n: int, top: int) -> dict:
         rem = _identify_packed(diff, s, sp, n, top)
         if not rem:
             continue
-        g = _divide_packed(rem, _identify_packed(prod_e, s, sp, n, top), unpack)
+        g = _divide_packed(rem, _identify_packed(prod_e, s, sp, n, top), guard)
         if g is None:
             raise InternalInconsistencyError("congruence system is not solvable")
         _mul_packed(prod_e, g, alpha)
@@ -192,14 +206,47 @@ class _Restrictions(tuple):
     """A restriction matrix of Polys, rows by basis index, and its integer form.
 
     ``rows[i][t]`` maps packed monomials (``pack``) to ints and equals
-    b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
-    ``diagonals[l]`` is (primitive part, content) of rows[l][l].  Built
+    b_t^{d_i} times entry [i][t]; a zero entry is an empty map.  The
+    peel reads ``unit`` instead: entry [i][t] in the coordinates of
+    column t, which ``maps`` (a ``_ColumnMaps``) relates to y; without
+    maps they are y.  ``diagonals[l]`` is (primitive part, content) of
+    unit[l][l], and ``guard`` the ``_guard_bits`` of ``pack``.  Built
     by ``_restrictions``.
     """
 
 
-def _restrictions(graph: GKMGraph, pack, unpack, rows) -> _Restrictions:
-    """The Poly matrix of integer ``rows``: one division per entry."""
+class _ColumnMaps(NamedTuple):
+    """Integer maps between y and the coordinates of each column.
+
+    With (W, a) the exponent data of b (as ``_column_maps`` shifts
+    it), column t has coordinates z_s = y_s - (w_s / b_t) Y_t, in which
+    every weighted entry at t is the b = 1 entry.  Summed over lam_t
+    they give Z_t = (a / b_t) Y_t, so y_s = z_s + (w_s / a) Z_t.
+    ``columns[t]`` is (b_t, to_y, from_y): the packed images
+    z_s -> b_t y_s - w_s Y_t and y_s -> a z_s + w_s Z_t of the variables
+    with w_s != 0.  The ``kept`` variables (w_s == 0) scale by b_t and
+    by a.  On a form of degree e, to_y is b_t^e times the change from
+    column t to y, and from_y is a^e times the change from y to
+    column t.
+    """
+
+    a: int
+    kept: list
+    columns: list
+
+
+def _unit_monomials(n: int, pack) -> list:
+    """The packed variables y_1, ..., y_n."""
+    return [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
+
+
+def _restrictions(graph: GKMGraph, pack, unpack, rows, unit=None,
+                  maps: _ColumnMaps | None = None) -> _Restrictions:
+    """The Poly matrix of integer ``rows``: one division per entry.
+
+    The peel reads ``unit`` through the column ``maps``; by default it
+    reads ``rows`` themselves, in y.
+    """
     lat = symbols.lattice(graph.k, graph.n)
     out = _Restrictions(
         tuple(
@@ -214,13 +261,22 @@ def _restrictions(graph: GKMGraph, pack, unpack, rows) -> _Restrictions:
     )
     out.graph, out.lat, out.rows = graph, lat, rows
     out.pack, out.unpack = pack, unpack
+    out.guard = _guard_bits(graph.n, _row_top(lat))
+    out.unit = rows if unit is None else unit
+    out.maps = maps
     out.diagonals = []
-    for l, row in enumerate(rows):
+    for l, row in enumerate(out.unit):
         content = gcd(*row[l].values())
         out.diagonals.append(
             ({key: c // content for key, c in row[l].items()}, content)
         )
     return out
+
+
+def _row_top(lat) -> int:
+    """The degree the integer rows are packed for: ``localize_product``
+    multiplies two rows."""
+    return 2 * max(lat.d)
 
 
 @lru_cache(maxsize=None)
@@ -237,7 +293,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
     graph = build_graph((1,) * m1, k, n)
-    top = 2 * max(lat.d)  # localize_product multiplies two rows
+    top = _row_top(lat)
     pack, unpack = _packer(n, top)
     labels = _packed_labels(graph, pack)
     rows = []
@@ -275,7 +331,9 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
 
 # weighted matrices kept per process, so that a long-lived process
 # checking many vectors stays bounded; a (2, 6) matrix, Poly and
-# integer form, holds about 0.6 MB
+# integer form with its column maps, holds about 0.6 MB and a (3, 6)
+# one 1.8 MB (tracemalloc); the b = 1 rows the peel reads are shared
+# with ``kt_restrictions``
 WEIGHTED_CACHE_SIZE = 16
 
 
@@ -287,36 +345,57 @@ def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
     if all(x == 1 for x in vec):
         return base
     graph = build_graph(vec, k, n)
-    out = _restrictions(
-        graph, base.pack, base.unpack, _substituted_rows(graph, lat, base)
-    )
+    maps = _column_maps(graph, lat, base.pack)
+    rows = _substituted_rows(graph, lat, base, maps)
+    # at W = 0 every column's coordinates are y
+    peel_maps = maps if len(maps.kept) < n else None
+    out = _restrictions(graph, base.pack, base.unpack, rows, base.rows, peel_maps)
     _validate_basis(out)
     return out
 
 
-def _substituted_rows(graph: GKMGraph, lat, base) -> list:
+def _column_maps(graph: GKMGraph, lat, pack) -> _ColumnMaps:
+    """The ``_ColumnMaps`` of a weighted graph, from its (W, a).
+
+    (W - v, a + k v) induces the same b, and shifting every y_s by the
+    same multiple of Y_t leaves each b = 1 entry unchanged (it is a
+    polynomial in the differences y_s - y_s').  So the maps use the
+    most common w_s as v, keeping a > 0: the fewest variables move.
+    """
+    n = graph.n
+    w, a = plucker.solve_wa(graph.b, graph.k, n)
+    v = max(sorted({x for x in w if a + graph.k * x > 0} | {0}), key=w.count)
+    w, a = [x - v for x in w], a + graph.k * v
+    moved = [s for s in range(n) if w[s]]
+    unit = _unit_monomials(n, pack)
+    columns = []
+    for t, bt in enumerate(graph.b):
+        yt = {unit[u - 1]: 1 for u in lat.symbols[t]}  # also packs Z_t
+        columns.append((
+            bt,
+            [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in moved],
+            [(s, _mul_packed(yt, {0: w[s]}, {unit[s]: a})) for s in moved],
+        ))
+    return _ColumnMaps(a, [s for s in range(n) if not w[s]], columns)
+
+
+def _substituted_rows(graph: GKMGraph, lat, base, maps: _ColumnMaps) -> list:
     """Integer rows of a weighted vector from the b = 1 matrix ``base``.
 
-    Column t substitutes y_s -> b_t y_s - w_s Y_t.  Every entry of row i
-    is homogeneous of degree d_i, so this is b_t^{d_i} times the
-    rational substitution y_s -> y_s - (w_s / b_t) Y_t.  Only the
-    variables with w_s != 0 are expanded; the factor b_t of every other
-    variable is folded into the coefficients (``_substitute_packed``).
+    Column t substitutes y_s -> b_t y_s - w_s Y_t (``maps``).  Every
+    entry of row i is homogeneous of degree d_i, so this is b_t^{d_i}
+    times the rational substitution y_s -> y_s - (w_s / b_t) Y_t.  Only
+    the variables with w_s != 0 are expanded; the factor b_t of every
+    other variable is folded into the coefficients (``_substitute_packed``).
     """
-    n, vec, pack, unpack = graph.n, graph.b, base.pack, base.unpack
-    w = plucker.solve_wa(vec, graph.k, n).W
-    mapped = [s for s in range(n) if w[s]]
-    kept = [s for s in range(n) if not w[s]]
-    unit = [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
-    rows = [[{} for _ in vec] for _ in vec]
-    for t, bt in enumerate(vec):
-        yt = {unit[u - 1]: 1 for u in lat.symbols[t]}
-        images = [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in mapped]
+    n, pack, unpack = graph.n, base.pack, base.unpack
+    rows = [[{} for _ in graph.b] for _ in graph.b]
+    for t, (bt, to_y, _) in enumerate(maps.columns):
         for i, row in enumerate(base.rows):
             if row[t]:
                 rows[i][t] = _substitute_packed(
                     {unpack(key): c for key, c in row[t].items()},
-                    images, kept, n, pack, bt, lat.d[i],
+                    to_y, maps.kept, n, pack, bt, lat.d[i],
                 )
     return rows
 
@@ -365,7 +444,7 @@ def _validate_basis(matrix: _Restrictions) -> None:
             raise InternalInconsistencyError("diagonal product formula fails")
     for i, row in enumerate(rows):
         scales = [bt ** lat.d[i] for bt in vec]
-        if not _row_is_class(graph, labels, matrix.unpack, row, scales):
+        if not _row_is_class(graph, labels, matrix.guard, row, scales):
             raise InternalInconsistencyError("basis row fails GKM membership")
 
 
@@ -385,24 +464,28 @@ def restrictions_as_json(b, k: int, n: int) -> dict:
 def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
     """Expansion of basis_i * basis_j in the basis, by localization.
 
-    Multiplies the two integer restriction rows pointwise, which scales
-    the residual at t by b_t^{d_i + d_j}, then peels the smallest-index
-    nonzero residual component l of degree d_l <= d_i + d_j: with
-    e = d_i + d_j - d_l, the coefficient is residual[l] / (b_l^e R[l][l])
-    and residual[u] loses coefficient * R[l][u] * b_u^e.  The division
-    runs by the primitive part of R[l][l], so a failed division ("not
-    exact") stays distinct from a non-integral coefficient.  Raises on
-    either, on a nonzero residual left over, and on a coefficient of the
-    wrong degree.
+    Runs on the b = 1 rows U, each column in its own coordinates z
+    (``_ColumnMaps``), where the weighted entry at t is U[.][t](z).
+    With top = d_i + d_j, residual[u] starts as a^top U[i][u] U[j][u]
+    and the smallest-index nonzero component l with e = top - d_l >= 0
+    is peeled: q = residual[l] / prim(U[l][l]) is a^top content b_l^e
+    times the coefficient c_l once mapped to y by to_y, and every later
+    column u loses a^(top - e) c_l(a z + w Z_u) U[l][u], c_l taken into
+    column u by from_y.  Without maps (b = 1, W = 0) both maps are the
+    identity and a is 1.  A failed division ("not exact") stays
+    distinct from a non-integral coefficient.  Raises on either, on a
+    quotient of the wrong degree (the maps read forms of degree e), and
+    on a nonzero residual left over.
     """
     matrix = weighted_restrictions(b, k, n)
     lat = matrix.lat
     lat.check_index(i, j)
-    rows, vec, unpack = matrix.rows, matrix.graph.b, matrix.unpack
+    unit, maps, pack, unpack = matrix.unit, matrix.maps, matrix.pack, matrix.unpack
+    a = maps.a if maps else 1
     top = lat.d[i] + lat.d[j]
     residual = [
-        _mul_packed(ri, rj) if ri and rj else {}
-        for ri, rj in zip(rows[i], rows[j])
+        _mul_packed(ri, rj, None, a**top) if ri and rj else {}
+        for ri, rj in zip(unit[i], unit[j])
     ]
     out = {}
     for l, v in enumerate(residual):
@@ -410,10 +493,20 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
         if not v or e < 0:
             continue
         prim, content = matrix.diagonals[l]
-        quot = _divide_packed(v, prim, unpack)
+        quot = _divide_packed(v, prim, matrix.guard)
         if quot is None:
             raise InternalInconsistencyError("localization peel is not exact")
-        den = content * vec[l] ** e
+        lowest, highest = _degree_range(pack, n, e)
+        if not all(lowest <= key <= highest for key in quot):
+            raise InternalInconsistencyError("coefficient with wrong degree")
+        den = content * a**top
+        if maps:
+            bl, to_y, _ = maps.columns[l]
+            quot = _substitute_packed(
+                {unpack(key): c for key, c in quot.items()},
+                to_y, maps.kept, n, pack, bl, e,
+            )
+            den *= bl**e
         coeff = {}
         for key, c in quot.items():
             q, r = divmod(c, den)
@@ -422,15 +515,15 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
                     "non-integral localized coefficient for integral divisive b"
                 )
             coeff[key] = q
+        terms = {unpack(key): c for key, c in coeff.items()}
+        out[l] = _build(n, terms)
         residual[l] = {}
         for u in range(l + 1, lat.m + 1):
-            if rows[l][u]:
-                _mul_packed(coeff, rows[l][u], residual[u], -vec[u] ** e)
-        out[l] = _build(n, {unpack(key): c for key, c in coeff.items()})
+            if unit[l][u]:
+                image = coeff if not maps else _substitute_packed(
+                    terms, maps.columns[u][2], maps.kept, n, pack, a, e
+                )
+                _mul_packed(image, unit[l][u], residual[u], -a ** (top - e))
     if any(residual):
         raise InternalInconsistencyError("nonzero residual after peeling")
-    for l, coeff in out.items():
-        expected = top - lat.d[l]
-        if not (coeff.is_homogeneous() and coeff.degree() == expected):
-            raise InternalInconsistencyError("coefficient with wrong degree")
     return out

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import ge
 
 from .errors import ParameterError
 
@@ -71,9 +70,23 @@ def _field_bits(top: int) -> int:
     In ``_packer(nvars, top)`` the exponent of variable v (0-based)
     sits at bit (nvars - 1 - v) * bits and the total degree at bit
     nvars * bits, so a field is read or moved by shifts alone
-    (``_identify_packed``, ``_split_last``).
+    (``_identify_packed``, ``_split_last``).  The top bit of every
+    field stays clear (top < 2**(bits - 1)), so that ``_divide_packed``
+    compares all exponents at once (``_guard_bits``).
     """
-    return 8 * max(1, (top.bit_length() + 7) // 8)
+    return 8 * max(1, (top.bit_length() + 8) // 8)
+
+
+def _guard_bits(nvars: int, top: int) -> int:
+    """The top bit of every exponent field of ``_packer(nvars, top)``.
+
+    With H this mask, the packed monomial k is divisible by kd iff
+    ((k | H) - kd) & H == H: each field subtracts below its own guard
+    bit, which survives exactly when k's exponent is >= kd's, and no
+    borrow crosses into the next field.
+    """
+    bits = _field_bits(top)
+    return sum(1 << bits * v + bits - 1 for v in range(nvars))
 
 
 def _packer(nvars: int, top: int) -> tuple:
@@ -81,12 +94,12 @@ def _packer(nvars: int, top: int) -> tuple:
 
     A monomial packs into one int whose fields, most significant first,
     are its total degree and then its exponents, each in w bytes with
-    256**w > top.  Packed ints compare like ``_grlex_key`` and multiply
+    256**w > 2 * top.  Packed ints compare like ``_grlex_key`` and multiply
     monomials by addition, as long as no degree exceeds top.
     """
     w = _field_bits(top) // 8
     size = (nvars + 1) * w
-    if w == 1:  # every degree below 256: bytes() packs and unpacks in C
+    if w == 1:  # every degree below 128: bytes() packs and unpacks in C
         def pack(e):
             return int.from_bytes(bytes((sum(e), *e)), "big")
 
@@ -166,18 +179,20 @@ def _mul_packed(a: dict, b: dict, into: dict | None = None, scale: int = 1) -> d
     return terms
 
 
-def _divide_packed(num: dict, den: dict, unpack) -> dict | None:
+def _divide_packed(num: dict, den: dict, guard: int) -> dict | None:
     """q with num == den * q over packed integer term maps, or None.
 
     ``den`` must be primitive (content 1): by Gauss's lemma a quotient
     in Q[y] then lies in Z[y], so a coefficient that den's leading one
-    does not divide proves non-divisibility.  The remainder's terms sit
-    in a heap ordered by grlex, largest first; ``num`` is not changed.
+    does not divide proves non-divisibility.  ``guard`` is the
+    ``_guard_bits`` of the packing, which tests each remainder term
+    against den's leading monomial without unpacking it.  The
+    remainder's terms sit in a heap ordered by grlex, largest first;
+    ``num`` is not changed.
     """
     from heapq import heapify, heappop, heappush
 
     klead = max(den)  # packed ints order like grlex
-    lead = unpack(klead)
     dc = den[klead]
     rest = [(k, c) for k, c in den.items() if k != klead]
     rem = dict(num)
@@ -189,7 +204,7 @@ def _divide_packed(num: dict, den: dict, unpack) -> dict | None:
         c = rem.pop(k, 0)
         if not c:  # cancelled after it was queued
             continue
-        if not all(map(ge, unpack(k), lead)):
+        if ((k | guard) - klead) & guard != guard:
             return None
         q, r = divmod(c, dc)
         if r:
@@ -349,14 +364,6 @@ class Poly:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def constant_value(self):
-        """The value (int or Fraction) of a degree-<=0 polynomial."""
-        if self.is_zero():
-            return 0
-        if self.degree() > 0:
-            raise ParameterError("not a constant polynomial")
-        return next(iter(self.terms.values()))
-
     def is_integral(self) -> bool:
         return all(c.__class__ is int for c in self.terms.values())
 
@@ -446,7 +453,7 @@ class Poly:
             exp >>= 1
         return result
 
-    # -- division, substitution, evaluation ---------------------------
+    # -- division and substitution ------------------------------------
 
     def divide_exact(self, divisor: "Poly"):
         """Return q with self == divisor * q, or None when not divisible.
@@ -473,7 +480,7 @@ class Poly:
         quot = _divide_packed(
             {pack(e): c for e, c in lifted.items()},
             {pack(e): c // g for e, c in prim.items()},
-            unpack,
+            _guard_bits(self.nvars, top),
         )
         if quot is None:
             return None
@@ -538,19 +545,6 @@ class Poly:
             {unpack(key): c for key, c in terms.items()},
             lift * scale**deg,
         )
-
-    def evaluate(self, point) -> Fraction:
-        vals = [_coerce(v) for v in point]
-        if len(vals) != self.nvars:
-            raise ParameterError("point has wrong length")
-        total = Fraction(0)
-        for expo, c in self.terms.items():
-            v = c
-            for x, e in zip(vals, expo):
-                if e:
-                    v *= x**e
-            total += v
-        return total
 
     # -- rendering -----------------------------------------------------
 

@@ -69,12 +69,6 @@ def word(sym: Symbol, n: int) -> str:
     return "".join(chars)
 
 
-def symbol_of_word(w: str) -> Symbol:
-    if set(w) - {"0", "1"}:
-        raise ParameterError(f"not a 0/1 word: {w!r}")
-    return tuple(i + 1 for i, ch in enumerate(w) if ch == "1")
-
-
 def leq(a: Symbol, b: Symbol) -> bool:
     """Componentwise partial order a <= b."""
     return all(x <= y for x, y in zip(a, b))

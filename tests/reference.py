@@ -1,4 +1,6 @@
-"""Reference routes of the packed kernels and the data they are run on.
+"""Reference routes of the packed kernels, the data they are run on, and
+helpers only the tests call (``evaluate``, ``constant_value``,
+``symbol_of_word``).
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps: substitution by Horner's rule on
@@ -23,6 +25,7 @@ from wgrass.polynomial import (
     _accumulate,
     _build,
     _cleared,
+    _coerce,
     _mul_terms,
     _packer,
     linear_basis_images,
@@ -49,6 +52,37 @@ def vectors(k: int, n: int) -> list:
         out.append(tuple(a * (t + 1) if 1 in s else a for s in syms))
     assert len(set(out)) == 4
     return out
+
+
+def evaluate(p: Poly, point) -> Fraction:
+    """The exact value of p at ``point``, one rational per variable."""
+    vals = [_coerce(v) for v in point]
+    if len(vals) != p.nvars:
+        raise ParameterError("point has wrong length")
+    total = Fraction(0)
+    for expo, c in p.terms.items():
+        v = c
+        for x, e in zip(vals, expo):
+            if e:
+                v *= x**e
+        total += v
+    return total
+
+
+def constant_value(p: Poly):
+    """The value (int or Fraction) of a degree-<=0 polynomial."""
+    if p.is_zero():
+        return 0
+    if p.degree() > 0:
+        raise ParameterError("not a constant polynomial")
+    return next(iter(p.terms.values()))
+
+
+def symbol_of_word(w: str) -> tuple:
+    """The symbol with entries at the ones of a 0/1 word."""
+    if set(w) - {"0", "1"}:
+        raise ParameterError(f"not a 0/1 word: {w!r}")
+    return tuple(i + 1 for i, ch in enumerate(w) if ch == "1")
 
 
 def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:

@@ -56,3 +56,11 @@ def test_pipeline_matches_oracle_on_random_divisive_vectors(k, n, draws, sampled
         assert ok, (b, info)
         ok, info = structure.verify_positivity(table, b, k, n)
         assert ok, (b, info)
+
+
+@pytest.mark.parametrize("k, n", [(7, 8), (1, 10)])
+def test_pipeline_matches_oracle_on_every_cell_of_a_chain(k, n):
+    # the chain (2, ..., 2, 1) in full, on both routes
+    b = (2,) * (symbols.lattice(k, n).m) + (1,)
+    assert structure.localize_table(b, k, n) == \
+        structure.context(b, k, n).equivariant_table()

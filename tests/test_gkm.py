@@ -261,6 +261,14 @@ REFERENCE_CASES = [
     (_seeded_vector(2, 5, 31), 2, 5),
     ((1,) * 10, 3, 5),
     (_seeded_vector(3, 5, 37), 3, 5),
+    # the peel's column maps beyond one moved variable with a = 1:
+    # W = (4, 1, 1, 1, 1), five nonzero w_s, shifted to (3, 0, 0, 0, 0), a = 3
+    ((6, 6, 6, 6, 3, 3, 3, 3, 3, 3), 2, 5),
+    ((8, 8, 8, 8, 2), 4, 5),  # a = 2
+    ((4, 4, 4, 4, 2), 1, 5),  # W = (3, 3, 3, 3, 1), shifted to a = 4
+    ((2, 2, 2, 2, 2, 1), 1, 6),  # a chain
+    ((8, 4, 2, 2, 1), 1, 5),  # three variables still move after the shift
+    ((2,) * 6, 2, 4),  # W = 0 with a = 2: the peel reads the b = 1 rows in y
 ]
 
 
@@ -316,13 +324,25 @@ PEEL_CORRUPTIONS = [
 ]
 
 
+def _corrupted_unit(b, k, n, edit):
+    """A fresh weighted matrix whose peel reads a copy of the cached
+    b = 1 rows, after ``edit``, through the cached column maps."""
+    matrix = gkm.weighted_restrictions(b, k, n)
+    unit = [[dict(entry) for entry in row] for row in matrix.unit]
+    edit(unit, matrix.pack)
+    return gkm._restrictions(
+        matrix.graph, matrix.pack, matrix.unpack, matrix.rows, unit, matrix.maps
+    )
+
+
 @pytest.mark.parametrize("message, cell, edit", PEEL_CORRUPTIONS)
 def test_corrupted_rows_fail_the_peel(monkeypatch, message, cell, edit):
-    b = (1,) * 6
-    bad = _corrupted(b, 2, 4, edit)
-    monkeypatch.setattr(gkm, "_weighted_cached", lambda *args: bad)
-    with pytest.raises(InternalInconsistencyError, match=message):
-        gkm.localize_product(b, 2, 4, *cell)
+    # at b = 1 the peel reads the matrix's own rows, in y
+    for b, corrupt in (((1,) * 6, _corrupted), ((2, 2, 2, 1, 1, 1), _corrupted_unit)):
+        bad = corrupt(b, 2, 4, edit)
+        monkeypatch.setattr(gkm, "_weighted_cached", lambda *args: bad)
+        with pytest.raises(InternalInconsistencyError, match=message):
+            gkm.localize_product(b, 2, 4, *cell)
 
 
 VALIDATION_CORRUPTIONS = [

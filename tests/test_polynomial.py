@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from wgrass.errors import ParameterError
-from reference import permute_variables, rewrite_in_linear_basis
+from reference import evaluate, permute_variables, rewrite_in_linear_basis
 from wgrass.polynomial import Poly, expand_linear_product, linear_form
 
 
@@ -89,8 +89,8 @@ def test_substitute_matches_evaluation():
                   for i in (1, 2, 3)}
         substituted = p.substitute(images)
         point = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
-        direct = p.evaluate([img.evaluate(point) for img in images.values()])
-        assert substituted.evaluate(point) == direct
+        direct = evaluate(p, [evaluate(img, point) for img in images.values()])
+        assert evaluate(substituted, point) == direct
 
 
 def test_permute_variables_identifies_like_substitute():
@@ -310,8 +310,8 @@ def test_substitute_fractional_linear_matches_evaluation():
             for _ in range(4):
                 point = [Fraction(rng.randint(-7, 7), rng.randint(1, 3))
                          for _ in range(3)]
-                values = [images[i].evaluate(point) for i in (1, 2, 3)]
-                assert got.evaluate(point) == p.evaluate(values)
+                values = [evaluate(images[i], point) for i in (1, 2, 3)]
+                assert evaluate(got, point) == evaluate(p, values)
 
 
 def test_render_pinned_strings():
@@ -327,7 +327,7 @@ def test_render_pinned_strings():
 
 
 def test_degrees_past_one_byte():
-    """Packed monomials widen their fields once a degree passes 255."""
+    """Packed monomials widen their fields once a degree passes 127."""
     big = y(1) ** 200 * (y(2) - Fraction(1, 3) * y(3)) ** 2
     prod = big * y(1) ** 100
     assert prod.degree() == 302
@@ -337,8 +337,8 @@ def test_degrees_past_one_byte():
     })
     assert prod.divide_exact(big) == y(1) ** 100
     assert prod.divide_exact(y(1) ** 301) is None
-    assert (y(1) ** 256 - y(2) ** 256).divide_exact(y(1) - y(2)).evaluate(
-        [2, 1, 0, 0]) == 2**256 - 1
+    assert evaluate((y(1) ** 256 - y(2) ** 256).divide_exact(y(1) - y(2)),
+                    [2, 1, 0, 0]) == 2**256 - 1
     assert_canonical(prod.substitute({1: Fraction(1, 2) * y(4)}))
     # every variable mapped to a linear form, the positivity rewrite's
     # shape, at degree 257: the partial Horner sums pass 255 on the way
@@ -349,5 +349,22 @@ def test_degrees_past_one_byte():
     assert q.degree() == 257 and q.is_homogeneous()
     assert_canonical(q)
     for point in ([3, -1, 2, 5], [1, 1, Fraction(1, 3), -2]):
-        moved = [images[v].evaluate(point) for v in range(1, 5)]
-        assert q.evaluate(point) == p.evaluate(moved)
+        moved = [evaluate(images[v], point) for v in range(1, 5)]
+        assert evaluate(q, point) == evaluate(p, moved)
+
+
+@pytest.mark.parametrize("top", [126, 127, 128, 129, 254, 255, 256])
+def test_divisibility_guard_at_field_widths(top):
+    # the guard bit of each exponent field decides monomial divisibility
+    # in _divide_packed; these degrees sit on both sides of a field width
+    den = y(1) + 2 * y(2)
+    quot = y(1) ** (top - 3) * (y(2) - y(3)) * y(4)
+    prod = den * quot
+    assert prod.degree() == top
+    assert prod.divide_exact(den) == quot
+    assert prod.divide_exact(quot) == den
+    assert (prod + y(3) ** top).divide_exact(den) is None
+    assert (y(1) ** top).divide_exact(y(2)) is None
+    assert (y(1) ** (top - 1) * y(2)).divide_exact(y(1) ** top) is None
+    assert (y(2) ** top).divide_exact(y(1) ** (top - 1) * y(2)) is None
+    assert (y(4) ** top).divide_exact(y(4) ** (top - 1)) == y(4)

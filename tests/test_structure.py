@@ -367,7 +367,7 @@ def test_ordinary_matches_degree_zero_equivariant(k, n):
                 for l in range(size):
                     if lat.d[l] != lat.d[i] + lat.d[j]:
                         continue
-                    eq = equivariant.get(l, Poly.zero(n)).constant_value()
+                    eq = reference.constant_value(equivariant.get(l, Poly.zero(n)))
                     assert ordinary.get(l, 0) == eq
 
 
@@ -380,7 +380,7 @@ def test_unit_ordinary_table_matches_oracle_lr():
             cell = ctx.ordinary_constants(i, j)
             for l, coeff in oracle.items():
                 if lat.d[l] == lat.d[i] + lat.d[j]:
-                    assert cell[l] == coeff.constant_value()
+                    assert cell[l] == reference.constant_value(coeff)
     assert ctx.ordinary_constants(1, 1) == {2: 1, 3: 1}
 
 
