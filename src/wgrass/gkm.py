@@ -15,43 +15,46 @@ The module computes the distinguished basis of this ring.  The basis
 element attached to lam_i is pinned by three conditions: it vanishes
 off the upper set of lam_i, its value at lam_i is the product of the
 edge labels into lam_i, and every component is homogeneous of degree
-dim(lam_i).  At b = (1, ..., 1) the values are produced by triangular
-congruence interpolation up the lattice; the weighted values are the
-b = 1 values under the per-column substitution
+dim(lam_i).
 
-    y_s  ->  y_s - (w_s / b_j) * Y_{lam_j}
+At b = (1, ..., 1) the values are produced by triangular congruence
+interpolation up the lattice, held in integer form: the value of
+class i at lam_t is stored times b_t^{d_i}, as a map from packed
+monomials to ints (one ``_packer`` per (n, 2 max d)).  Identifying
+y_s with y_s' moves the exponent field of s onto that of s', and each
+correction is an exact division by the primitive packed product of the
+labels so far.  ``_validate_basis`` checks the pinning conditions, the
+closed row 1 (b_j Y_0 - b_0 Y_j at this scale) and GKM membership.
 
-with (W, a) the integer exponent data of b.
+A weighted basis is the b = 1 basis U plus one pair of integer maps
+per column (``_ColumnMaps``): with (W, a) the integer exponent data of
+b, in the coordinates z^(t)_s = y_s - (w_s / b_t) Y_t of column t every
+weighted entry is the b = 1 entry.  ``_check_column_maps`` proves three
+premises at build time: for every edge (l, j), lam_l being lam_j with s
+replaced by s' < s and L its label,
 
-The basis is held in integer form: the value of class i at lam_t is
-stored times b_t^{d_i}, as a map from packed monomials to ints (one
-``_packer`` per (n, 2 max d)).  The b = 1 interpolation runs on these
-maps: identifying y_s with y_s' moves the exponent field of s onto
-that of s', and each correction is an exact division by the primitive
-packed product of the labels so far.  Weighted rows substitute the
-packed b = 1 rows under the packed integer images
-y_s -> b_t y_s - w_s Y_{lam_t}; every entry is homogeneous, so that is
-exactly this scale of the substitution above.  At this scale the closed
-row-1 form reads b_j Y_0 - b_0 Y_j, the pinned diagonal is b_i^{d_i}
-times the product of the labels into lam_i, and GKM membership divides
-the integer difference across an edge by the label.  These checks and
-the pinning conditions run on every matrix at build time.  The ``Poly``
-matrices of ``kt_restrictions`` and ``weighted_restrictions`` are read
-off the integer rows with one division per entry.
+    z^(j)_s' - z^(j)_s = L,     z^(j)_u = z^(l)_u  mod L for every u,
+
+and in every column the map back from y inverts the map to y.  They
+suffice.  U[i][j] - U[i][l] lies in (y_s' - y_s), so
+U[i][j](z^(j)) - U[i][l](z^(j)) lies in (L), and so does
+U[i][l](z^(j)) - U[i][l](z^(l)): every weighted row is a GKM class.
+The b = 1 diagonal, the product of the y_s' - y_s into lam_i, becomes
+the product of the weighted labels; support and degree survive a
+linear substitution; and row 1, Y_0 - Y_j, becomes Y_0 - (b_0 / b_j) Y_j
+since ``solve_wa`` checks sum_{u in lam_t} w_u = b_t - a.  So these
+rows meet the pinning conditions.  ``weighted_restrictions`` reads the
+``Poly`` matrix in y off them on request and validates it.
 
 ``localize_product`` is the independent oracle every structure-constant
 formula is tested against.  It multiplies two rows pointwise and peels
 the expansion coefficients by increasing index, in integers, on the
-b = 1 rows: in the coordinates z_s = y_s - (w_s / b_t) Y_t of its own
-column t every weighted entry is the b = 1 entry, which has 1.4-13
-times fewer terms than the weighted entry in y.  Two integer maps per
-column join these coordinates to y (``_ColumnMaps``): each coefficient
-goes to y once, by z_s -> b_t y_s - w_s Y_t, for the output and the
-integrality check, and from y into every later column it is
+b = 1 rows, each column in its own coordinates.  Each coefficient goes
+to y once, by z_s -> b_t y_s - w_s Y_t (``_to_y``), for the output and
+the integrality check, and from y into every later column it is
 subtracted from, by y_s -> a z_s + w_s Z_t.  On a form of degree e
 they scale by b_t^e and a^e, so the residual is kept at the scale
-a^(d_i + d_j).  The weighted rows in y serve the validation, the
-``Poly`` matrix and ``restrictions_as_json``.
+a^(d_i + d_j).
 """
 
 from __future__ import annotations
@@ -206,31 +209,30 @@ class _Restrictions(tuple):
     """A restriction matrix of Polys, rows by basis index, and its integer form.
 
     ``rows[i][t]`` maps packed monomials (``pack``) to ints and equals
-    b_t^{d_i} times entry [i][t]; a zero entry is an empty map.  The
-    peel reads ``unit`` instead: entry [i][t] in the coordinates of
-    column t, which ``maps`` (a ``_ColumnMaps``) relates to y; without
-    maps they are y.  ``diagonals[l]`` is (primitive part, content) of
-    unit[l][l], and ``guard`` the ``_guard_bits`` of ``pack``.  Built
-    by ``_restrictions``.
+    b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
+    ``diagonals[l]`` is (primitive part, content) of rows[l][l], and
+    ``guard`` the ``_guard_bits`` of ``pack``.  Built by ``_restrictions``.
     """
 
 
 class _ColumnMaps(NamedTuple):
-    """Integer maps between y and the coordinates of each column.
+    """A weighted graph and the integer maps between y and its columns.
 
-    With (W, a) the exponent data of b (as ``_column_maps`` shifts
-    it), column t has coordinates z_s = y_s - (w_s / b_t) Y_t, in which
-    every weighted entry at t is the b = 1 entry.  Summed over lam_t
+    ``w`` and ``a`` are (W, a) as ``_column_maps`` shifts them.  Column
+    t has coordinates z_s = y_s - (w_s / b_t) Y_t; summed over lam_t
     they give Z_t = (a / b_t) Y_t, so y_s = z_s + (w_s / a) Z_t.
     ``columns[t]`` is (b_t, to_y, from_y): the packed images
     z_s -> b_t y_s - w_s Y_t and y_s -> a z_s + w_s Z_t of the variables
-    with w_s != 0.  The ``kept`` variables (w_s == 0) scale by b_t and
-    by a.  On a form of degree e, to_y is b_t^e times the change from
-    column t to y, and from_y is a^e times the change from y to
-    column t.
+    with w_s != 0; the ``kept`` ones (w_s == 0) scale by b_t and by a.
+    On a form of degree e they are b_t^e and a^e times the changes of
+    coordinates.
     """
 
+    graph: GKMGraph
+    pack: object
+    unpack: object
     a: int
+    w: list
     kept: list
     columns: list
 
@@ -240,13 +242,8 @@ def _unit_monomials(n: int, pack) -> list:
     return [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
 
 
-def _restrictions(graph: GKMGraph, pack, unpack, rows, unit=None,
-                  maps: _ColumnMaps | None = None) -> _Restrictions:
-    """The Poly matrix of integer ``rows``: one division per entry.
-
-    The peel reads ``unit`` through the column ``maps``; by default it
-    reads ``rows`` themselves, in y.
-    """
+def _restrictions(graph: GKMGraph, pack, unpack, rows) -> _Restrictions:
+    """The Poly matrix of integer ``rows``: one division per entry."""
     lat = symbols.lattice(graph.k, graph.n)
     out = _Restrictions(
         tuple(
@@ -262,10 +259,8 @@ def _restrictions(graph: GKMGraph, pack, unpack, rows, unit=None,
     out.graph, out.lat, out.rows = graph, lat, rows
     out.pack, out.unpack = pack, unpack
     out.guard = _guard_bits(graph.n, _row_top(lat))
-    out.unit = rows if unit is None else unit
-    out.maps = maps
     out.diagonals = []
-    for l, row in enumerate(out.unit):
+    for l, row in enumerate(rows):
         content = gcd(*row[l].values())
         out.diagonals.append(
             ({key: c // content for key, c in row[l].items()}, content)
@@ -320,41 +315,40 @@ def kt_restrictions(k: int, n: int) -> tuple:
 def weighted_restrictions(b, k: int, n: int) -> tuple:
     """Basis restriction matrix for a presented divisive weight vector.
 
-    Column j applies y_s -> y_s - (w_s / b_j) Y_{lam_j} to the b = 1
-    matrix; the result is validated against the pinning conditions and
-    GKM membership before use.  Only the shape is checked on every
-    call, so that no boolean or float entry can hit the cache of an
-    equal integer vector; the pair-sum test runs on the first call.
+    The b = 1 rows taken to y by the column maps of b (``_to_y``),
+    validated; built on every call, since the oracle never reads it.
     """
-    return _weighted_cached(plucker.check_weight_vector_shape(b, k, n), k, n)
-
-
-# weighted matrices kept per process, so that a long-lived process
-# checking many vectors stays bounded; a (2, 6) matrix, Poly and
-# integer form with its column maps, holds about 0.6 MB and a (3, 6)
-# one 1.8 MB (tracemalloc); the b = 1 rows the peel reads are shared
-# with ``kt_restrictions``
-WEIGHTED_CACHE_SIZE = 16
-
-
-@lru_cache(maxsize=WEIGHTED_CACHE_SIZE)
-def _weighted_cached(b: tuple, k: int, n: int) -> tuple:
-    vec = plucker.presented_weight_vector(b, k, n)
-    lat = symbols.lattice(k, n)
+    maps = _weighted_cached(plucker.check_weight_vector_shape(b, k, n), k, n)
     base = kt_restrictions(k, n)
-    if all(x == 1 for x in vec):
+    if all(x == 1 for x in maps.graph.b):
         return base
-    graph = build_graph(vec, k, n)
-    maps = _column_maps(graph, lat, base.pack)
-    rows = _substituted_rows(graph, lat, base, maps)
-    # at W = 0 every column's coordinates are y
-    peel_maps = maps if len(maps.kept) < n else None
-    out = _restrictions(graph, base.pack, base.unpack, rows, base.rows, peel_maps)
+    rows = [
+        [_to_y(maps, t, entry, base.lat.d[i]) if entry else {}
+         for t, entry in enumerate(row)]
+        for i, row in enumerate(base.rows)
+    ]
+    out = _restrictions(maps.graph, base.pack, base.unpack, rows)
     _validate_basis(out)
     return out
 
 
-def _column_maps(graph: GKMGraph, lat, pack) -> _ColumnMaps:
+# weighted graphs and column maps kept per process, so that a long-lived
+# process checking many vectors stays bounded; the b = 1 rows they map
+# are shared with ``kt_restrictions``
+WEIGHTED_CACHE_SIZE = 16
+
+
+@lru_cache(maxsize=WEIGHTED_CACHE_SIZE)
+def _weighted_cached(b: tuple, k: int, n: int) -> _ColumnMaps:
+    """The checked ``_ColumnMaps`` of b.  Callers check only the shape
+    first, so that no boolean or float entry can hit the entry of an
+    equal integer vector; the pair-sum test runs here."""
+    maps = _column_maps(build_graph(b, k, n))
+    _check_column_maps(maps)
+    return maps
+
+
+def _column_maps(graph: GKMGraph) -> _ColumnMaps:
     """The ``_ColumnMaps`` of a weighted graph, from its (W, a).
 
     (W - v, a + k v) induces the same b, and shifting every y_s by the
@@ -363,10 +357,12 @@ def _column_maps(graph: GKMGraph, lat, pack) -> _ColumnMaps:
     most common w_s as v, keeping a > 0: the fewest variables move.
     """
     n = graph.n
+    lat = symbols.lattice(graph.k, n)
     w, a = plucker.solve_wa(graph.b, graph.k, n)
     v = max(sorted({x for x in w if a + graph.k * x > 0} | {0}), key=w.count)
     w, a = [x - v for x in w], a + graph.k * v
     moved = [s for s in range(n) if w[s]]
+    pack, unpack = _packer(n, _row_top(lat))
     unit = _unit_monomials(n, pack)
     columns = []
     for t, bt in enumerate(graph.b):
@@ -376,28 +372,47 @@ def _column_maps(graph: GKMGraph, lat, pack) -> _ColumnMaps:
             [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in moved],
             [(s, _mul_packed(yt, {0: w[s]}, {unit[s]: a})) for s in moved],
         ))
-    return _ColumnMaps(a, [s for s in range(n) if not w[s]], columns)
+    kept = [s for s in range(n) if not w[s]]
+    return _ColumnMaps(graph, pack, unpack, a, w, kept, columns)
 
 
-def _substituted_rows(graph: GKMGraph, lat, base, maps: _ColumnMaps) -> list:
-    """Integer rows of a weighted vector from the b = 1 matrix ``base``.
+def _to_y(maps: _ColumnMaps, t: int, entry: dict, e: int) -> dict:
+    """b_t^e times the packed degree-e form ``entry`` of the coordinates
+    of column t, in y."""
+    bt, to_y, _ = maps.columns[t]
+    terms = {maps.unpack(key): c for key, c in entry.items()}
+    return _substitute_packed(terms, to_y, maps.kept, maps.graph.n, maps.pack, bt, e)
 
-    Column t substitutes y_s -> b_t y_s - w_s Y_t (``maps``).  Every
-    entry of row i is homogeneous of degree d_i, so this is b_t^{d_i}
-    times the rational substitution y_s -> y_s - (w_s / b_t) Y_t.  Only
-    the variables with w_s != 0 are expanded; the factor b_t of every
-    other variable is folded into the coefficients (``_substitute_packed``).
+
+def _check_column_maps(maps: _ColumnMaps) -> None:
+    """The premises of the module docstring, on the integer images.
+
+    For every edge (l, j) (s, s' as there) and variable u:
+    to_y_j(z_s' - z_s) = b_j L and b_l to_y_j(z_u) - b_j to_y_l(z_u) =
+    w_u b_j L.  For every column t and moved variable s:
+    to_y_t(from_y_t(y_s)) = a b_t y_s.
     """
-    n, pack, unpack = graph.n, base.pack, base.unpack
-    rows = [[{} for _ in graph.b] for _ in graph.b]
-    for t, (bt, to_y, _) in enumerate(maps.columns):
-        for i, row in enumerate(base.rows):
-            if row[t]:
-                rows[i][t] = _substitute_packed(
-                    {unpack(key): c for key, c in row[t].items()},
-                    to_y, maps.kept, n, pack, bt, lat.d[i],
-                )
-    return rows
+    graph, pack = maps.graph, maps.pack
+    n, vec = graph.n, graph.b
+    lat = symbols.lattice(graph.k, n)
+    labels = _packed_labels(graph, pack)
+    unit = _unit_monomials(n, pack)
+    images = [[_to_y(maps, t, {y: 1}, 1) for y in unit] for t in range(len(vec))]
+    for l, j in graph.edges:
+        (sp,) = set(lat.symbols[l]) - set(lat.symbols[j])
+        (s,) = set(lat.symbols[j]) - set(lat.symbols[l])
+        diff = _mul_packed(images[j][s - 1], {0: -1}, dict(images[j][sp - 1]))
+        if diff != _mul_packed(labels[(l, j)], {0: vec[j]}):
+            raise InternalInconsistencyError("column map does not give an edge label")
+        for u in range(n):
+            diff = _mul_packed(images[j][u], {0: vec[l]})
+            _mul_packed(images[l][u], {0: -vec[j]}, diff)
+            if diff != _mul_packed(labels[(l, j)], {0: maps.w[u] * vec[j]}):
+                raise InternalInconsistencyError("column maps disagree across an edge")
+    for t, (bt, _, from_y) in enumerate(maps.columns):
+        for s, image in from_y:
+            if _to_y(maps, t, image, 1) != {unit[s]: maps.a * bt}:
+                raise InternalInconsistencyError("column maps are not inverse")
 
 
 def _diagonal(graph: GKMGraph, labels: dict, i: int) -> dict:
@@ -448,40 +463,27 @@ def _validate_basis(matrix: _Restrictions) -> None:
             raise InternalInconsistencyError("basis row fails GKM membership")
 
 
-def restrictions_as_json(b, k: int, n: int) -> dict:
-    """Restriction matrix as nested {basis index: {vertex: polynomial string}}."""
-    matrix = weighted_restrictions(b, k, n)
-    return {
-        str(i): {
-            str(j): entry.render()
-            for j, entry in enumerate(row)
-            if not entry.is_zero()
-        }
-        for i, row in enumerate(matrix)
-    }
-
-
 def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
     """Expansion of basis_i * basis_j in the basis, by localization.
 
-    Runs on the b = 1 rows U, each column in its own coordinates z
-    (``_ColumnMaps``), where the weighted entry at t is U[.][t](z).
-    With top = d_i + d_j, residual[u] starts as a^top U[i][u] U[j][u]
-    and the smallest-index nonzero component l with e = top - d_l >= 0
-    is peeled: q = residual[l] / prim(U[l][l]) is a^top content b_l^e
-    times the coefficient c_l once mapped to y by to_y, and every later
-    column u loses a^(top - e) c_l(a z + w Z_u) U[l][u], c_l taken into
-    column u by from_y.  Without maps (b = 1, W = 0) both maps are the
-    identity and a is 1.  A failed division ("not exact") stays
-    distinct from a non-integral coefficient.  Raises on either, on a
-    quotient of the wrong degree (the maps read forms of degree e), and
-    on a nonzero residual left over.
+    Runs on the b = 1 rows U of ``kt_restrictions``, column t in its
+    own coordinates z, where the weighted entry is U[.][t](z).  With
+    top = d_i + d_j, residual[u] starts as a^top U[i][u] U[j][u] and the
+    smallest-index nonzero component l with e = top - d_l >= 0 is
+    peeled: q = residual[l] / prim(U[l][l]) is a^top content b_l^e times
+    the coefficient c_l once taken to y (``_to_y``), and every later
+    column u loses a^(top - e) c_l(a z + w Z_u) U[l][u].  At W = 0 both
+    maps are the identity and a is 1.  Raises on a failed division
+    ("not exact"), a non-integral coefficient, a quotient of the wrong
+    degree (the maps read forms of degree e) and a nonzero residual.
     """
-    matrix = weighted_restrictions(b, k, n)
-    lat = matrix.lat
+    maps = _weighted_cached(plucker.check_weight_vector_shape(b, k, n), k, n)
+    basis = kt_restrictions(k, n)
+    lat = basis.lat
     lat.check_index(i, j)
-    unit, maps, pack, unpack = matrix.unit, matrix.maps, matrix.pack, matrix.unpack
-    a = maps.a if maps else 1
+    unit, pack, unpack = basis.rows, basis.pack, basis.unpack
+    shifted = len(maps.kept) < n  # at W = 0 every column's coordinates are y
+    a = maps.a if shifted else 1
     top = lat.d[i] + lat.d[j]
     residual = [
         _mul_packed(ri, rj, None, a**top) if ri and rj else {}
@@ -492,21 +494,17 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
         e = top - lat.d[l]
         if not v or e < 0:
             continue
-        prim, content = matrix.diagonals[l]
-        quot = _divide_packed(v, prim, matrix.guard)
+        prim, content = basis.diagonals[l]
+        quot = _divide_packed(v, prim, basis.guard)
         if quot is None:
             raise InternalInconsistencyError("localization peel is not exact")
         lowest, highest = _degree_range(pack, n, e)
         if not all(lowest <= key <= highest for key in quot):
             raise InternalInconsistencyError("coefficient with wrong degree")
         den = content * a**top
-        if maps:
-            bl, to_y, _ = maps.columns[l]
-            quot = _substitute_packed(
-                {unpack(key): c for key, c in quot.items()},
-                to_y, maps.kept, n, pack, bl, e,
-            )
-            den *= bl**e
+        if shifted:
+            quot = _to_y(maps, l, quot, e)
+            den *= maps.columns[l][0] ** e
         coeff = {}
         for key, c in quot.items():
             q, r = divmod(c, den)
@@ -520,7 +518,7 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
         residual[l] = {}
         for u in range(l + 1, lat.m + 1):
             if unit[l][u]:
-                image = coeff if not maps else _substitute_packed(
+                image = coeff if not shifted else _substitute_packed(
                     terms, maps.columns[u][2], maps.kept, n, pack, a, e
                 )
                 _mul_packed(image, unit[l][u], residual[u], -a ** (top - e))

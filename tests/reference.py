@@ -1,6 +1,6 @@
 """Reference routes of the packed kernels, the data they are run on, and
 helpers only the tests call (``evaluate``, ``constant_value``,
-``symbol_of_word``).
+``symbol_of_word``, ``restrictions_as_json``).
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps: substitution by Horner's rule on
@@ -272,4 +272,17 @@ def equivariant_constants(ctx, i: int, j: int) -> dict:
     return {
         l: _build(n, p.terms, denominator)
         for l, p in sorted(out.items()) if not p.is_zero()
+    }
+
+
+def restrictions_as_json(b, k: int, n: int) -> dict:
+    """Restriction matrix as nested {basis index: {vertex: polynomial string}}."""
+    matrix = gkm.weighted_restrictions(b, k, n)
+    return {
+        str(i): {
+            str(j): entry.render()
+            for j, entry in enumerate(row)
+            if not entry.is_zero()
+        }
+        for i, row in enumerate(matrix)
     }

@@ -9,7 +9,7 @@ from math import gcd
 import pytest
 
 import reference
-from wgrass import gkm, puzzles, symbols
+from wgrass import gkm, puzzles, structure, symbols
 from wgrass.errors import (
     InternalInconsistencyError, NotDivisiveError, ParameterError,
 )
@@ -179,7 +179,7 @@ def test_random_products_of_classes_are_classes():
 
 
 def test_restrictions_json_roundtrip():
-    data = gkm.restrictions_as_json((2, 2, 2, 1, 1, 1), 2, 4)
+    data = reference.restrictions_as_json((2, 2, 2, 1, 1, 1), 2, 4)
     mat = gkm.weighted_restrictions((2, 2, 2, 1, 1, 1), 2, 4)
     for i, row in data.items():
         for j, text in row.items():
@@ -201,7 +201,7 @@ def test_restrictions_pinned():
     # the unit vector and the divisive vector 2 on symbols containing 1
     for ((k, n), top), want in RESTRICTION_DIGESTS.items():
         b = tuple(top if 1 in s else 1 for s in symbols.enumerate_symbols(k, n))
-        text = json.dumps(gkm.restrictions_as_json(b, k, n), sort_keys=True)
+        text = json.dumps(reference.restrictions_as_json(b, k, n), sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want, (k, n, top)
 
 
@@ -224,11 +224,10 @@ def test_unit_structure_constants_match_puzzle_counts():
 # -- the Poly-based peel, kept as the reference of the integer one ----------
 
 
-def reference_localize(b, k, n, i, j):
-    """basis_i * basis_j peeled on the Poly matrix, one rational step at a time."""
-    matrix = gkm.weighted_restrictions(b, k, n)
-    lat = symbols.lattice(k, n)
-    m1 = lat.m + 1
+def reference_localize(matrix, i, j):
+    """basis_i * basis_j peeled on the Poly ``matrix``, one rational step
+    at a time."""
+    m1 = len(matrix)
     residual = [matrix[i][t] * matrix[j][t] for t in range(m1)]
     out = {}
     for l in range(m1):
@@ -274,11 +273,13 @@ REFERENCE_CASES = [
 
 @pytest.mark.parametrize("b, k, n", REFERENCE_CASES)
 def test_integer_peel_matches_reference(b, k, n):
+    # the reference matrix shares no code with the column maps
+    matrix = reference.weighted_restrictions(b, k, n)
     m1 = symbols.count(k, n)
     for i in range(m1):
         for j in range(m1):
             assert gkm.localize_product(b, k, n, i, j) == reference_localize(
-                b, k, n, i, j
+                matrix, i, j
             ), (b, i, j)
 
 
@@ -286,7 +287,7 @@ def test_integer_peel_matches_reference(b, k, n):
 
 
 def _corrupted(b, k, n, edit):
-    """A fresh matrix on a copy of the cached integer rows, after ``edit``."""
+    """A fresh matrix on a copy of the integer rows, after ``edit``."""
     matrix = gkm.weighted_restrictions(b, k, n)
     rows = [[dict(entry) for entry in row] for row in matrix.rows]
     edit(rows, matrix.pack)
@@ -324,23 +325,13 @@ PEEL_CORRUPTIONS = [
 ]
 
 
-def _corrupted_unit(b, k, n, edit):
-    """A fresh weighted matrix whose peel reads a copy of the cached
-    b = 1 rows, after ``edit``, through the cached column maps."""
-    matrix = gkm.weighted_restrictions(b, k, n)
-    unit = [[dict(entry) for entry in row] for row in matrix.unit]
-    edit(unit, matrix.pack)
-    return gkm._restrictions(
-        matrix.graph, matrix.pack, matrix.unpack, matrix.rows, unit, matrix.maps
-    )
-
-
 @pytest.mark.parametrize("message, cell, edit", PEEL_CORRUPTIONS)
 def test_corrupted_rows_fail_the_peel(monkeypatch, message, cell, edit):
-    # at b = 1 the peel reads the matrix's own rows, in y
-    for b, corrupt in (((1,) * 6, _corrupted), ((2, 2, 2, 1, 1, 1), _corrupted_unit)):
-        bad = corrupt(b, 2, 4, edit)
-        monkeypatch.setattr(gkm, "_weighted_cached", lambda *args: bad)
+    # the peel reads the b = 1 rows: in y at b = 1, through the column
+    # maps at a weighted vector
+    bad = _corrupted((1,) * 6, 2, 4, edit)
+    monkeypatch.setattr(gkm, "kt_restrictions", lambda *args: bad)
+    for b in ((1,) * 6, (2, 2, 2, 1, 1, 1)):
         with pytest.raises(InternalInconsistencyError, match=message):
             gkm.localize_product(b, 2, 4, *cell)
 
@@ -386,3 +377,102 @@ def test_packed_substitution_matches_reference(k, n):
     for b in reference.vectors(k, n)[1:]:
         assert tuple(gkm.weighted_restrictions(b, k, n)) == \
             reference.weighted_restrictions(b, k, n), b
+
+
+# -- the column maps: their check, and vectors that move several variables --
+
+
+def _edited_image(maps, t, kind):
+    """``maps`` with y_n added to the first moved variable's image in
+    column t (kind 1: the map to y, kind 2: the map back)."""
+    columns = list(maps.columns)
+    column = list(columns[t])
+    (s, image), *rest = column[kind]
+    y_n = maps.pack(tuple(int(u == maps.graph.n - 1) for u in range(maps.graph.n)))
+    column[kind] = [(s, {**image, y_n: image.get(y_n, 0) + 1}), *rest]
+    columns[t] = tuple(column)
+    return maps._replace(columns=columns)
+
+
+def _doubled_label(graph):
+    return graph._replace(labels={**graph.labels, (0, 1): graph.labels[(0, 1)] * 2})
+
+
+MAP_CORRUPTIONS = [
+    # column 0 has no edge into it, so only the agreement across the
+    # edges out of it reads its map to y
+    ("disagree across an edge", "_column_maps", lambda maps: _edited_image(maps, 0, 1)),
+    ("not inverse", "_column_maps", lambda maps: _edited_image(maps, 2, 2)),
+    ("does not give an edge label", "build_graph", _doubled_label),
+]
+
+
+@pytest.mark.parametrize("message, target, edit", MAP_CORRUPTIONS)
+def test_corrupted_column_maps_fail_the_build(monkeypatch, message, target, edit):
+    # the weighted build, uncached: one moved variable with a = 1, and
+    # three moved variables with a = 2
+    build = gkm._weighted_cached.__wrapped__
+    cases = [((2, 2, 2, 1, 1, 1), 2, 4), ((8, 4, 2, 2, 1), 1, 5)]
+    for b, k, n in cases:
+        build(b, k, n)
+    real = getattr(gkm, target)
+    monkeypatch.setattr(gkm, target, lambda *args: edit(real(*args)))
+    for b, k, n in cases:
+        with pytest.raises(InternalInconsistencyError, match=message):
+            build(b, k, n)
+
+
+def tied_chains(k, n, draws=200):
+    """Presented divisive vectors from seeded non-increasing W with ties.
+
+    Each draw takes two or three distinct values of W in [0, 6], each on
+    a run of variables, and a in [1, 6]; the vector is kept when its
+    symbol order is a divisibility chain.
+    """
+    syms = symbols.enumerate_symbols(k, n)
+    out = []
+    for seed in range(draws):
+        rng = random.Random(f"tied {k} {n} {seed}")
+        levels = sorted(rng.sample(range(7), rng.randint(2, 3)), reverse=True)
+        cuts = sorted(rng.sample(range(1, n), len(levels) - 1))
+        w = [levels[sum(c <= u for c in cuts)] for u in range(n)]
+        a = rng.randint(1, 6)
+        b = tuple(a + sum(w[u - 1] for u in s) for s in syms)
+        if b not in out and all(x % y == 0 for x, y in zip(b, b[1:])):
+            out.append(b)
+    return out
+
+
+@pytest.mark.parametrize("k, n", [(2, 5), (3, 5), (2, 6), (1, 5), (1, 6)])
+def test_tied_vectors_pass_the_check_and_match_the_reference(k, n):
+    # at 2 <= k <= n - 2 the kept draws move one variable after the
+    # shift, with a up to 6; at k = 1 up to three move
+    vectors = tied_chains(k, n)
+    assert len(vectors) >= 3
+    moved = []
+    for b in vectors:
+        maps = gkm._weighted_cached(b, k, n)
+        gkm._check_column_maps(maps)
+        moved.append(n - len(maps.kept))
+        assert tuple(gkm.weighted_restrictions(b, k, n)) == \
+            reference.weighted_restrictions(b, k, n), b
+        if (k, n) in ((2, 5), (3, 5)):
+            assert structure.localize_table(b, k, n) == \
+                structure.context(b, k, n).equivariant_table(), b
+    assert max(moved) >= (2 if k == 1 else 1), moved
+
+
+def test_oracle_path_builds_no_weighted_matrix(monkeypatch):
+    # past the b = 1 basis, the peel reads only the checked column maps
+    b = (6, 6, 6, 6, 3, 3, 3, 3, 3, 3)
+    gkm.kt_restrictions(2, 5)
+    gkm._weighted_cached.cache_clear()
+
+    def refuse(*args):
+        raise AssertionError("the oracle built a weighted matrix")
+
+    monkeypatch.setattr(gkm, "weighted_restrictions", refuse)
+    monkeypatch.setattr(gkm, "_validate_basis", refuse)
+    for i, j in ((1, 1), (2, 3), (4, 6)):
+        assert gkm.localize_product(b, 2, 5, i, j) == \
+            structure.context(b, 2, 5).equivariant_constants(i, j)
