@@ -280,8 +280,19 @@ def _add_kn(parser) -> None:
     parser.add_argument("--n", type=int, required=True)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument error is invalid input: exit 2 with the JSON error.
+
+    Subparsers are built from the root parser's class, so they report
+    the same way.  ``--help`` still prints usage and exits 0.
+    """
+
+    def error(self, message):
+        raise ParameterError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wgrass",
         description="Exact cohomology computations for weighted Grassmann orbifolds.",
     )
@@ -369,9 +380,10 @@ def _emit(payload, output) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    output = None
     try:
+        args = build_parser().parse_args(argv)
+        output = args.output
         code, payload = args.handler(args)
     except CapacityError as exc:
         code, payload = EXIT_CAPACITY, {"error": str(exc), "kind": "capacity"}
@@ -380,7 +392,7 @@ def main(argv=None) -> int:
     except InternalInconsistencyError as exc:
         code, payload = 1, {"error": str(exc), "kind": "internal"}
     try:
-        _emit(payload, args.output)
+        _emit(payload, output)
     except OSError as exc:
         _emit({"error": f"cannot write --output: {exc}", "kind": "invalid-input"},
               None)

@@ -16,16 +16,15 @@ For a symbol lam the module computes
 - ``dim(lam)``: the cell dimension sum_i (lam_i - i),
 - the reversal set R(lam): symbols obtained by replacing an entry by a
   smaller value not in lam (these sit strictly below lam),
-- the inversion set I(lam): replacing an entry by a larger unused value,
-- the adjacent set Ad(lam): symbols sharing exactly k-1 entries,
 - covering arrows: mu is an arrow of lam when lam <= mu and
-  dim(mu) = dim(lam) + 1.
+  dim(mu) = dim(lam) + 1, that is, mu raises one entry s of lam to
+  s + 1 (a one-box step).
 
-``SymbolLattice`` precomputes all of this once per (k, n) and memoizes
+``SymbolLattice`` precomputes this once per (k, n) and memoizes
 saturated descending chains.  The chains spell out the chain-sum
 formulas of ``structure`` term by term, as an independent reference;
-the pipeline itself takes Pieri steps along ``arrows``.  The order
-table has C(n, k)^2 entries, so size checks use ``count`` instead.
+the pipeline itself takes Pieri steps along ``arrows``.  Order queries
+(``leq_idx``, ``upper_set``) compare the symbols themselves.
 """
 
 from __future__ import annotations
@@ -80,12 +79,6 @@ def reversal_pairs(sym: Symbol) -> list[tuple[int, int]]:
     return [(s, sp) for s in sym for sp in range(1, s) if sp not in inside]
 
 
-def inversion_pairs(sym: Symbol, n: int) -> list[tuple[int, int]]:
-    """Pairs (s, s') with s in sym, s' not in sym, s' > s."""
-    inside = set(sym)
-    return [(s, sp) for s in sym for sp in range(s + 1, n + 1) if sp not in inside]
-
-
 def exchange(sym: Symbol, s: int, sp: int) -> Symbol:
     """Replace entry s by sp and re-sort."""
     return tuple(sorted(set(sym) - {s} | {sp}))
@@ -93,10 +86,6 @@ def exchange(sym: Symbol, s: int, sp: int) -> Symbol:
 
 def reversal_set(sym: Symbol) -> set:
     return {exchange(sym, s, sp) for s, sp in reversal_pairs(sym)}
-
-
-def inversion_set(sym: Symbol, n: int) -> set:
-    return {exchange(sym, s, sp) for s, sp in inversion_pairs(sym, n)}
 
 
 def sigma_r(sym: Symbol, n: int) -> Symbol:
@@ -115,9 +104,10 @@ class SymbolLattice:
     Symbols are referred to by their lexicographic index 0..m where
     m + 1 = C(n, k).  All attribute lists are indexed accordingly:
 
-    - ``d[i]``, ``dprime[i]``: dimension and codimension of symbol i,
-    - ``R[i]``, ``I[i]``, ``Ad[i]``: index lists (sorted),
+    - ``d[i]``: dimension of symbol i,
+    - ``R[i]``: the reversal set as an index list (sorted),
     - ``arrows[i]``: up-covers (j with lam_i <= lam_j, d_j = d_i + 1),
+      the one-box steps of lam_i (sorted),
     - ``down_covers[i]``: the opposite covers, read off ``arrows``,
     - ``sigma_r_index[i]``: index of the sigma_r image of symbol i.
 
@@ -133,25 +123,18 @@ class SymbolLattice:
         self.index = {sym: i for i, sym in enumerate(self.symbols)}
         self.words = [word(sym, n) for sym in self.symbols]
         self.d = [dim(sym) for sym in self.symbols]
-        self.dprime = [k * (n - k) - di for di in self.d]
         self.R = [
             sorted(self.index[t] for t in reversal_set(sym)) for sym in self.symbols
         ]
-        self.I = [
-            sorted(self.index[t] for t in inversion_set(sym, n))
-            for sym in self.symbols
-        ]
-        self.Ad = [sorted(set(r) | set(i)) for r, i in zip(self.R, self.I)]
-        self._leq = [
-            [leq(a, b) for b in self.symbols] for a in self.symbols
-        ]
+        # A cover adds exactly one to sum(mu_t - lam_t), so it raises
+        # one entry s to s + 1, which must be free.
         self.arrows = [
             sorted(
-                j
-                for j, dj in enumerate(self.d)
-                if dj == self.d[i] + 1 and self._leq[i][j]
+                self.index[sym[:t] + (s + 1,) + sym[t + 1:]]
+                for t, s in enumerate(sym)
+                if s < n and s + 1 not in sym
             )
-            for i in range(self.m + 1)
+            for sym in self.symbols
         ]
         self.down_covers = [[] for _ in self.symbols]
         for i, ups in enumerate(self.arrows):
@@ -163,7 +146,7 @@ class SymbolLattice:
         self._chains: dict = {}
 
     def leq_idx(self, i: int, j: int) -> bool:
-        return self._leq[i][j]
+        return leq(self.symbols[i], self.symbols[j])
 
     def check_index(self, *idxs) -> None:
         """Raise ParameterError unless every index names a symbol, 0..m."""
@@ -172,12 +155,13 @@ class SymbolLattice:
                 raise ParameterError(f"symbol index {idx} out of range")
 
     def upper_set(self, *idxs: int) -> list[int]:
-        """Indices q with lam_q >= lam_i for every given i, ascending."""
-        return [
-            q
-            for q in range(self.m + 1)
-            if all(self._leq[i][q] for i in idxs)
-        ]
+        """Indices q with lam_q >= lam_i for every given i, ascending.
+
+        The entrywise maximum of the given symbols is again a symbol and
+        is their join, so each candidate takes one comparison.
+        """
+        join = tuple(map(max, zip(*(self.symbols[i] for i in idxs))))
+        return [q for q, sym in enumerate(self.symbols) if leq(join, sym)]
 
     def chains(self, start: int, end: int) -> tuple:
         """Saturated descending chains start -> ... -> end through covers.
@@ -192,7 +176,7 @@ class SymbolLattice:
             return cached
         if start == end:
             result: tuple = ((start,),)
-        elif not self._leq[end][start] or self.d[end] >= self.d[start]:
+        elif not self.leq_idx(end, start) or self.d[end] >= self.d[start]:
             result = ()
         else:
             acc = []

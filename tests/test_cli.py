@@ -237,6 +237,19 @@ def test_invalid_input_exit_codes():
                    "[" + "9" * 5000 + ",1,1,1,1,1]"):
         code, out = run_cli("validate", vector, "--k", "2", "--n", "4")
         assert code == 2 and json.loads(out)["kind"] == "invalid-input"
+    # argument errors too: a root flag after the subcommand, a missing
+    # or malformed flag, no command at all
+    unit = "[1,1,1,1,1,1]"
+    for argv in (
+        ("ring", unit, "--k", "2", "--n", "4", "--jobs", "2"),
+        ("validate", unit, "--n", "4"),
+        ("validate", unit, "--k", "x", "--n", "4"),
+        (),
+    ):
+        code, out = run_cli(*argv)
+        assert code == 2 and json.loads(out)["kind"] == "invalid-input", argv
+    code, out = run_cli("--help")
+    assert code == 0 and out.startswith("usage: wgrass")
 
 
 def test_unknown_scope_is_rejected(capsys):
@@ -297,8 +310,8 @@ def test_factoring_is_bounded():
 
 def test_size_guards_run_before_any_lattice(monkeypatch, capsys):
     # The capacity cap and the length check reject oversized input by
-    # C(n, k) alone; a lattice at (8, 16) would hold C(16, 8)^2 order
-    # entries.
+    # C(n, k) alone; a lattice at (8, 16) would enumerate all
+    # C(16, 8) = 12870 symbols with their reversal sets.
     def no_lattice(k, n):
         raise AssertionError(f"lattice({k}, {n}) built before a size guard")
 

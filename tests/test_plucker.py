@@ -517,7 +517,12 @@ def test_adjacent_vectors_of_primitive_vector_are_primitive():
         if not plucker.is_primitive(b):
             continue
         lat = symbols.lattice(k, n)
-        for i in range(lat.m + 1):
-            adjacent = [b[j] for j in lat.Ad[i]] + [b[i]]
+        for i, sym in enumerate(lat.symbols):
+            # adjacent symbols share exactly k - 1 entries
+            adjacent = [
+                b[j]
+                for j, other in enumerate(lat.symbols)
+                if len(set(sym) & set(other)) == k - 1
+            ] + [b[i]]
             assert plucker.is_primitive(tuple(adjacent))
         checked += 1

@@ -170,13 +170,14 @@ def test_orientations_are_sigma_r_conjugate():
 
 def test_piece_count_balance():
     lat = symbols.lattice(2, 5)
+    codim = [lat.k * (lat.n - lat.k) - d for d in lat.d]
     for i in range(lat.m + 1):
         for j in range(lat.m + 1):
             for l in range(lat.m + 1):
                 for puz in puzzles.puzzles_for(2, 5, i, j, l):
                     assert len(puz.equivariant) == lat.d[i] + lat.d[j] - lat.d[l]
                 for puz in raw_puzzles(2, 5, i, j, l):
-                    balance = lat.dprime[i] + lat.dprime[j] - lat.dprime[l]
+                    balance = codim[i] + codim[j] - codim[l]
                     assert len(puz.equivariant) == balance
 
 

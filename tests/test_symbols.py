@@ -81,24 +81,22 @@ def test_reversal_inversion_counts():
         lat = symbols.lattice(k, n)
         for i in range(lat.m + 1):
             assert len(lat.R[i]) == lat.d[i]
-            assert len(lat.I[i]) == lat.dprime[i]
-            assert lat.d[i] + lat.dprime[i] == k * (n - k)
-            assert len(lat.Ad[i]) == k * (n - k)
 
 
 def test_reversal_inversion_duality():
     lat = symbols.lattice(2, 5)
     for i in range(lat.m + 1):
         for j in lat.R[i]:
-            assert i in lat.I[j]
-            assert j in lat.Ad[i] and i in lat.Ad[j]
             shared = set(lat.symbols[i]) & set(lat.symbols[j])
             assert len(shared) == lat.k - 1
 
 
+BRUTE_FORCE_SIZES = [(2, 4), (2, 5), (3, 5), (1, 5), (4, 5), (3, 6), (4, 8)]
+
+
 def test_arrows_by_brute_force():
     # independent oracle: scan all symbols for dominating covers
-    for (k, n) in [(2, 4), (2, 5), (3, 5)]:
+    for (k, n) in BRUTE_FORCE_SIZES:
         lat = symbols.lattice(k, n)
         for i, sym in enumerate(lat.symbols):
             expected = sorted(
@@ -108,6 +106,44 @@ def test_arrows_by_brute_force():
                 and symbols.leq(sym, other)
             )
             assert lat.arrows[i] == expected
+
+
+def test_order_queries_by_brute_force():
+    # leq_idx and upper_set against a scan of every symbol with leq; the
+    # order is also the transitive closure of the covers
+    for (k, n) in BRUTE_FORCE_SIZES:
+        lat = symbols.lattice(k, n)
+        syms = lat.symbols
+        for i in range(lat.m + 1):
+            reach, stack = {i}, [i]
+            while stack:
+                for u in lat.arrows[stack.pop()]:
+                    if u not in reach:
+                        reach.add(u)
+                        stack.append(u)
+            for j in range(lat.m + 1):
+                leq = symbols.leq(syms[i], syms[j])
+                assert lat.leq_idx(i, j) == leq == (j in reach)
+                expected = [
+                    q
+                    for q in range(lat.m + 1)
+                    if symbols.leq(syms[i], syms[q])
+                    and symbols.leq(syms[j], syms[q])
+                ]
+                assert lat.upper_set(i, j) == expected
+
+
+def test_lattice_build_makes_no_order_comparisons(monkeypatch):
+    calls = []
+    leq = symbols.leq
+
+    def counting_leq(a, b):
+        calls.append((a, b))
+        return leq(a, b)
+
+    monkeypatch.setattr(symbols, "leq", counting_leq)
+    lat = symbols.SymbolLattice(6, 12)
+    assert lat.m + 1 == 924 and calls == []
 
 
 def test_arrows_example_1_3():
