@@ -11,50 +11,58 @@ divides the difference of the two components.  The divisive
 presentation (b_i | b_{i-1}) makes every label an integer polynomial,
 built once, in ``build_graph``.
 
-The module computes the distinguished basis of this ring.  The basis
-element attached to lam_i is pinned by three conditions: it vanishes
-off the upper set of lam_i, its value at lam_i is the product of the
-edge labels into lam_i, and every component is homogeneous of degree
-dim(lam_i).
+The distinguished basis class of lam_i vanishes off the upper set of
+lam_i, takes the product of the edge labels into lam_i there, and is
+homogeneous of degree dim(lam_i).  At b = 1 its values come from
+triangular congruence interpolation up the lattice, on integer maps
+from packed monomials (one ``_packer`` per (n, max d)), the value at
+lam_t stored times b_t^{d_i}: identifying y_s with y_s' moves one
+exponent field, and each correction is an exact division by the
+primitive product of the labels so far.  ``_validate_basis`` checks
+the pinning conditions, the closed row 1 (b_j Y_0 - b_0 Y_j at this
+scale) and GKM membership.
 
-At b = (1, ..., 1) the values are produced by triangular congruence
-interpolation up the lattice, held in integer form: the value of
-class i at lam_t is stored times b_t^{d_i}, as a map from packed
-monomials to ints (one ``_packer`` per (n, 2 max d)).  Identifying
-y_s with y_s' moves the exponent field of s onto that of s', and each
-correction is an exact division by the primitive packed product of the
-labels so far.  ``_validate_basis`` checks the pinning conditions, the
-closed row 1 (b_j Y_0 - b_0 Y_j at this scale) and GKM membership.
+A weighted basis is the b = 1 basis U plus one integer map per column
+(``_ColumnMaps``): with (W, a) the integer exponent data of b, in the
+coordinates z^(t)_s = y_s - (w_s / b_t) Y_t of column t (coordinates
+since a > 0: they sum to (a / b_t) Y_t over lam_t) every weighted
+entry is the b = 1 entry.  ``_check_column_maps`` proves, for every
+edge (l, j), lam_l being lam_j with s replaced by s' < s, L its label,
 
-A weighted basis is the b = 1 basis U plus one pair of integer maps
-per column (``_ColumnMaps``): with (W, a) the integer exponent data of
-b, in the coordinates z^(t)_s = y_s - (w_s / b_t) Y_t of column t every
-weighted entry is the b = 1 entry.  ``_check_column_maps`` proves three
-premises at build time: for every edge (l, j), lam_l being lam_j with s
-replaced by s' < s and L its label,
+    z^(j)_s' - z^(j)_s = L,     z^(j)_u = z^(l)_u  mod L for every u.
 
-    z^(j)_s' - z^(j)_s = L,     z^(j)_u = z^(l)_u  mod L for every u,
-
-and in every column the map back from y inverts the map to y.  They
-suffice.  U[i][j] - U[i][l] lies in (y_s' - y_s), so
+That suffices.  U[i][j] - U[i][l] lies in (y_s' - y_s), so
 U[i][j](z^(j)) - U[i][l](z^(j)) lies in (L), and so does
 U[i][l](z^(j)) - U[i][l](z^(l)): every weighted row is a GKM class.
-The b = 1 diagonal, the product of the y_s' - y_s into lam_i, becomes
-the product of the weighted labels; support and degree survive a
-linear substitution; and row 1, Y_0 - Y_j, becomes Y_0 - (b_0 / b_j) Y_j
-since ``solve_wa`` checks sum_{u in lam_t} w_u = b_t - a.  So these
-rows meet the pinning conditions.  ``weighted_restrictions`` reads the
-``Poly`` matrix in y off them on request and validates it.
+The b = 1 diagonal becomes the product of the weighted labels; support
+and degree survive a linear substitution; and row 1, Y_0 - Y_j, becomes
+Y_0 - (b_0 / b_j) Y_j since ``solve_wa`` checks sum_{u in lam_t} w_u =
+b_t - a.  ``weighted_restrictions`` reads the ``Poly`` matrix in y off
+these rows on request and validates it.
 
 ``localize_product`` is the independent oracle every structure-constant
-formula is tested against.  It multiplies two rows pointwise and peels
-the expansion coefficients by increasing index, in integers, on the
-b = 1 rows, each column in its own coordinates.  Each coefficient goes
-to y once, by z_s -> b_t y_s - w_s Y_t (``_to_y``), for the output and
-the integrality check, and from y into every later column it is
-subtracted from, by y_s -> a z_s + w_s Z_t.  On a form of degree e
-they scale by b_t^e and a^e, so the residual is kept at the scale
-a^(d_i + d_j).
+formula is tested against.  With xi^p the basis classes, xi^1 the
+degree-one class and xi^p xi^q = sum_r c^r_{pq} xi^r, the coefficients
+of xi^r in xi^1 (xi^p xi^q) = (xi^1 xi^p) xi^q give the equivariant
+Chevalley recursion (Knutson & Tao 2003): for p < r,
+
+    (xi^1|_r - xi^1|_p) c^r_{pq}
+        = sum_{p -> p+} m(p, p+) c^r_{p+ q} - sum_{r- -> r} m(r-, r) c^{r-}_{pq}
+
+over the up-covers of p and the down-covers of r.  The base case is
+c^p_{pq} = xi^q|_p, and m(p, p+) = (xi^1|_{p+} - xi^1|_p) xi^p|_{p+} /
+xi^{p+}|_{p+} is the Chevalley formula at lam_{p+}, read off the rows
+by one division per cover; xi^1 is row 1, Y_0 - (b_0 / b_t) Y_t at t.
+So the oracle shares no code with the puzzles or the Pieri rule.  Premises
+are checked where used: xi^1|_r != xi^1|_p, and every m is a nonzero
+integer constant.  c^r_{pq} = 0 unless lam_p, lam_q <= lam_r and
+d_r <= d_p + d_q; those are not computed.  Each entry read goes to y
+once (``_to_y`` and an exact division by b_t^{d_q}; at W = 0 the b = 1
+rows are read as they are), and each coefficient is one exact division
+by xi^1|_r - xi^1|_p.  The oracle raises on a failed division ("not
+exact"), a non-integral coefficient, a wrong degree, and on c^r_{ij} !=
+c^r_{ji} in a cell it returns, as the recursion does not build the
+symmetry in.  A bounded memo per vector (``_products``) keeps them.
 """
 
 from __future__ import annotations
@@ -210,28 +218,28 @@ class _Restrictions(tuple):
 
     ``rows[i][t]`` maps packed monomials (``pack``) to ints and equals
     b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
-    ``diagonals[l]`` is (primitive part, content) of rows[l][l], and
-    ``guard`` the ``_guard_bits`` of ``pack``.  Built by ``_restrictions``.
+    ``guard`` is the ``_guard_bits`` of ``pack``.  Built by
+    ``_restrictions``.  Hashed by identity, so that the oracle's memo,
+    keyed by the basis it reads, is never shared with other rows.
     """
+
+    __hash__ = object.__hash__
 
 
 class _ColumnMaps(NamedTuple):
-    """A weighted graph and the integer maps between y and its columns.
+    """A weighted graph and the integer maps from its columns to y.
 
-    ``w`` and ``a`` are (W, a) as ``_column_maps`` shifts them.  Column
-    t has coordinates z_s = y_s - (w_s / b_t) Y_t; summed over lam_t
-    they give Z_t = (a / b_t) Y_t, so y_s = z_s + (w_s / a) Z_t.
-    ``columns[t]`` is (b_t, to_y, from_y): the packed images
-    z_s -> b_t y_s - w_s Y_t and y_s -> a z_s + w_s Z_t of the variables
-    with w_s != 0; the ``kept`` ones (w_s == 0) scale by b_t and by a.
-    On a form of degree e they are b_t^e and a^e times the changes of
+    ``w`` is W as ``_column_maps`` shifts it.  Column t has coordinates
+    z_s = y_s - (w_s / b_t) Y_t.  ``columns[t]`` is
+    (b_t, to_y): the packed images z_s -> b_t y_s - w_s Y_t of the
+    variables with w_s != 0; the ``kept`` ones (w_s == 0) scale by b_t.
+    On a form of degree e that is b_t^e times the change of
     coordinates.
     """
 
     graph: GKMGraph
     pack: object
     unpack: object
-    a: int
     w: list
     kept: list
     columns: list
@@ -259,19 +267,13 @@ def _restrictions(graph: GKMGraph, pack, unpack, rows) -> _Restrictions:
     out.graph, out.lat, out.rows = graph, lat, rows
     out.pack, out.unpack = pack, unpack
     out.guard = _guard_bits(graph.n, _row_top(lat))
-    out.diagonals = []
-    for l, row in enumerate(rows):
-        content = gcd(*row[l].values())
-        out.diagonals.append(
-            ({key: c // content for key, c in row[l].items()}, content)
-        )
     return out
 
 
 def _row_top(lat) -> int:
-    """The degree the integer rows are packed for: ``localize_product``
-    multiplies two rows."""
-    return 2 * max(lat.d)
+    """The degree the integer rows are packed for: no form here goes
+    above max d (an entry, a label product, a c^r_{pq}, a cover's num)."""
+    return max(lat.d)
 
 
 @lru_cache(maxsize=None)
@@ -360,26 +362,24 @@ def _column_maps(graph: GKMGraph) -> _ColumnMaps:
     lat = symbols.lattice(graph.k, n)
     w, a = plucker.solve_wa(graph.b, graph.k, n)
     v = max(sorted({x for x in w if a + graph.k * x > 0} | {0}), key=w.count)
-    w, a = [x - v for x in w], a + graph.k * v
+    w = [x - v for x in w]
     moved = [s for s in range(n) if w[s]]
     pack, unpack = _packer(n, _row_top(lat))
     unit = _unit_monomials(n, pack)
     columns = []
     for t, bt in enumerate(graph.b):
-        yt = {unit[u - 1]: 1 for u in lat.symbols[t]}  # also packs Z_t
+        yt = {unit[u - 1]: 1 for u in lat.symbols[t]}
         columns.append((
-            bt,
-            [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in moved],
-            [(s, _mul_packed(yt, {0: w[s]}, {unit[s]: a})) for s in moved],
+            bt, [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in moved]
         ))
     kept = [s for s in range(n) if not w[s]]
-    return _ColumnMaps(graph, pack, unpack, a, w, kept, columns)
+    return _ColumnMaps(graph, pack, unpack, w, kept, columns)
 
 
 def _to_y(maps: _ColumnMaps, t: int, entry: dict, e: int) -> dict:
     """b_t^e times the packed degree-e form ``entry`` of the coordinates
     of column t, in y."""
-    bt, to_y, _ = maps.columns[t]
+    bt, to_y = maps.columns[t]
     terms = {maps.unpack(key): c for key, c in entry.items()}
     return _substitute_packed(terms, to_y, maps.kept, maps.graph.n, maps.pack, bt, e)
 
@@ -389,8 +389,7 @@ def _check_column_maps(maps: _ColumnMaps) -> None:
 
     For every edge (l, j) (s, s' as there) and variable u:
     to_y_j(z_s' - z_s) = b_j L and b_l to_y_j(z_u) - b_j to_y_l(z_u) =
-    w_u b_j L.  For every column t and moved variable s:
-    to_y_t(from_y_t(y_s)) = a b_t y_s.
+    w_u b_j L.
     """
     graph, pack = maps.graph, maps.pack
     n, vec = graph.n, graph.b
@@ -409,10 +408,6 @@ def _check_column_maps(maps: _ColumnMaps) -> None:
             _mul_packed(images[l][u], {0: -vec[j]}, diff)
             if diff != _mul_packed(labels[(l, j)], {0: maps.w[u] * vec[j]}):
                 raise InternalInconsistencyError("column maps disagree across an edge")
-    for t, (bt, _, from_y) in enumerate(maps.columns):
-        for s, image in from_y:
-            if _to_y(maps, t, image, 1) != {unit[s]: maps.a * bt}:
-                raise InternalInconsistencyError("column maps are not inverse")
 
 
 def _diagonal(graph: GKMGraph, labels: dict, i: int) -> dict:
@@ -463,65 +458,100 @@ def _validate_basis(matrix: _Restrictions) -> None:
             raise InternalInconsistencyError("basis row fails GKM membership")
 
 
-def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
-    """Expansion of basis_i * basis_j in the basis, by localization.
-
-    Runs on the b = 1 rows U of ``kt_restrictions``, column t in its
-    own coordinates z, where the weighted entry is U[.][t](z).  With
-    top = d_i + d_j, residual[u] starts as a^top U[i][u] U[j][u] and the
-    smallest-index nonzero component l with e = top - d_l >= 0 is
-    peeled: q = residual[l] / prim(U[l][l]) is a^top content b_l^e times
-    the coefficient c_l once taken to y (``_to_y``), and every later
-    column u loses a^(top - e) c_l(a z + w Z_u) U[l][u].  At W = 0 both
-    maps are the identity and a is 1.  Raises on a failed division
-    ("not exact"), a non-integral coefficient, a quotient of the wrong
-    degree (the maps read forms of degree e) and a nonzero residual.
-    """
-    maps = _weighted_cached(plucker.check_weight_vector_shape(b, k, n), k, n)
-    basis = kt_restrictions(k, n)
-    lat = basis.lat
-    lat.check_index(i, j)
-    unit, pack, unpack = basis.rows, basis.pack, basis.unpack
-    shifted = len(maps.kept) < n  # at W = 0 every column's coordinates are y
-    a = maps.a if shifted else 1
-    top = lat.d[i] + lat.d[j]
-    residual = [
-        _mul_packed(ri, rj, None, a**top) if ri and rj else {}
-        for ri, rj in zip(unit[i], unit[j])
-    ]
+def _divided(form: dict, d: int) -> dict:
+    """The packed integer ``form`` divided by d, which must be exact."""
     out = {}
-    for l, v in enumerate(residual):
-        e = top - lat.d[l]
-        if not v or e < 0:
-            continue
-        prim, content = basis.diagonals[l]
-        quot = _divide_packed(v, prim, basis.guard)
-        if quot is None:
-            raise InternalInconsistencyError("localization peel is not exact")
-        lowest, highest = _degree_range(pack, n, e)
-        if not all(lowest <= key <= highest for key in quot):
-            raise InternalInconsistencyError("coefficient with wrong degree")
-        den = content * a**top
-        if shifted:
-            quot = _to_y(maps, l, quot, e)
-            den *= maps.columns[l][0] ** e
-        coeff = {}
-        for key, c in quot.items():
-            q, r = divmod(c, den)
-            if r:
-                raise InternalInconsistencyError(
-                    "non-integral localized coefficient for integral divisive b"
-                )
-            coeff[key] = q
-        terms = {unpack(key): c for key, c in coeff.items()}
-        out[l] = _build(n, terms)
-        residual[l] = {}
-        for u in range(l + 1, lat.m + 1):
-            if unit[l][u]:
-                image = coeff if not shifted else _substitute_packed(
-                    terms, maps.columns[u][2], maps.kept, n, pack, a, e
-                )
-                _mul_packed(image, unit[l][u], residual[u], -a ** (top - e))
-    if any(residual):
-        raise InternalInconsistencyError("nonzero residual after peeling")
+    for key, c in form.items():
+        out[key], rest = divmod(c, d)
+        if rest:
+            raise InternalInconsistencyError("non-integral localized coefficient")
+    return out
+
+
+class _Products:
+    """The c^r_{pq} of one weighted basis, packed in y, filled lazily in
+    ``memo``; ``covers`` keeps the m's."""
+
+    def __init__(self, maps: _ColumnMaps, basis: _Restrictions):
+        self.maps, self.basis, self.lat = maps, basis, basis.lat
+        self.covers, self.memo = {}, {}
+
+    def form(self, p: int, r: int) -> tuple:
+        """(primitive part, content) of xi^1|_r - xi^1|_p, never zero;
+        xi^1|_t = c^t_{t1} is row 1, which vanishes at t = 0."""
+        xi1 = [self.coefficient(t, 1, t) for t in (p, r)]
+        diff = _mul_packed(xi1[0], {0: -1}, dict(xi1[1]))
+        if not diff:
+            raise InternalInconsistencyError("xi^1 takes one value at p < r")
+        content = gcd(*diff.values())
+        return {key: c // content for key, c in diff.items()}, content
+
+    def cover(self, p: int, up: int) -> int:
+        """m(p, up), by one division: a nonzero integer constant."""
+        if (p, up) not in self.covers:
+            prim, content = self.form(p, up)
+            num = _mul_packed(prim, self.coefficient(up, p, up), None, content)
+            diag = self.coefficient(up, up, up)
+            den = gcd(*diag.values())  # 0 if the diagonal vanishes
+            quot = den and _divide_packed(
+                num, {key: c // den for key, c in diag.items()}, self.basis.guard
+            )
+            if not quot or quot.keys() != {0}:
+                raise InternalInconsistencyError("non-constant Chevalley coefficient")
+            self.covers[(p, up)] = _divided(quot, den)[0]
+        return self.covers[(p, up)]
+
+    def coefficient(self, p: int, q: int, r: int) -> dict:
+        """c^r_{pq}, for lam_p, lam_q <= lam_r and d_r <= d_p + d_q."""
+        got = self.memo.get((p, q, r))
+        if got is None:
+            lat, maps, rhs = self.lat, self.maps, {}
+            if p == r:  # xi^q|_p: the b = 1 entry in column p's coordinates
+                e, got = lat.d[q], self.basis.rows[q][p]
+                lowest, highest = _degree_range(self.basis.pack, maps.graph.n, e)
+                if not all(lowest <= key <= highest for key in got):
+                    raise InternalInconsistencyError("coefficient with wrong degree")
+                if got and len(maps.kept) < maps.graph.n:  # at W = 0 columns are y
+                    got = _divided(_to_y(maps, p, got, e), maps.columns[p][0] ** e)
+            else:
+                for up in lat.arrows[p]:
+                    if lat.leq_idx(up, r):
+                        m = self.cover(p, up)
+                        _mul_packed({0: m}, self.coefficient(up, q, r), rhs)
+                for down in lat.down_covers[r]:
+                    if lat.leq_idx(p, down) and lat.leq_idx(q, down):
+                        m = self.cover(down, r)
+                        _mul_packed({0: -m}, self.coefficient(p, q, down), rhs)
+                prim, content = self.form(p, r)
+                quot = _divide_packed(rhs, prim, self.basis.guard)
+                if quot is None:
+                    raise InternalInconsistencyError("Chevalley recursion is not exact")
+                got = _divided(quot, content)
+            self.memo[(p, q, r)] = got
+        return got
+
+
+@lru_cache(maxsize=WEIGHTED_CACHE_SIZE)
+def _products(b: tuple, k: int, n: int, basis: _Restrictions) -> _Products:
+    """The memo of b, keyed by the b = 1 rows it reads as well."""
+    return _Products(_weighted_cached(b, k, n), basis)
+
+
+def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
+    """Expansion of basis_i * basis_j in the basis, by localization: the
+    nonzero c^r_{ij} of the module docstring, each found as c^r_{ij} and
+    as c^r_{ji}, on the b = 1 rows read through the column maps of b."""
+    vec = plucker.check_weight_vector_shape(b, k, n)
+    lat = symbols.lattice(k, n)
+    lat.check_index(i, j)
+    products = _products(vec, k, n, kt_restrictions(k, n))
+    unpack = products.basis.unpack
+    out = {}
+    for r in lat.upper_set(i, j):
+        if lat.d[r] <= lat.d[i] + lat.d[j]:
+            coeff = products.coefficient(i, j, r)
+            if coeff != products.coefficient(j, i, r):
+                raise InternalInconsistencyError("asymmetric structure constants")
+            if coeff:
+                out[r] = _build(n, {unpack(e): c for e, c in coeff.items()})
     return out

@@ -20,7 +20,9 @@ The kernels on such packed integer term maps, ``_mul_packed`` and
 ``structure``) and the oracle (``gkm``), which pack their input once
 and unpack once at their public return.  Substitution runs Horner's
 rule on packed images and kept parts (``_substitute_packed``, which
-``gkm`` also runs on its integer rows).
+``gkm`` also runs on its integer rows); a shear y_s -> y_s + y_{s+1}
+is a binomial split of one exponent field (``_shear_packed``, for the
+positivity rewrite in ``structure``).
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
 name list, so the same class also serves rewritten bases such as
@@ -30,7 +32,7 @@ name list, so the same class also serves rewritten bases such as
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 
 from .errors import ParameterError
 
@@ -140,6 +142,27 @@ def _identify_packed(terms: dict, s: int, sp: int, nvars: int, top: int) -> dict
     for key, c in terms.items():
         key += (key >> shift & mask) * move
         out[key] = get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def _shear_packed(terms: dict, s: int, nvars: int, top: int) -> dict:
+    """Packed ``terms`` under y_s -> y_s + y_{s+1} (1-based s < nvars).
+
+    A monomial with exponent e at y_s splits into the binomial terms
+    C(e, i) y_s^(e - i) y_{s+1}^i: i units move from the field of y_s to
+    the next one, and the total degree does not change.
+    """
+    bits = _field_bits(top)
+    shift = bits * (nvars - s)
+    mask = (1 << bits) - 1
+    move = (1 << shift - bits) - (1 << shift)
+    out: dict = {}
+    get = out.get
+    for key, c in terms.items():
+        e = key >> shift & mask
+        for i in range(e + 1):
+            k = key + i * move
+            out[k] = get(k, 0) + c * comb(e, i)
     return {key: c for key, c in out.items() if c}
 
 
@@ -651,36 +674,3 @@ def expand_linear_product(nvars: int, factors) -> list:
             _accumulate(nxt[s + 1], ((e, v * b) for e, v in c.items()))
         coeffs = nxt
     return [_build(nvars, c, scale ** len(factors)) for c in coeffs]
-
-
-def linear_basis_images(forms: list) -> dict:
-    """The substitution y_s -> (expression in g_1..g_n) inverting ``forms``.
-
-    p.substitute(images) rewrites p in the coordinates g_1..g_n given
-    by the n independent linear forms; callers that rewrite many
-    polynomials in one basis build the images once.  Raises when the
-    forms are not a basis of the linear span of the variables.
-    """
-    from .linalg import invert
-
-    n = len(forms)
-    mat = []
-    for f in forms:
-        if f.nvars != n or (not f.is_zero() and f.degree() != 1):
-            raise ParameterError("basis entries must be linear forms")
-        row = [0] * n
-        for expo, c in f.terms.items():
-            row[expo.index(1)] = c
-        mat.append(row)
-    inv = invert(mat)
-    if inv is None:
-        raise ParameterError("forms are not linearly independent")
-    # y_s = sum_t inv[s][t] * g_t
-    return {
-        s + 1: Poly(n, {
-            tuple(1 if u == t else 0 for u in range(n)): inv[s][t]
-            for t in range(n)
-            if inv[s][t]
-        })
-        for s in range(n)
-    }

@@ -77,12 +77,28 @@ Positivity.  Equivariant constants rewritten in the forms
     g_q = y_q - y_{q+1} - ((w_q - w_{q+1}) / b_0) Y_0,  q = 1..n-1,
 
 together with Y_0, must use only the g's, with nonnegative coefficients.
+In the column-0 coordinates z_s = y_s - (w_s / b_0) Y_0 the forms are
+g_q = z_q - z_{q+1}, so the rewrite needs no inverse matrix.  With
+u_q = y_q - y_{q+1} (q < n) and u_n = y_n, n - 1 shears
+y_s -> u_s + y_{s+1}, s = 1..n-1 in turn, take p to a polynomial in
+the u's; each is a binomial split of one packed exponent field
+(``polynomial._shear_packed``), with no multiplication.  Then one
+substitution finishes it:
+
+    u_q -> g_q + c_q Y_0,   c_q = (w_q - w_{q+1}) / b_0,
+    u_n -> (Y_0 - sum_{q < n} min(q, k) u_q) / k,
+
+the second because Y_0 = y_1 + ... + y_k = sum_q min(q, k) u_q.  Only
+the u_q with c_q != 0 move; the others are g_q already.  It runs on
+packed integer maps (``polynomial._substitute_packed``), and the
+denominators are cleared once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 from itertools import combinations
 
 from . import plucker, puzzles, symbols
@@ -90,11 +106,13 @@ from .errors import CapacityError, InternalInconsistencyError, ParameterError
 from .polynomial import (
     Poly,
     _build,
+    _cleared,
     _mul_packed,
     _packer,
+    _shear_packed,
     _split_last,
+    _substitute_packed,
     expand_linear_product,
-    linear_basis_images,
     linear_form,
 )
 
@@ -323,15 +341,48 @@ class WeightedContext:
         return [self._piece(q, q + 1)[1] for q in range(1, self.n)] + [self._y0]
 
     @cached_property
-    def _positivity_images(self) -> dict:
-        """y_s in terms of (g_1..g_{n-1}, Y_0), inverted once per context."""
-        return linear_basis_images(self.positivity_forms())
+    def _sheared_images(self) -> tuple:
+        """(images, kept, D): D times the images of the module docstring
+        over (g_1..g_{n-1}, Y_0), of u_n and of the u_q with c_q != 0, as
+        (0-based variable, integer terms); the kept u's are g's already."""
+        n, w = self.n, self.wa.W
+        y0 = Poly.variable(n, n)  # the last target variable is Y_0
+        u = [
+            Poly.variable(n, q) + Fraction(w[q - 1] - w[q], self.b[0]) * y0
+            for q in range(1, n)
+        ]
+        rest = sum(
+            (min(q, self.k) * image for q, image in enumerate(u, 1)), Poly.zero(n)
+        )
+        moved = {v: u[v] for v in range(n - 1) if w[v] != w[v + 1]}
+        moved[n - 1] = (y0 - rest) * Fraction(1, self.k)
+        cleared = {v: _cleared(image.terms) for v, image in moved.items()}
+        scale = lcm(*(d for _, d in cleared.values()))
+        images = [
+            (v, {e: c * (scale // d) for e, c in terms.items()})
+            for v, (terms, d) in cleared.items()
+        ]
+        return images, [v for v in range(n) if v not in moved], scale
 
     def change_basis_positivity(self, p: Poly) -> Poly:
         """p rewritten as a polynomial in (g_1..g_{n-1}, Y_0)."""
-        if p.nvars != self.n:
-            raise ParameterError(f"expected a polynomial in {self.n} variables")
-        return p.substitute(self._positivity_images)
+        n = self.n
+        if p.nvars != n:
+            raise ParameterError(f"expected a polynomial in {n} variables")
+        if not p.terms:
+            return p
+        lifted, lift = _cleared(p.terms)
+        top = p.degree()
+        pack, unpack = _packer(n, top)
+        terms = {pack(e): c for e, c in lifted.items()}
+        for s in range(1, n):
+            terms = _shear_packed(terms, s, n, top)
+        images, kept, scale = self._sheared_images
+        sheared = {unpack(key): c for key, c in terms.items()}
+        deg = max(sum(e[v] for v, _ in images) for e in sheared)
+        packed = [(v, {pack(e): c for e, c in image.items()}) for v, image in images]
+        out = _substitute_packed(sheared, packed, kept, n, pack, scale, deg)
+        return _build(n, {unpack(key): c for key, c in out.items()}, lift * scale**deg)
 
 
 def context(b, k: int, n: int) -> WeightedContext:

@@ -1,6 +1,9 @@
 """Reference routes of the packed kernels, the data they are run on, and
 helpers only the tests call (``evaluate``, ``constant_value``,
-``symbol_of_word``, ``restrictions_as_json``).
+``symbol_of_word``, ``restrictions_as_json``).  The positivity rewrite's
+reference is ``rewrite_in_linear_basis``: the substitution by the
+inverse of the form matrix (``linear_basis_images``), where the library
+shears.
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps: substitution by Horner's rule on
@@ -18,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from wgrass import gkm, plucker, puzzles, symbols
+from wgrass import gkm, linalg, plucker, puzzles, symbols
 from wgrass.errors import InternalInconsistencyError, ParameterError
 from wgrass.polynomial import (
     Poly,
@@ -28,7 +31,6 @@ from wgrass.polynomial import (
     _coerce,
     _mul_terms,
     _packer,
-    linear_basis_images,
     linear_form,
 )
 
@@ -83,6 +85,37 @@ def symbol_of_word(w: str) -> tuple:
     if set(w) - {"0", "1"}:
         raise ParameterError(f"not a 0/1 word: {w!r}")
     return tuple(i + 1 for i, ch in enumerate(w) if ch == "1")
+
+
+def linear_basis_images(forms: list) -> dict:
+    """The substitution y_s -> (expression in g_1..g_n) inverting ``forms``.
+
+    p.substitute(images) rewrites p in the coordinates g_1..g_n given
+    by the n independent linear forms; callers that rewrite many
+    polynomials in one basis build the images once.  Raises when the
+    forms are not a basis of the linear span of the variables.
+    """
+    n = len(forms)
+    mat = []
+    for f in forms:
+        if f.nvars != n or (not f.is_zero() and f.degree() != 1):
+            raise ParameterError("basis entries must be linear forms")
+        row = [0] * n
+        for expo, c in f.terms.items():
+            row[expo.index(1)] = c
+        mat.append(row)
+    inv = linalg.invert(mat)
+    if inv is None:
+        raise ParameterError("forms are not linearly independent")
+    # y_s = sum_t inv[s][t] * g_t
+    return {
+        s + 1: Poly(n, {
+            tuple(1 if u == t else 0 for u in range(n)): inv[s][t]
+            for t in range(n)
+            if inv[s][t]
+        })
+        for s in range(n)
+    }
 
 
 def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:

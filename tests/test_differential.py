@@ -6,7 +6,8 @@ position u, so the vector is a + t on the symbols containing u and a
 elsewhere.  The transposition (1 u) of [n] induces the Plucker
 permutation that puts it in divisive presentation.  On every drawn
 vector the pipeline table must equal ``gkm.localize_product`` cell by
-cell and pass ``verify_integrality`` and ``verify_positivity``.
+cell and pass ``verify_integrality`` and ``verify_positivity``.  The
+unit (2,7) table and two chains are compared in full as well.
 """
 
 import random
@@ -16,7 +17,7 @@ import pytest
 from wgrass import gkm, plucker, structure, symbols
 
 # (k, n, vectors drawn, cells compared per vector; None = all)
-PLAN = [(2, 5, 2, None), (3, 5, 2, None), (2, 6, 1, 4), (2, 7, 1, 4)]
+PLAN = [(2, 5, 2, None), (3, 5, 2, None), (2, 6, 1, None), (2, 7, 1, None)]
 
 
 def draw_presented(rng, k, n):
@@ -56,6 +57,12 @@ def test_pipeline_matches_oracle_on_random_divisive_vectors(k, n, draws, sampled
         assert ok, (b, info)
         ok, info = structure.verify_positivity(table, b, k, n)
         assert ok, (b, info)
+
+
+def test_pipeline_matches_oracle_on_the_unit_2_7_table():
+    b = (1,) * symbols.count(2, 7)
+    assert structure.localize_table(b, 2, 7) == \
+        structure.context(b, 2, 7).equivariant_table()
 
 
 @pytest.mark.parametrize("k, n", [(7, 8), (1, 10)])

@@ -221,7 +221,7 @@ def test_unit_structure_constants_match_puzzle_counts():
     assert out[2] == Poly.one(4) and out[3] == Poly.one(4)
 
 
-# -- the Poly-based peel, kept as the reference of the integer one ----------
+# -- the Poly-based peel, kept as the reference of the oracle ---------------
 
 
 def reference_localize(matrix, i, j):
@@ -312,28 +312,80 @@ def _class_one_as_y1(rows, pack):
         _put(rows, pack, 0, t, (1, 0, 0, 0))
 
 
-PEEL_CORRUPTIONS = [
-    # the divisor at l = 2 is no longer the pinned diagonal
-    ("not exact", (1, 1), lambda rows, pack: _add(rows, pack, 2, 2, (2, 0, 0, 0))),
-    # the diagonal at l = 2 doubled: its coefficient becomes 1/2
-    ("non-integral", (1, 1), lambda rows, pack: _scale(rows, 2, 2, 2)),
-    # class 1 read as 2 at the top vertex, where nothing can be peeled
-    ("nonzero residual", (0, 0),
-     lambda rows, pack: _put(rows, pack, 0, 5, (0, 0, 0, 0), 2)),
+@pytest.fixture
+def fresh_products():
+    """An empty oracle memo, emptied again after the test: a corrupted
+    coefficient must not outlive it."""
+    gkm._products.cache_clear()
+    yield
+    gkm._products.cache_clear()
+
+
+def _raises_or_disagrees(b, k, n):
+    try:
+        table = structure.localize_table(b, k, n)
+    except InternalInconsistencyError:
+        return True
+    return table != structure.context(b, k, n).equivariant_table()
+
+
+ROW_CORRUPTIONS = [
+    # class 2 at the top vertex: no exact quotient at c^5_{2q}
+    ("not exact", lambda rows, pack: _add(rows, pack, 2, 5, (2, 0, 0, 0))),
+    # the diagonal at 2 doubled: m(1, 2) becomes 1/2
+    ("non-integral", lambda rows, pack: _scale(rows, 2, 2, 2)),
+    # class 2 at vertex 4 off by y1^2: m(2, 4) is no constant
+    ("non-constant", lambda rows, pack: _add(rows, pack, 2, 4, (2, 0, 0, 0))),
+    # class 4 doubled at vertex 5: the two recursions of cell (4, 5)
+    # divide exactly and disagree
+    ("asymmetric", lambda rows, pack: _scale(rows, 4, 5, 2)),
     # class 1 replaced by the class y1, of degree 1
-    ("wrong degree", (0, 0), _class_one_as_y1),
+    ("wrong degree", _class_one_as_y1),
 ]
 
 
-@pytest.mark.parametrize("message, cell, edit", PEEL_CORRUPTIONS)
-def test_corrupted_rows_fail_the_peel(monkeypatch, message, cell, edit):
-    # the peel reads the b = 1 rows: in y at b = 1, through the column
-    # maps at a weighted vector
+@pytest.mark.parametrize("message, edit", ROW_CORRUPTIONS)
+def test_corrupted_rows_fail_the_oracle(monkeypatch, message, edit):
+    # the oracle reads the b = 1 rows: in y at b = 1, through the column
+    # maps at a weighted vector; the memo filled from the true rows
+    # first is not the one the replaced rows are read through
+    vectors = ((1,) * 6, (2, 2, 2, 1, 1, 1))
+    for b in vectors:
+        structure.localize_table(b, 2, 4)
     bad = _corrupted((1,) * 6, 2, 4, edit)
     monkeypatch.setattr(gkm, "kt_restrictions", lambda *args: bad)
-    for b in ((1,) * 6, (2, 2, 2, 1, 1, 1)):
+    for b in vectors:
         with pytest.raises(InternalInconsistencyError, match=message):
-            gkm.localize_product(b, 2, 4, *cell)
+            structure.localize_table(b, 2, 4)
+
+
+COVERS = [(p, up) for p, ups in enumerate(symbols.lattice(2, 4).arrows) for up in ups]
+
+
+@pytest.mark.parametrize("cover", COVERS)
+def test_corrupted_chevalley_coefficient_fails_the_oracle(
+    monkeypatch, fresh_products, cover
+):
+    real = gkm._Products.cover
+
+    def corrupted(self, p, up):
+        return real(self, p, up) + ((p, up) == cover)
+
+    monkeypatch.setattr(gkm._Products, "cover", corrupted)
+    for b in ((1,) * 6, (2, 2, 2, 1, 1, 1)):
+        assert _raises_or_disagrees(b, 2, 4), (b, cover)
+
+
+def test_corrupted_memo_entry_breaks_the_symmetry(fresh_products):
+    # c^4_{23} has degree 1; one added y1 keeps its degree, so only the
+    # other recursion, c^4_{32}, can catch it
+    for b in ((1,) * 6, (2, 2, 2, 1, 1, 1)):
+        products = gkm._products(b, 2, 4, gkm.kt_restrictions(2, 4))
+        y1 = products.basis.pack((1, 0, 0, 0))
+        true = dict(products.coefficient(2, 3, 4))
+        products.memo[(2, 3, 4)] = {**true, y1: true.get(y1, 0) + 1}
+        with pytest.raises(InternalInconsistencyError, match="asymmetric"):
+            gkm.localize_product(b, 2, 4, 2, 3)
 
 
 VALIDATION_CORRUPTIONS = [
@@ -382,15 +434,13 @@ def test_packed_substitution_matches_reference(k, n):
 # -- the column maps: their check, and vectors that move several variables --
 
 
-def _edited_image(maps, t, kind):
+def _edited_image(maps, t):
     """``maps`` with y_n added to the first moved variable's image in
-    column t (kind 1: the map to y, kind 2: the map back)."""
+    column t."""
     columns = list(maps.columns)
-    column = list(columns[t])
-    (s, image), *rest = column[kind]
+    bt, ((s, image), *rest) = columns[t]
     y_n = maps.pack(tuple(int(u == maps.graph.n - 1) for u in range(maps.graph.n)))
-    column[kind] = [(s, {**image, y_n: image.get(y_n, 0) + 1}), *rest]
-    columns[t] = tuple(column)
+    columns[t] = (bt, [(s, {**image, y_n: image.get(y_n, 0) + 1}), *rest])
     return maps._replace(columns=columns)
 
 
@@ -401,8 +451,7 @@ def _doubled_label(graph):
 MAP_CORRUPTIONS = [
     # column 0 has no edge into it, so only the agreement across the
     # edges out of it reads its map to y
-    ("disagree across an edge", "_column_maps", lambda maps: _edited_image(maps, 0, 1)),
-    ("not inverse", "_column_maps", lambda maps: _edited_image(maps, 2, 2)),
+    ("disagree across an edge", "_column_maps", lambda maps: _edited_image(maps, 0)),
     ("does not give an edge label", "build_graph", _doubled_label),
 ]
 
@@ -463,7 +512,7 @@ def test_tied_vectors_pass_the_check_and_match_the_reference(k, n):
 
 
 def test_oracle_path_builds_no_weighted_matrix(monkeypatch):
-    # past the b = 1 basis, the peel reads only the checked column maps
+    # past the b = 1 basis, the oracle reads only the checked column maps
     b = (6, 6, 6, 6, 3, 3, 3, 3, 3, 3)
     gkm.kt_restrictions(2, 5)
     gkm._weighted_cached.cache_clear()

@@ -15,6 +15,7 @@ CACHES = (
     "puzzles._catalogue",
     "gkm.kt_restrictions",
     "gkm._weighted_cached",
+    "gkm._products",
     "structure.context",
     "plucker.generate_relations",
     "plucker._permutation_context",

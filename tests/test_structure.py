@@ -459,25 +459,57 @@ def test_packed_contraction_matches_reference(k, n):
                     reference.equivariant_constants(ctx, i, j), (b, i, j)
 
 
+def _assert_rewrites_match_reference(b, k, n):
+    # every entry of the table against ``reference.rewrite_in_linear_basis``,
+    # with the inverse of the form matrix built once
+    ctx = structure.context(b, k, n)
+    images = reference.linear_basis_images(ctx.positivity_forms())
+    for (i, j), cell in ctx.equivariant_table().items():
+        if i <= j:
+            for l, value in cell.items():
+                assert ctx.change_basis_positivity(value) == \
+                    value.substitute(images), (b, i, j, l)
+
+
 @pytest.mark.parametrize("k, n", reference.SIZES)
 def test_packed_positivity_rewrite_matches_reference(k, n):
-    # every cell up to (3,5); at n = 6 the tuple route takes about 20 s
-    # for every cell, so six seeded cells per vector
-    m1 = symbols.count(k, n)
-    cells = [(i, j) for i in range(m1) for j in range(i, m1)]
-    if n >= 6:
-        cells = random.Random(f"positivity:{k},{n}").sample(cells, 6)
     for b in reference.vectors(k, n):
-        ctx = structure.context(b, k, n)
-        for i, j in cells:
-            for l, value in ctx.equivariant_constants(i, j).items():
-                assert ctx.change_basis_positivity(value) == \
-                    reference.substitute(value, ctx._positivity_images), (b, i, j, l)
+        _assert_rewrites_match_reference(b, k, n)
+
+
+@pytest.mark.parametrize("b, k, n, moved", [
+    ((2, 2, 2, 2, 1), 1, 5, 1),  # k = 1 and k = n - 1 chains
+    ((2, 2, 2, 2, 1), 4, 5, 1),
+    ((8, 4, 2, 2, 1), 1, 5, 3),  # several nonzero c_q
+    ((2,) * 6, 2, 4, 0),  # W = 0 with a = 2: every c_q is 0
+])
+def test_shear_rewrite_edge_cases(b, k, n, moved):
+    # moved counts the u_q with c_q != 0, which the last substitution maps
+    ctx = structure.context(b, k, n)
+    assert len(ctx._sheared_images[0]) == moved + 1
+    _assert_rewrites_match_reference(b, k, n)
+
+
+def test_positivity_fails_on_negative_and_y0_cells():
+    # a negative g-coefficient and a Y_0 term each fail, as rewritten
+    b = (8, 4, 2, 2, 1)
+    ctx = structure.context(b, 1, 5)
+    g1, g2, *_, y0 = ctx.positivity_forms()
+    cells = {
+        "negative coefficient -1": g1 * g2 - g2 * g2,
+        "depends on Y_0": g1 * g2 + y0,
+    }
+    for message, value in cells.items():
+        ok, info = structure.verify_positivity({(1, 1): {2: value}}, b, 1, 5)
+        assert not ok and info == ((1, 1), 2, message), info
+    ok, _ = structure.verify_positivity({(1, 1): {2: g1 * g2 + g2}}, b, 1, 5)
+    assert ok
 
 
 def test_vector_caches_are_bounded():
-    # 40 distinct seeded (2,4) vectors through the context and the
-    # weighted basis cache; both keep at most their fixed number
+    # 40 distinct seeded (2,4) vectors through the context, the weighted
+    # basis cache and the oracle's memo; each keeps at most its fixed
+    # number
     syms = symbols.enumerate_symbols(2, 4)
     pairs = random.Random("bounded caches").sample(
         [(a, t) for a in range(1, 9) for t in range(1, 9)], 40
@@ -485,6 +517,7 @@ def test_vector_caches_are_bounded():
     vecs = [tuple(a * (t + 1) if 1 in s else a for s in syms) for a, t in pairs]
     structure.context.cache_clear()
     gkm._weighted_cached.cache_clear()
+    gkm._products.cache_clear()
     first = vecs[0]
     cell = structure.context(first, 2, 4).equivariant_constants(2, 3)
     rows = gkm.weighted_restrictions(first, 2, 4)
@@ -495,11 +528,18 @@ def test_vector_caches_are_bounded():
             structure.CONTEXT_CACHE_SIZE
         assert gkm._weighted_cached.cache_info().currsize <= \
             gkm.WEIGHTED_CACHE_SIZE
+        assert gkm._products.cache_info().currsize <= gkm.WEIGHTED_CACHE_SIZE
     assert structure.context.cache_info().maxsize == structure.CONTEXT_CACHE_SIZE
     assert gkm._weighted_cached.cache_info().maxsize == gkm.WEIGHTED_CACHE_SIZE
+    assert gkm._products.cache_info().maxsize == gkm.WEIGHTED_CACHE_SIZE
+    assert gkm._products.cache_info().currsize == gkm.WEIGHTED_CACHE_SIZE
     # the first vector was evicted: it is recomputed, equal to before
     misses = structure.context.cache_info().misses
     assert structure.context(first, 2, 4).equivariant_constants(2, 3) == cell
     assert structure.context.cache_info().misses == misses + 1
     again = gkm.weighted_restrictions(first, 2, 4)
     assert again is not rows and again == rows
+    # the first vector's memo was evicted too: rebuilt, with equal products
+    misses = gkm._products.cache_info().misses
+    assert gkm.localize_product(first, 2, 4, 2, 3) == cell
+    assert gkm._products.cache_info().misses == misses + 1
