@@ -9,7 +9,8 @@ integers; (k, n) are explicit flags.  Output is JSON (default) or CSV
 Exit codes: 0 success, 2 invalid input, 3 not found in the searched
 scope, 4 capacity exceeded.  Given the same arguments the output bytes
 are identical across runs; parallelism (``--jobs``) only fans out pure
-per-cell computations and never reorders output.
+computations, ``ring`` cells in interleaved chunks with one puzzle sweep
+each, and never reorders output.
 
 Each handler imports the layers it uses, so a command pays at start-up
 only for what it runs: ``validate`` never loads the puzzle, oracle or
@@ -62,28 +63,42 @@ def _parse_vector(text: str, k: int, n: int) -> tuple:
 # -- ring table workers (module level for multiprocessing) -----------------
 
 
-def _ring_cell(task):
+def _ring_chunk(tasks):
+    """[(i, j, rendered cell)] of (b, k, n, i, j, level) tasks that share
+    (b, k, n, level): one sweep and the contraction of every pair."""
     from . import structure
 
-    b, k, n, i, j, level = task
+    b, k, n, _, _, level = tasks[0]
+    ctx = structure.context(b, k, n)
+    pairs = [(i, j) for _, _, _, i, j, _ in tasks]
     if level == "equivariant":
-        cell = structure.weighted_equivariant_constants(b, k, n, i, j)
-        return (i, j, {str(l): p.render() for l, p in sorted(cell.items())})
-    cell = structure.ordinary_constants(b, k, n, i, j)
-    return (i, j, {str(l): v for l, v in sorted(cell.items())})
+        cells = {
+            pair: {l: p.render() for l, p in cell.items()}
+            for pair, cell in ctx.equivariant_cells(pairs).items()
+        }
+    else:
+        cells = ctx.ordinary_cells(pairs)
+    return [(i, j, {str(l): v for l, v in sorted(cells[(i, j)].items())})
+            for i, j in pairs]
 
 
 def _map_tasks(tasks, jobs: int):
+    """``_ring_chunk`` over ``jobs`` interleaved chunks of ``tasks``, one
+    per worker, in task order; one chunk runs in this process."""
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs <= 1:
-        return [_ring_cell(t) for t in tasks]
+        return _ring_chunk(tasks)
     try:
         import multiprocessing
 
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            return pool.map(_ring_cell, tasks)
+            done = pool.map(_ring_chunk, [tasks[c::jobs] for c in range(jobs)])
     except (ImportError, OSError):
-        return [_ring_cell(t) for t in tasks]
+        return _ring_chunk(tasks)
+    out = [None] * len(tasks)
+    for c, cells in enumerate(done):
+        out[c::jobs] = cells
+    return out
 
 
 # -- command handlers --------------------------------------------------------

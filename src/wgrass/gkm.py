@@ -13,14 +13,19 @@ built once, in ``build_graph``.
 
 The distinguished basis class of lam_i vanishes off the upper set of
 lam_i, takes the product of the edge labels into lam_i there, and is
-homogeneous of degree dim(lam_i).  At b = 1 its values come from
-triangular congruence interpolation up the lattice, on integer maps
-from packed monomials (one ``_packer`` per (n, max d)), the value at
-lam_t stored times b_t^{d_i}: identifying y_s with y_s' moves one
-exponent field, and each correction is an exact division by the
-primitive product of the labels so far.  ``_validate_basis`` checks
-the pinning conditions, the closed row 1 (b_j Y_0 - b_0 Y_j at this
-scale) and GKM membership.
+homogeneous of degree dim(lam_i).  At b = 1 its values come from the
+restriction form of the equivariant Chevalley formula (Knutson & Tao
+2003; every m below is 1 at b = 1): for lam_i < lam_t,
+
+    (Y_i - Y_t) xi^i|_t = sum over up-covers i -> i+ of xi^{i+}|_t,
+
+so the rows are built by decreasing i, each entry one exact division of
+rows already built, on integer maps from packed monomials (one
+``_packer`` per (n, max d)), the value at lam_t stored times
+b_t^{d_i}.  ``_validate_basis`` checks the pinning conditions, the
+closed row 1 (b_j Y_0 - b_0 Y_j at this scale) and GKM membership.
+Support, diagonal, degree and membership fix each basis class uniquely,
+so a wrong recursion step cannot pass it.
 
 A weighted basis is the b = 1 basis U plus one integer map per column
 (``_ColumnMaps``): with (W, a) the integer exponent data of b, in the
@@ -79,7 +84,6 @@ from .polynomial import (
     _degree_range,
     _divide_packed,
     _guard_bits,
-    _identify_packed,
     _mul_packed,
     _packer,
     _substitute_packed,
@@ -168,51 +172,6 @@ def is_class(graph: GKMGraph, values) -> bool:
     )
 
 
-def _interpolate_value(constraints, degree: int, n: int, top: int) -> dict:
-    """The unique homogeneous degree-d polynomial matching the congruences.
-
-    ``constraints`` is a list of (s, s_prime, value), value a packed
-    integer map: the result must be congruent to ``value`` modulo
-    (y_{s_prime} - y_s), i.e. agree with it once y_s is identified with
-    y_{s_prime} (``_identify_packed``).  Built incrementally: the correction
-    after the first t congruences is divisible by the product of their
-    labels, so it is recovered by exact division after the
-    identification; that product stays primitive under it, so by
-    Gauss's lemma ``_divide_packed`` finds every quotient in Q[y].
-    Uniqueness holds because the labels are pairwise coprime and their
-    count exceeds the degree.  Values and result are packed with
-    ``_packer(n, top)``, top >= degree.
-    """
-    pack, _ = _packer(n, top)
-    guard = _guard_bits(n, top)
-    unit = _unit_monomials(n, pack)
-    alpha = dict(constraints[0][2])
-    prod_e = {0: 1}  # 0 packs the monomial 1
-    for t in range(1, len(constraints)):
-        s_prev, sp_prev, _ = constraints[t - 1]
-        label = {unit[sp_prev - 1]: 1, unit[s_prev - 1]: -1}
-        prod_e = _mul_packed(prod_e, label)
-        s, sp, value = constraints[t]
-        diff = dict(value)
-        _mul_packed(alpha, {0: 1}, diff, -1)
-        rem = _identify_packed(diff, s, sp, n, top)
-        if not rem:
-            continue
-        g = _divide_packed(rem, _identify_packed(prod_e, s, sp, n, top), guard)
-        if g is None:
-            raise InternalInconsistencyError("congruence system is not solvable")
-        _mul_packed(prod_e, g, alpha)
-    for s, sp, value in constraints:
-        diff = dict(alpha)
-        _mul_packed(value, {0: 1}, diff, -1)
-        if _identify_packed(diff, s, sp, n, top):
-            raise InternalInconsistencyError("interpolated value fails a congruence")
-    lowest, highest = _degree_range(pack, n, degree)
-    if not all(lowest <= key <= highest for key in alpha):
-        raise InternalInconsistencyError("interpolated value has wrong degree")
-    return alpha
-
-
 class _Restrictions(tuple):
     """A restriction matrix of Polys, rows by basis index, and its integer form.
 
@@ -280,35 +239,39 @@ def _row_top(lat) -> int:
 def kt_restrictions(k: int, n: int) -> tuple:
     """Basis restriction matrix at b = (1, ..., 1), rows by basis index.
 
-    Entry [i][j] is the value of basis class i at fixed point j.  Row i
-    is built by increasing j, on packed integer maps: off the upper set
-    the value is zero, the diagonal is the pinned product, and every
-    later vertex is the unique homogeneous solution of the congruences
-    along edges into it.  The rows are then validated and read back as
-    the result.
+    Entry [i][t] is the value of basis class i at fixed point t.  The
+    rows are built by decreasing i on packed integer maps, by the
+    restriction form of the equivariant Chevalley formula at b = 1
+    (every m is 1 there): for lam_i < lam_t,
+
+        (Y_i - Y_t) xi^i|_t = sum over up-covers i -> i+ of xi^{i+}|_t,
+
+    so each entry, taken by increasing d_t, is one exact division of
+    rows already built.  Off the upper set the value is zero, and the
+    diagonal is the pinned product.  The rows are then validated and
+    read back as the result.
     """
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
     graph = build_graph((1,) * m1, k, n)
     top = _row_top(lat)
     pack, unpack = _packer(n, top)
+    guard = _guard_bits(n, top)
     labels = _packed_labels(graph, pack)
-    rows = []
-    for i in range(m1):
-        row: list = []
-        for j in range(m1):
-            if not lat.leq_idx(i, j):
-                row.append({})
-                continue
-            if j == i:
-                row.append(_diagonal(graph, labels, i))
-                continue
-            constraints = []
-            for s, sp in symbols.reversal_pairs(lat.symbols[j]):
-                l = lat.index[symbols.exchange(lat.symbols[j], s, sp)]
-                constraints.append((s, sp, row[l]))
-            row.append(_interpolate_value(constraints, lat.d[i], n, top))
-        rows.append(row)
+    forms = [{pack(e): c for e, c in linear_form(n, sym).terms.items()}
+             for sym in lat.symbols]
+    rows: list = [None] * m1
+    for i in reversed(range(m1)):
+        row = rows[i] = [{} for _ in range(m1)]
+        row[i] = _diagonal(graph, labels, i)
+        for t in sorted(lat.upper_set(i)[1:], key=lat.d.__getitem__):
+            num: dict = {}
+            for up in lat.arrows[i]:
+                _mul_packed(rows[up][t], {0: 1}, num)  # {0: 1} packs 1
+            den = _mul_packed(forms[t], {0: -1}, dict(forms[i]))
+            row[t] = _divide_packed(num, den, guard)
+            if not row[t]:  # None, or zero inside the upper set
+                raise InternalInconsistencyError("Chevalley basis step fails")
     out = _restrictions(graph, pack, unpack, rows)
     _validate_basis(out)
     return out

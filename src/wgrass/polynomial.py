@@ -72,7 +72,7 @@ def _field_bits(top: int) -> int:
     In ``_packer(nvars, top)`` the exponent of variable v (0-based)
     sits at bit (nvars - 1 - v) * bits and the total degree at bit
     nvars * bits, so a field is read or moved by shifts alone
-    (``_identify_packed``, ``_split_last``).  The top bit of every
+    (``_shear_packed``, ``_split_last``).  The top bit of every
     field stays clear (top < 2**(bits - 1)), so that ``_divide_packed``
     compares all exponents at once (``_guard_bits``).
     """
@@ -125,24 +125,6 @@ def _degree_range(pack, nvars: int, d: int) -> tuple:
     """(lowest, highest): the monomials of degree d packed by ``pack`` fill
     this range, because the degree field is the most significant one."""
     return pack((0,) * (nvars - 1) + (d,)), pack((d,) + (0,) * (nvars - 1))
-
-
-def _identify_packed(terms: dict, s: int, sp: int, nvars: int, top: int) -> dict:
-    """Packed ``terms`` with y_s identified with y_sp (1-based), no zeros.
-
-    The exponent field of y_s is added onto that of y_sp; the total
-    degree does not change, so no field overflows.
-    """
-    bits = _field_bits(top)
-    shift = bits * (nvars - s)
-    mask = (1 << bits) - 1
-    move = (1 << bits * (nvars - sp)) - (1 << shift)
-    out: dict = {}
-    get = out.get
-    for key, c in terms.items():
-        key += (key >> shift & mask) * move
-        out[key] = get(key, 0) + c
-    return {key: c for key, c in out.items() if c}
 
 
 def _shear_packed(terms: dict, s: int, nvars: int, top: int) -> dict:

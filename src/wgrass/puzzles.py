@@ -32,7 +32,7 @@ on the words as they are it would carry y_a - y_c.
 
 Search.  The cells are filled in row-major order: U(r, 1), D(r, 1), U(r,
 2), ..., row by row.  The piece catalogue of size n is built once, on
-the first search or frontier pass of that size, and cached per n: every
+the first search or sweep of that size, and cached per n: every
 edge gets an integer id, every cell position the tuple of pieces
 anchored there (edge-id/label pairs, covered cell positions, (kind, r,
 j) anchor), and the boundary words map to fixed edge ids.  The
@@ -46,32 +46,34 @@ south word would only prune the same tree, so each bucket keeps the fill
 order.  The search serves the ``puzzles`` command and the tests; the
 structure constants never build a tiling.
 
-Transfer matrix.  ``frontier_sums`` walks the same cells in the same
-order with the nw and ne words fixed, and keeps, in place of one
-partial tiling, every distinct state with the sum of the weights of the
-partial tilings that reach it.  A state is one int: 2 bits per edge
-(unset, 0 or 1) and one bit per cell, set when a rhombus placed earlier
-covers it.  An edge is cleared after the last cell whose pieces read
-it, except the south edges, so partial tilings that differ only behind
-the frontier reach the same state, and equal states add their weights.
-A weight is a packed integer term map (``polynomial._packer``); an
-equivariant piece multiplies it by a factor the caller gives per
-conjugated pair (u, v), packed for degrees up to
-``max_equivariant_pieces(n)``.  States whose weight cancels to zero
-are kept, so the final states, which hold only the south edges, are
-exactly the south words some tiling reaches.  ``symbol_sums`` maps
-them to symbols and checks dominance and the piece-count balance on
-the packed keys; the sums stay packed for the contraction in
-``structure``.
+Transfer matrix.  ``sweep`` walks the same cells in the same order for
+many (nw, ne) pairs of one size at once.  A state is one int: 2 bits
+per edge (unset, 0 or 1) and one bit per cell, set when a rhombus
+placed earlier covers it.  An edge is cleared after the last cell whose
+pieces read it, except the south edges, so partial tilings that differ
+only behind the frontier reach the same state, also across pairs.  A
+forward pass collects the states every step reaches from the pairs'
+start states, as ints only.  A backward pass then keeps, per state of
+one step, the sums over its completions to the last step of the
+products of their piece factors, one sum per final state, and adds
+those of each state's successors, so every pair that reaches a state
+shares its future.  A weight is a packed integer term map
+(``polynomial._packer``); an equivariant piece multiplies it by a
+factor the caller gives per conjugated pair (u, v), packed for degrees
+up to ``max_equivariant_pieces(n)``.  Sums that cancel to zero are
+kept, so the final states of a pair, which hold only the south edges,
+are exactly the south words some tiling reaches; ``frontier_sums`` is
+the sweep of one pair.  ``symbol_sums`` maps them to symbols and checks
+dominance and the piece-count balance on the packed keys for every
+pair; the sums stay packed for the contraction in ``structure``.
 
 Orientation.  ``puzzles_for`` has one orientation: the boundary of the
 symbol triple (i, j; l) is the reversed words of the three symbols.
 The raw orientation, on the words as they are, needs no second path:
 reversing a word is sigma_r on its symbol, so the raw puzzles of
 (i, j; l) are ``puzzles_for`` at (sigma_r i, sigma_r j; sigma_r l), the
-same cached objects.  ``conjugated_product`` (one frontier pass with
-the factors y_u - y_v) and ``conjugated_constants`` sum conjugated
-weights into tables.
+same cached objects.  ``conjugated_product`` and ``conjugated_constants``
+sum conjugated weights, the factors y_u - y_v, by one sweep per call.
 """
 
 from __future__ import annotations
@@ -155,7 +157,7 @@ class _Catalogue(NamedTuple):
     row-major fill order, as (((edge, label), ...), covered positions,
     (kind, r, j) anchor) in the order the search tries them.
     ``boundary`` holds the edge ids of the nw, ne and south words.
-    ``steps[pos]`` is the same cell for ``frontier_sums``, on its state
+    ``steps[pos]`` is the same cell for ``sweep``, on its state
     bits: (covered bit, keep mask, ((forbidden, added, pair), ...)),
     pair the conjugated (u, v) of an equivariant piece and None else.
     """
@@ -194,7 +196,7 @@ def _catalogue(n: int) -> _Catalogue:
              (kind, r, j))
             for kind, assign, covers in shapes
         ))
-    # frontier_sums: edge e is bits 2e, 2e+1 (00 unset, 01 label 0, 10
+    # sweep: edge e is bits 2e, 2e+1 (00 unset, 01 label 0, 10
     # label 1) and cell pos is bit 2 * edge_count + pos, set when covered
     last = {}  # edge -> last position whose pieces read it
     for pos, pieces in enumerate(table):
@@ -299,6 +301,98 @@ def max_equivariant_pieces(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _start_state(catalogue: _Catalogue, nw: str, ne: str) -> int:
+    """The frontier state with the nw and ne words set, nothing covered."""
+    start = 0
+    for ids, word in zip(catalogue.boundary, (nw, ne)):
+        for edge, letter in zip(ids, word):
+            start |= int(letter) + 1 << 2 * edge
+    return start
+
+
+def sweep(pairs, factors: dict) -> dict:
+    """Map (nw, ne) -> ``frontier_sums(nw, ne, factors)`` for every pair.
+
+    The words of all pairs have one length.  One forward pass collects
+    the states every step reaches from the start states of all pairs,
+    as ints only; one backward pass then fills, from the last step up,
+
+        F(t, s) = {final state: sum over the completions of s from step
+                   t on of the product of their piece factors},
+
+    with F(T, s) = {s: 1}, sharing F(t, s) among all pairs that reach s
+    at step t.  A pair's sums are F(0, start).  Only two steps of F are
+    held at a time, and each step's states are freed once read.
+    """
+    pairs = list(pairs)
+    if not pairs:
+        return {}
+    n = len(pairs[0][0])
+    for nw, ne in pairs:
+        _check_word(nw, n)
+        _check_word(ne, n)
+    catalogue = _catalogue(n)
+    packed = {pair: tuple(f.items()) for pair, f in factors.items()}
+    starts = {pair: _start_state(catalogue, *pair) for pair in pairs}
+    levels = [set(starts.values())]
+    for cover, keep, moves in catalogue.steps:
+        reached = set()
+        for state in levels[-1]:
+            if state & cover:
+                reached.add(state & keep)
+                continue
+            for forbidden, added, _ in moves:
+                if not state & forbidden:
+                    reached.add((state | added) & keep)
+        levels.append(reached)
+    # only the south edges are left in the final states
+    future = {state: {state: {0: 1}} for state in levels.pop()}  # 0 packs 1
+    for cover, keep, moves in reversed(catalogue.steps):
+        current = {}
+        for state in levels.pop():
+            if state & cover:
+                current[state] = future[state & keep]
+                continue
+            parts = []
+            for forbidden, added, pair in moves:
+                if not state & forbidden:
+                    part = future[(state | added) & keep]
+                    if part:
+                        parts.append((part, pair))
+            if len(parts) == 1 and parts[0][1] is None:
+                current[state] = parts[0][0]  # shared, never written
+                continue
+            total: dict = {}
+            for part, pair in parts:
+                for final, weight in part.items():
+                    acc = total.get(final)
+                    if acc is None:
+                        acc = total[final] = {}
+                    get = acc.get
+                    if pair is None:
+                        for e, c in weight.items():
+                            acc[e] = get(e, 0) + c
+                        continue
+                    for e1, c1 in weight.items():
+                        for e2, c2 in packed[pair]:
+                            e = e1 + e2
+                            acc[e] = get(e, 0) + c1 * c2
+            for acc in total.values():  # drop the terms that cancelled
+                for e in [e for e, c in acc.items() if not c]:
+                    del acc[e]
+            current[state] = total
+        future = current
+    south = catalogue.boundary[2]
+    return {
+        pair: {
+            # pairs may share futures: each gets its own maps
+            "".join("01"[(final >> 2 * e & 3) - 1] for e in south): dict(weight)
+            for final, weight in future[start].items()
+        }
+        for pair, start in starts.items()
+    }
+
+
 def frontier_sums(nw: str, ne: str, factors: dict) -> dict:
     """Map south word -> sum over the tilings with the nw and ne words of
     the product of factors[(u, v)] over their equivariant pieces.
@@ -308,92 +402,47 @@ def frontier_sums(nw: str, ne: str, factors: dict) -> dict:
     ``max_equivariant_pieces(n)``; a tiling without equivariant pieces
     adds 1, the packed monomial 0.  The sums are packed the same way,
     without zero terms.  Every south word some tiling reaches is a key,
-    also when its sum cancels to zero.
+    also when its sum cancels to zero.  A ``sweep`` of one pair.
     """
-    n = len(nw)
-    for w in (nw, ne):
-        _check_word(w, n)
-    catalogue = _catalogue(n)
-    packed = {pair: list(f.items()) for pair, f in factors.items()}
-    start = 0
-    for ids, word in zip(catalogue.boundary, (nw, ne)):
-        for edge, letter in zip(ids, word):
-            start |= int(letter) + 1 << 2 * edge
-    states = {start: {0: 1}}
-    for cover, keep, moves in catalogue.steps:
-        reached: dict = {}
-        fresh = set()  # keys whose weight dict belongs to this step
-
-        def add(key, weight):
-            known = reached.get(key)
-            if known is None:
-                reached[key] = weight
-                return
-            if key not in fresh:
-                known = reached[key] = dict(known)
-                fresh.add(key)
-            get = known.get
-            for e, c in weight.items():
-                known[e] = get(e, 0) + c
-
-        for state, weight in states.items():
-            if state & cover:
-                add(state & keep, weight)
-                continue
-            for forbidden, added, pair in moves:
-                if state & forbidden:
-                    continue
-                if pair is not None:
-                    product: dict = {}
-                    get = product.get
-                    for e1, c1 in weight.items():
-                        for e2, c2 in packed[pair]:
-                            e = e1 + e2
-                            product[e] = get(e, 0) + c1 * c2
-                    add((state | added) & keep, product)
-                else:
-                    add((state | added) & keep, weight)
-        states = reached
-    # only the south edges are left in the final states
-    return {
-        "".join("01"[(state >> 2 * e & 3) - 1] for e in catalogue.boundary[2]):
-        {e: c for e, c in weight.items() if c}
-        for state, weight in states.items()
-    }
+    return sweep([(nw, ne)], factors)[(nw, ne)]
 
 
-def symbol_sums(
-    k: int, n: int, i: int, j: int, factors: dict, nvars: int
-) -> dict:
-    """Map q -> frontier sum over the puzzles of (i, j; q), reversed words.
+def symbol_sums(k: int, n: int, pairs, factors: dict, nvars: int) -> dict:
+    """Map (i, j) -> {q: frontier sum over the puzzles of (i, j; q)} on the
+    reversed words, for every symbol pair, by one ``sweep``.
 
     ``factors`` are packed in ``nvars`` variables as ``frontier_sums``
-    asks, and so are the sums.  Checks every reached q: it must
-    dominate both inputs, and every packed key of its sum must have
-    degree dim(i) + dim(j) - dim(q), the piece-count balance, as long
-    as every factor is homogeneous of degree 1.
+    asks, and so are the sums.  Checks every reached q of every pair:
+    it must dominate both inputs, and every packed key of its sum must
+    have degree dim(i) + dim(j) - dim(q), the piece-count balance, as
+    long as every factor is homogeneous of degree 1.
     """
     lat = symbols.lattice(k, n)
-    lat.check_index(i, j)
+    pairs = list(pairs)
+    for i, j in pairs:
+        lat.check_index(i, j)
     rev = [symbols.sigma_r_word(w) for w in lat.words]
     index = {w: q for q, w in enumerate(rev)}
-    upper = set(lat.upper_set(i, j))
     pack, _ = _packer(nvars, max_equivariant_pieces(n))
+    swept = sweep(dict.fromkeys((rev[i], rev[j]) for i, j in pairs), factors)
     out = {}
-    for south, total in frontier_sums(rev[i], rev[j], factors).items():
-        q = index.get(south)
-        if q not in upper:
-            raise InternalInconsistencyError(
-                "puzzle found outside the dominance region"
+    for i, j in pairs:
+        upper = set(lat.upper_set(i, j))
+        sums = out[(i, j)] = {}
+        for south, total in swept[(rev[i], rev[j])].items():
+            q = index.get(south)
+            if q not in upper:
+                raise InternalInconsistencyError(
+                    "puzzle found outside the dominance region"
+                )
+            lowest, highest = _degree_range(
+                pack, nvars, lat.d[i] + lat.d[j] - lat.d[q]
             )
-        lowest, highest = _degree_range(
-            pack, nvars, lat.d[i] + lat.d[j] - lat.d[q]
-        )
-        if not all(lowest <= key <= highest for key in total):
-            raise InternalInconsistencyError(
-                "piece count violates the dimension balance"
-            )
-        out[q] = total
+            if not all(lowest <= key <= highest for key in total):
+                raise InternalInconsistencyError(
+                    "piece count violates the dimension balance"
+                )
+            sums[q] = total
     return out
 
 
@@ -409,39 +458,50 @@ def puzzles_for(k: int, n: int, i: int, j: int, l: int) -> list:
     return enumerate_puzzles(words[0], words[1], words[2])
 
 
-@lru_cache(maxsize=None)
-def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
-    """Map l -> sum of conjugated weights over Delta^{rev w_l}_{rev w_i, rev w_j}.
-
-    One frontier pass with the factors y_u - y_v; ``symbol_sums``
-    checks dominance and the piece-count balance.
-    """
+def _conjugated(k: int, n: int, pairs) -> dict:
+    """Map (i, j) -> ``conjugated_product(k, n, i, j)``, by one sweep with
+    the factors y_u - y_v; ``symbol_sums`` checks dominance and the
+    piece-count balance."""
     pack, unpack = _packer(n, max_equivariant_pieces(n))
     unit = [pack(tuple(int(s == v) for s in range(n))) for v in range(n)]
     factors = {
         (u, v): {unit[u - 1]: 1, unit[v - 1]: -1}
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
-    sums = symbol_sums(k, n, i, j, factors, n)
     return {
-        l: _build(n, {unpack(key): c for key, c in total.items()})
-        for l, total in sorted(sums.items()) if total
+        pair: {
+            l: _build(n, {unpack(key): c for key, c in total.items()})
+            for l, total in sorted(sums.items()) if total
+        }
+        for pair, sums in symbol_sums(k, n, pairs, factors, n).items()
     }
 
 
+# products kept per process, so that a long-lived process asking for
+# many stays bounded
+PRODUCT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
+    """Map l -> sum of conjugated weights over Delta^{rev w_l}_{rev w_i, rev w_j}."""
+    return _conjugated(k, n, [(i, j)])[(i, j)]
+
+
 def conjugated_constants(k: int, n: int) -> dict:
-    """Conjugated table (i, j, l) -> polynomial; the downstream orientation."""
+    """Conjugated table (i, j, l) -> polynomial; the downstream orientation.
+
+    All pairs (i, j) in one sweep, past the ``conjugated_product`` cache.
+    """
     m1 = symbols.count(k, n)
     if m1 > TABLE_LIMIT:
         raise CapacityError(
             f"full puzzle tables need C(n, k) <= {TABLE_LIMIT}, got {m1}"
         )
-    table = {}
-    for i in range(m1):
-        for j in range(m1):
-            for l, poly in conjugated_product(k, n, i, j).items():
-                table[(i, j, l)] = poly
-    return table
+    cells = _conjugated(k, n, [(i, j) for i in range(m1) for j in range(m1)])
+    return {
+        (i, j, l): poly for (i, j), cell in cells.items() for l, poly in cell.items()
+    }
 
 
 def render_ascii(puz: Puzzle) -> str:

@@ -38,8 +38,9 @@ yields the equivariant table; it must agree with the localization
 oracle entrywise.
 
 The contraction is linear, so only sum_P a_s(P) over the puzzles of
-(i, j; q) is needed, and no puzzle is built: one transfer-matrix pass
-per (i, j) (``puzzles.symbol_sums``) gives, for every q at once,
+(i, j; q) is needed, and no puzzle is built: one transfer-matrix sweep
+over all pairs of a table (``puzzles.symbol_sums``) gives, for every
+(i, j) and every q at once,
 
     sum_P prod_s (b_0 (y_u - y_v) - b(p_s) Y_0 + b(p_s) B),
 
@@ -70,7 +71,9 @@ dimension-matching l:
 
 where the term q = l counts the puzzles without equivariant pieces.
 The level keeps a Pieri memo of its own; each entry is divided by
-b_0^T once and checked to be a nonnegative integer.
+b_0^T once and checked to be a nonnegative integer.  A pair without a
+dimension-matching l has no entry, so the ordinary level sweeps only
+the pairs that have one.
 
 Positivity.  Equivariant constants rewritten in the forms
 
@@ -274,11 +277,20 @@ class WeightedContext:
 
     # -- tables -----------------------------------------------------------
 
-    def _contract(self, i: int, j: int, level: tuple) -> tuple:
-        """(l -> packed b_0^top * constant, b_0^top) of basis_i * basis_j."""
+    def _sums(self, pairs, level: tuple) -> dict:
+        """(i, j) -> {q: frontier sum} of a level, one sweep for all pairs."""
+        return puzzles.symbol_sums(self.k, self.n, pairs, level[0], self.n + 1)
+
+    def _contract(self, i: int, j: int, level: tuple, sums) -> tuple:
+        """(l -> packed b_0^top * constant, b_0^top) of basis_i * basis_j.
+
+        ``sums`` are the frontier sums of (i, j) in the level, or None to
+        sweep them for this pair alone.
+        """
         lat = self.lattice
         n = self.n
-        sums = puzzles.symbol_sums(self.k, n, i, j, level[0], n + 1)
+        if sums is None:
+            sums = self._sums([(i, j)], level)[(i, j)]
         reached = [q for q, total in sums.items() if total]
         if not reached:
             return {}, 1
@@ -295,29 +307,45 @@ class WeightedContext:
                     _mul_packed(a_s, piece, out.setdefault(l, {}), scale)
         return {l: p for l, p in sorted(out.items()) if p}, self.b[0] ** top
 
-    def equivariant_constants(self, i: int, j: int) -> dict:
-        """Map l -> equivariant structure constant polynomial."""
-        out, denominator = self._contract(i, j, self._equivariant)
+    def equivariant_constants(self, i: int, j: int, sums=None) -> dict:
+        """Map l -> equivariant structure constant polynomial.
+
+        ``sums`` are the pair's frontier sums from ``equivariant_cells``;
+        without them the pair is swept alone.
+        """
+        self.lattice.check_index(i, j)
+        out, denominator = self._contract(i, j, self._equivariant, sums)
         n, unpack = self.n, self._unpack
         return {
             l: _build(n, {unpack(key): c for key, c in p.items()}, denominator)
             for l, p in out.items()
         }
 
-    def equivariant_table(self) -> dict:
-        return symbols.symmetric_table(
-            self.lattice.m + 1, self.equivariant_constants
-        )
+    def equivariant_cells(self, pairs) -> dict:
+        """(i, j) -> ``equivariant_constants(i, j)`` for every pair, by one
+        sweep."""
+        pairs = list(pairs)
+        return self._cells(pairs, pairs, self._equivariant, self.equivariant_constants)
 
-    def ordinary_constants(self, i: int, j: int) -> dict:
-        """Map l (dimension-matching only) -> integer structure constant."""
+    def equivariant_table(self) -> dict:
+        return self._table(self.equivariant_cells)
+
+    def _matches(self, i: int, j: int) -> bool:
+        """True iff some l above i and j has d_l = d_i + d_j."""
         lat = self.lattice
-        lat.check_index(i, j)
         target_d = lat.d[i] + lat.d[j]
-        # no dimension-matching l: skip the frontier pass, most of the cost
-        if not any(lat.d[l] == target_d for l in lat.upper_set(i, j)):
+        return any(lat.d[l] == target_d for l in lat.upper_set(i, j))
+
+    def ordinary_constants(self, i: int, j: int, sums=None) -> dict:
+        """Map l (dimension-matching only) -> integer structure constant.
+
+        ``sums`` as for ``equivariant_constants``, from ``ordinary_cells``.
+        """
+        self.lattice.check_index(i, j)
+        # no dimension-matching l: skip the frontier sums, most of the cost
+        if not self._matches(i, j):
             return {}
-        out, denominator = self._contract(i, j, self._ordinary)
+        out, denominator = self._contract(i, j, self._ordinary, sums)
         constants = {}
         for l, p in out.items():
             # at y = 0 each entry is the constant term alone, packed as 0
@@ -329,10 +357,30 @@ class WeightedContext:
             constants[l] = total
         return constants
 
+    def ordinary_cells(self, pairs) -> dict:
+        """(i, j) -> ``ordinary_constants(i, j)`` for every pair; one sweep
+        over the pairs with a dimension-matching l."""
+        pairs = list(pairs)
+        for i, j in pairs:
+            self.lattice.check_index(i, j)
+        swept = [(i, j) for i, j in pairs if self._matches(i, j)]
+        return self._cells(pairs, swept, self._ordinary, self.ordinary_constants)
+
     def ordinary_table(self) -> dict:
-        return symbols.symmetric_table(
-            self.lattice.m + 1, self.ordinary_constants
-        )
+        return self._table(self.ordinary_cells)
+
+    def _cells(self, pairs, swept, level: tuple, constants) -> dict:
+        """(i, j) -> constants(i, j, sums) for every pair, the sums of the
+        ``swept`` pairs from one sweep of the level; each pair's sums are
+        dropped once contracted."""
+        sums = self._sums(swept, level)
+        return {(i, j): constants(i, j, sums.pop((i, j), None)) for i, j in pairs}
+
+    def _table(self, cells) -> dict:
+        """The full symmetric table of a level's ``cells``, one sweep."""
+        m1 = self.lattice.m + 1
+        upper = cells([(i, j) for i in range(m1) for j in range(i, m1)])
+        return symbols.symmetric_table(m1, lambda i, j: upper[(i, j)])
 
     # -- positivity -------------------------------------------------------
 

@@ -6,12 +6,14 @@ inverse of the form matrix (``linear_basis_images``), where the library
 shears.
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
-runs on packed integer term maps: substitution by Horner's rule on
-exponent tuples, the b = 1 congruence interpolation on ``Poly``s (with
-the variable identification it needs), and
-the pipeline contraction of frontier sums with Pieri powers in
-``Poly`` arithmetic.  They share with the routes they check only
-``Poly`` arithmetic and, for the contraction, the frontier sums.
+runs on packed integer term maps, or the route it ran before:
+substitution by Horner's rule on exponent tuples, the b = 1 basis by
+congruence interpolation on ``Poly``s (with the variable identification
+it needs), the frontier sums by one forward pass per (nw, ne) pair
+(``reference_frontier_sums``), and the pipeline contraction of frontier
+sums with Pieri powers in ``Poly`` arithmetic.  They share with the
+routes they check only ``Poly`` arithmetic, the puzzle catalogue and,
+for the contraction, the frontier sums.
 """
 
 from __future__ import annotations
@@ -274,6 +276,74 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
     return tuple(tuple(col[i] for col in columns) for i in range(len(vec)))
 
 
+# -- the frontier sums by one forward pass per pair -------------------------
+
+
+def reference_frontier_sums(nw: str, ne: str, factors: dict) -> dict:
+    """``puzzles.frontier_sums`` by one forward pass for this pair alone.
+
+    Map south word -> sum over the tilings with the nw and ne words of
+    the product of factors[(u, v)] over their equivariant pieces.
+
+    ``factors`` maps every conjugated pair u < v to a packed integer
+    term map, all packed alike for degrees up to
+    ``max_equivariant_pieces(n)``; a tiling without equivariant pieces
+    adds 1, the packed monomial 0.  The sums are packed the same way,
+    without zero terms.  Every south word some tiling reaches is a key,
+    also when its sum cancels to zero.
+    """
+    n = len(nw)
+    for w in (nw, ne):
+        puzzles._check_word(w, n)
+    catalogue = puzzles._catalogue(n)
+    packed = {pair: list(f.items()) for pair, f in factors.items()}
+    start = 0
+    for ids, word in zip(catalogue.boundary, (nw, ne)):
+        for edge, letter in zip(ids, word):
+            start |= int(letter) + 1 << 2 * edge
+    states = {start: {0: 1}}
+    for cover, keep, moves in catalogue.steps:
+        reached: dict = {}
+        fresh = set()  # keys whose weight dict belongs to this step
+
+        def add(key, weight):
+            known = reached.get(key)
+            if known is None:
+                reached[key] = weight
+                return
+            if key not in fresh:
+                known = reached[key] = dict(known)
+                fresh.add(key)
+            get = known.get
+            for e, c in weight.items():
+                known[e] = get(e, 0) + c
+
+        for state, weight in states.items():
+            if state & cover:
+                add(state & keep, weight)
+                continue
+            for forbidden, added, pair in moves:
+                if state & forbidden:
+                    continue
+                if pair is not None:
+                    product: dict = {}
+                    get = product.get
+                    for e1, c1 in weight.items():
+                        for e2, c2 in packed[pair]:
+                            e = e1 + e2
+                            product[e] = get(e, 0) + c1 * c2
+                    add((state | added) & keep, product)
+                else:
+                    add((state | added) & keep, weight)
+        states = reached
+    # only the south edges are left in the final states
+    return {
+        "".join("01"[(state >> 2 * e & 3) - 1] for e in catalogue.boundary[2]):
+        {e: c for e, c in weight.items() if c}
+        for state, weight in states.items()
+    }
+
+
 # -- the pipeline contraction on Polys ----------------------------------------
 
 
@@ -284,8 +354,8 @@ def equivariant_constants(ctx, i: int, j: int) -> dict:
     sums = {
         q: Poly(n + 1, {unpack(key): c for key, c in total.items()})
         for q, total in puzzles.symbol_sums(
-            ctx.k, n, i, j, ctx.equivariant_factors, n + 1
-        ).items()
+            ctx.k, n, [(i, j)], ctx.equivariant_factors, n + 1
+        )[(i, j)].items()
     }
     reached = [q for q, total in sums.items() if total]
     if not reached:

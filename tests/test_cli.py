@@ -120,12 +120,22 @@ def test_ring_csv_format():
 
 
 def test_ring_jobs_flag_deterministic():
-    runs = [
-        run_cli("--jobs", jobs, "ring", "[6,6,6,2,2,2]", "--k", "2", "--n", "4")
-        for jobs in ("1", "2")
+    # one sweep per chunk of interleaved pairs: the chunks must reassemble
+    # the table of one chunk, byte for byte
+    w1 = [2 if 1 in s else 1 for s in combinations(range(1, 7), 2)]
+    unit = [1] * comb(6, 3)
+    cases = [
+        ("[6,6,6,2,2,2]", "2", "4"),
+        (json.dumps(w1, separators=(",", ":")), "2", "6"),
+        (json.dumps(unit, separators=(",", ":")), "3", "6", "--ordinary"),
     ]
-    assert all(code == 0 for code, _ in runs)
-    assert runs[0][1] == runs[1][1]
+    for b, k, n, *level in cases:
+        runs = [
+            run_cli("--jobs", jobs, "ring", b, "--k", k, "--n", n, *level)
+            for jobs in ("1", "2")
+        ]
+        assert all(code == 0 for code, _ in runs), (k, n, level)
+        assert runs[0][1] == runs[1][1], (k, n, level)
 
 
 def test_puzzles_command():

@@ -1,5 +1,6 @@
 """GKM model: graph, basis restrictions, localization oracle."""
 
+import copy
 import hashlib
 import json
 import random
@@ -413,6 +414,63 @@ def test_is_class_rejects_perturbed_weighted_row():
     row = list(mat[1])
     row[3] = row[3] + y(2)
     assert not gkm.is_class(graph, row)
+
+
+# -- the b = 1 basis by the Chevalley recursion: mutations must raise -------
+
+
+def _lattice_with_arrows(k, n, i, arrows):
+    """A copy of the (k, n) lattice whose symbol i has these up-covers."""
+    fake = copy.copy(symbols.lattice(k, n))
+    fake.arrows = [list(ups) for ups in fake.arrows]
+    fake.arrows[i] = arrows
+    return fake
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5)])
+def test_corrupted_up_cover_term_fails_the_basis(monkeypatch, k, n):
+    # every up-cover term of the recursion, doubled or dropped: the rows
+    # built then are no basis, so the uncached build raises
+    build = gkm.kt_restrictions.__wrapped__
+    build(k, n)
+    lat = symbols.lattice(k, n)
+    for i, ups in enumerate(lat.arrows):
+        for up in ups:
+            dropped = [u for u in ups if u != up]
+            for arrows in (ups + [up], dropped):
+                fake = _lattice_with_arrows(k, n, i, arrows)
+                monkeypatch.setattr(symbols, "lattice", lambda *args: fake)
+                with pytest.raises(InternalInconsistencyError):
+                    build(k, n)
+                monkeypatch.undo()
+
+
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5)])
+def test_corrupted_finished_entry_fails_the_basis(monkeypatch, k, n):
+    # each entry off the diagonal is one division, in build order; the
+    # leading coefficient of one quotient doubled must make the build
+    # raise, by the recursion of the rows below or by the validation
+    build = gkm.kt_restrictions.__wrapped__
+    lat = symbols.lattice(k, n)
+    entries = sum(len(lat.upper_set(i)) - 1 for i in range(lat.m + 1))
+    real = gkm._divide_packed
+    for target in range(entries):
+        calls = []
+
+        def corrupted(num, den, guard):
+            quot = real(num, den, guard)
+            if len(calls) == target:
+                key = max(quot)
+                quot = {**quot, key: 2 * quot[key]}
+            calls.append(target)
+            return quot
+
+        monkeypatch.setattr(gkm, "_divide_packed", corrupted)
+        with pytest.raises(InternalInconsistencyError):
+            build(k, n)
+        assert len(calls) > target
+    monkeypatch.undo()
+    assert tuple(build(k, n)) == reference.unit_restrictions(k, n)
 
 
 # -- the Poly interpolation and tuple substitution, kept as references ------

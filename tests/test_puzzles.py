@@ -119,6 +119,36 @@ def test_frontier_sums_match_enumeration(k, n):
                 assert got == total, (nw, ne, south)
 
 
+@pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (2, 6)])
+def test_sweep_matches_forward_reference(k, n):
+    # one backward sweep over every pair of words against one forward
+    # pass per pair, keys with a zero sum included
+    lat = symbols.lattice(k, n)
+    b = tuple(2 if 1 in sym else 1 for sym in lat.symbols)
+    ctx = structure.context(b, k, n)
+    pack, _ = _packer(n, puzzles.max_equivariant_pieces(n))
+    unit = {
+        (u, v): {pack(e): c for e, c in (y(u, n) - y(v, n)).terms.items()}
+        for u in range(1, n) for v in range(u + 1, n + 1)
+    }
+    pairs = list(product(lat.words, repeat=2))
+    zero_sums = 0
+    for factors in (unit, ctx.equivariant_factors, ctx.ordinary_factors):
+        swept = puzzles.sweep(pairs, factors)
+        assert list(swept) == pairs
+        for nw, ne in pairs:
+            want = reference.reference_frontier_sums(nw, ne, factors)
+            assert swept[(nw, ne)] == want, (nw, ne)
+            zero_sums += sum(not total for total in want.values())
+    assert zero_sums  # the ordinary factors b(p) B vanish on some pairs
+
+
+def test_sweep_of_no_pairs_and_of_mixed_sizes():
+    assert puzzles.sweep([], {}) == {}
+    with pytest.raises(ParameterError):
+        puzzles.sweep([("0011", "0011"), ("00111", "00111")], {})
+
+
 def test_identity_boundary_single_weightless_puzzle():
     lat = symbols.lattice(2, 4)
     w0 = symbols.sigma_r_word(lat.words[0])
