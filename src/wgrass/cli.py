@@ -290,6 +290,17 @@ def _cmd_poincare(args) -> tuple:
     return EXIT_OK, torsion.poincare_ranks(args.k, args.n)
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_kn(parser) -> None:
     parser.add_argument("--k", type=int, required=True)
     parser.add_argument("--n", type=int, required=True)
@@ -314,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", help="write the result to a file")
     parser.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=os.cpu_count() or 1,
         help="parallel workers for table cells (default: logical cores)",
     )

@@ -41,8 +41,8 @@ U[i][j](z^(j)) - U[i][l](z^(j)) lies in (L), and so does
 U[i][l](z^(j)) - U[i][l](z^(l)): every weighted row is a GKM class.
 The b = 1 diagonal becomes the product of the weighted labels; support
 and degree survive a linear substitution; and row 1, Y_0 - Y_j, becomes
-Y_0 - (b_0 / b_j) Y_j since ``solve_wa`` checks sum_{u in lam_t} w_u =
-b_t - a.  ``weighted_restrictions`` reads the ``Poly`` matrix in y off
+Y_0 - (b_0 / b_j) Y_j since the ``solve_wa`` data of a valid b satisfy
+sum_{u in lam_t} w_u = b_t - a.  ``weighted_restrictions`` reads the ``Poly`` matrix in y off
 these rows on request and validates it.
 
 ``localize_product`` is the independent oracle every structure-constant

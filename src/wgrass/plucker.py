@@ -14,12 +14,38 @@ The same construction serves every k, 2k > n included.
 A weight vector b (positive integers, one per coordinate) is *valid*
 when every relation has constant pair-sum b_{r_j} + b_{s_j}; exactly
 then the scaling action t.z = (t^{b_i} z_i) preserves Pl(k, n).
+
+Validity is the (W, a) form: b is valid iff b_lam = a + sum_{u in lam}
+W_u for some W in Q^n and a in Q.  Such a vector has pair-sum 2a plus
+the W-sum over head and tail in every relation.  Conversely, for
+2 <= k <= n - 2, S of size k - 2 and a, b, c, d distinct outside S,
+the head S + a and tail S + bcd give a three-term relation, so
+
+    b_{Sac} + b_{Sbd} = b_{Sad} + b_{Sbc} = b_{Sab} + b_{Scd}.
+
+With c = u and d = v the first equality reads b_{Sau} - b_{Sav} =
+b_{Sbu} - b_{Sbv}: the difference D(u, v) = b_{Tu} - b_{Tv} does not
+change when one entry of the (k - 1)-set T (avoiding u, v) is
+exchanged.  Such exchanges join every T, so D(u, v) depends on u and v
+alone, and D(u, v) + D(v, w) = D(u, w) on a T avoiding all three.
+With W_u = W_1 + D(u, 1) a single exchange changes b_lam and
+sum_{u in lam} W_u alike, so a = b_lam - sum_{u in lam} W_u is the
+same for every lam.  At k = 1 and k = n - 1 there are no relations,
+and every positive vector has the form: W_u = b_u - a at k = 1, and
+W_u = c - b_{[n] - u} with a = sum_u b_{[n] - u} - k c at k = n - 1.
+For an integer b the differences W_u - W_v are integers, and moving
+W_1 by 1 moves a by k, so a rational (W, a) exists iff an integer one
+with a in [1, k] does.
+``_wa_candidate`` reads that one candidate off b in O(C(n, k) k), and
+b is valid iff the candidate reproduces it; no relation is built.
+
 ``weight_vector`` is the one check every layer calls: it returns a
 ``WeightVector``, a tuple that records (k, n) and is handed back
 unchanged, so a vector passed down through several layers is checked
 once.  ``validate_weight_vector`` is the bare predicate it runs, and
 ``presented_weight_vector`` adds the divisibility-descending order that
-the integral model and the structure constants need.
+the integral model and the structure constants need.  The relations
+serve only ``is_plucker_point`` and the permutation test.
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
@@ -188,13 +214,11 @@ def check_weight_vector_shape(b, k: int, n: int) -> tuple:
 
 
 def validate_weight_vector(b, k: int, n: int) -> bool:
-    """True iff every relation has constant pair-sum."""
+    """True iff every relation has constant pair-sum, that is, iff the
+    (W, a) candidate reproduces b (module docstring)."""
     vec = check_weight_vector_shape(b, k, n)
-    for rel in generate_relations(k, n):
-        sums = {vec[r] + vec[s] for r, s in rel.pairs}
-        if len(sums) > 1:
-            return False
-    return True
+    sol = _wa_candidate(vec, k, n)
+    return weights_from_wa(sol.W, sol.a, k, n) == vec
 
 
 def weight_vector(b, k: int, n: int) -> WeightVector:
@@ -221,16 +245,15 @@ class WASolution(NamedTuple):
         return self.a + sum(self.W[u - 1] for u in sym)
 
 
-def solve_wa(b, k: int, n: int) -> WASolution:
-    """Integer (W, a) with a in [1, k] reproducing the weight vector.
+def _wa_candidate(vec, k: int, n: int) -> WASolution:
+    """The one integer (W, a) with a in [1, k] that can reproduce vec.
 
     Fixes w_1 via the reference symbol (2, ..., k+1): the congruence
     a = b_ref + sum_j (b_{r_j} - b_{s_j})  (mod k) picks a, then the
     pairwise differences w_1 - w_j follow from single-entry exchanges.
+    It reproduces vec exactly when vec is valid.
     """
-    vec = weight_vector(b, k, n)
-    lat = symbols.lattice(k, n)
-    syms, index = lat.symbols, lat.index
+    index = {sym: i for i, sym in enumerate(symbols.enumerate_symbols(k, n))}
 
     def difference(j: int) -> int:
         # w_1 - w_j via a symbol containing 1 but not j.
@@ -245,13 +268,12 @@ def solve_wa(b, k: int, n: int) -> WASolution:
     a = (val - 1) % k + 1
     w1 = (val - a) // k
     W = [w1] + [w1 - diffs[j] for j in range(2, n + 1)]
-    sol = WASolution(tuple(W), a)
-    for sym, bi in zip(syms, vec):
-        if sol.weight_of(sym) != bi:
-            raise InvalidWeightVectorError(
-                "no integer (W, a) reproduces this weight vector"
-            )
-    return sol
+    return WASolution(tuple(W), a)
+
+
+def solve_wa(b, k: int, n: int) -> WASolution:
+    """Integer (W, a) with a in [1, k] reproducing the weight vector."""
+    return _wa_candidate(weight_vector(b, k, n), k, n)
 
 
 def weights_from_wa(W, a: int, k: int, n: int) -> tuple:

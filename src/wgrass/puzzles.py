@@ -32,19 +32,19 @@ on the words as they are it would carry y_a - y_c.
 
 Search.  The cells are filled in row-major order: U(r, 1), D(r, 1), U(r,
 2), ..., row by row.  The piece catalogue of size n is built once, on
-the first search or sweep of that size, and cached per n: every
-edge gets an integer id, every cell position the tuple of pieces
-anchored there (edge-id/label pairs, covered cell positions, (kind, r,
-j) anchor), and the boundary words map to fixed edge ids.  The
-depth-first search keeps the edge labels in a flat list (-1 =
-unlabelled) and undoes each placement on backtrack.  The south word
-touches only the edges H(n, .) of the last row, so one search per (nw,
-ne) pair serves every south word: only the nw and ne edges are labelled
-up front, each leaf reads its south word off those edges, and the
-search, cached per (nw, ne), buckets the tilings by south word.  A fixed
-south word would only prune the same tree, so each bucket keeps the fill
-order.  The search serves the ``puzzles`` command and the tests; the
-structure constants never build a tiling.
+the first search or sweep of that size, and cached per n, as one move
+table: every edge gets an integer id, and every cell position the
+moves of the pieces anchored there on the frontier state described
+under "Transfer matrix", with their (kind, r, j) anchors alongside.
+The depth-first search and the sweep walk that one table in the same
+order.  The south word touches only the edges H(n, .) of the last row,
+so one search per (nw, ne) pair serves every south word: the search
+starts from the state with the nw and ne edges set, each leaf reads
+its south word off its final state, and the search, cached per (nw,
+ne), buckets the tilings by south word.  A fixed south word would only
+prune the same tree, so each bucket keeps the fill order.  The search
+serves the ``puzzles`` command and the tests; the structure constants
+never build a tiling.
 
 Transfer matrix.  ``sweep`` walks the same cells in the same order for
 many (nw, ne) pairs of one size at once.  A state is one int: 2 bits
@@ -72,8 +72,8 @@ symbol triple (i, j; l) is the reversed words of the three symbols.
 The raw orientation, on the words as they are, needs no second path:
 reversing a word is sigma_r on its symbol, so the raw puzzles of
 (i, j; l) are ``puzzles_for`` at (sigma_r i, sigma_r j; sigma_r l), the
-same cached objects.  ``conjugated_product`` and ``conjugated_constants``
-sum conjugated weights, the factors y_u - y_v, by one sweep per call.
+same cached objects.  ``conjugated_product`` sums conjugated weights,
+the factors y_u - y_v, by one sweep per call.
 """
 
 from __future__ import annotations
@@ -83,10 +83,8 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from . import symbols
-from .errors import CapacityError, InternalInconsistencyError, ParameterError
+from .errors import InternalInconsistencyError, ParameterError
 from .polynomial import _build, _degree_range, _packer
-
-TABLE_LIMIT = 15  # largest C(n, k) for which full tables are enumerated
 
 
 class Puzzle(NamedTuple):
@@ -151,21 +149,22 @@ def _down_pieces(r: int, j: int) -> list:
 
 
 class _Catalogue(NamedTuple):
-    """Every piece of size n, with edges and cells as integer ids.
+    """Every piece of size n, as moves on the frontier state bits.
 
-    ``cells[pos]`` holds the pieces anchored at the pos-th cell of the
-    row-major fill order, as (((edge, label), ...), covered positions,
-    (kind, r, j) anchor) in the order the search tries them.
-    ``boundary`` holds the edge ids of the nw, ne and south words.
-    ``steps[pos]`` is the same cell for ``sweep``, on its state
-    bits: (covered bit, keep mask, ((forbidden, added, pair), ...)),
-    pair the conjugated (u, v) of an equivariant piece and None else.
+    Edge e is bits 2e, 2e + 1 (00 unset, 01 label 0, 10 label 1), and
+    the pos-th cell of the row-major fill order is bit 2 E + pos (E the
+    number of edges), set when a rhombus placed earlier covers it.
+    ``steps[pos]`` is (covered bit, keep mask, ((forbidden, added,
+    pair), ...)) with one move per piece anchored at the cell, in the
+    order both walks try them; pair is the conjugated (u, v) of an
+    equivariant piece and None else.  ``anchors[pos]`` holds the (kind,
+    r, j) of those moves, in the same order.  ``boundary`` holds the
+    edge ids of the nw, ne and south words.
     """
 
-    edge_count: int
     boundary: tuple
-    cells: tuple
     steps: tuple
+    anchors: tuple
 
 
 @lru_cache(maxsize=None)
@@ -196,8 +195,6 @@ def _catalogue(n: int) -> _Catalogue:
              (kind, r, j))
             for kind, assign, covers in shapes
         ))
-    # sweep: edge e is bits 2e, 2e+1 (00 unset, 01 label 0, 10
-    # label 1) and cell pos is bit 2 * edge_count + pos, set when covered
     last = {}  # edge -> last position whose pieces read it
     for pos, pieces in enumerate(table):
         for assign, _, _ in pieces:
@@ -221,7 +218,13 @@ def _catalogue(n: int) -> _Catalogue:
             pair = (r + 1 - j, n + 1 - j) if kind == "rhE" else None
             moves.append((forbidden, added, pair))
         steps.append((cover[pos], ~(cover[pos] | dead), tuple(moves)))
-    return _Catalogue(len(edge_ids), boundary, tuple(table), tuple(steps))
+    anchors = tuple(tuple(anchor for _, _, anchor in pieces) for pieces in table)
+    return _Catalogue(boundary, tuple(steps), anchors)
+
+
+def _south_word(catalogue: _Catalogue, state: int) -> str:
+    """The south word of a final state, which holds only the south edges."""
+    return "".join("01"[(state >> 2 * e & 3) - 1] for e in catalogue.boundary[2])
 
 
 def enumerate_puzzles(nw: str, ne: str, south: str) -> list:
@@ -237,22 +240,17 @@ def _enumerate_cached(nw: str, ne: str) -> MappingProxyType:
     """Read-only map south word -> tilings with the nw and ne words."""
     n = len(nw)
     catalogue = _catalogue(n)
-    cells = catalogue.cells
-    size = len(cells)
-    south_edges = catalogue.boundary[2]
-    labels = [-1] * catalogue.edge_count  # -1: not yet labelled
-    for ids, word in zip(catalogue.boundary, (nw, ne)):
-        for edge, letter in zip(ids, word):
-            labels[edge] = int(letter)
-    covered = [False] * size
+    steps, anchors = catalogue.steps, catalogue.anchors
+    size = len(steps)
     placements: list = []
     results: dict = {}
 
-    def dfs(pos: int) -> None:
-        while pos < size and covered[pos]:
+    def dfs(pos: int, state: int) -> None:
+        while pos < size and state & steps[pos][0]:  # covered cells
+            state &= steps[pos][1]
             pos += 1
         if pos == size:
-            south = "".join("01"[labels[edge]] for edge in south_edges)
+            south = _south_word(catalogue, state)
             found = results.setdefault(south, [])
             # the puzzles of one south word share one boundary tuple
             boundary = found[0].boundary if found else (nw, ne, south)
@@ -262,30 +260,14 @@ def _enumerate_cached(nw: str, ne: str) -> MappingProxyType:
             )
             found.append(Puzzle(n, boundary, tuple(placements), equiv))
             return
-        for assign, spots, anchor in cells[pos]:
-            # spots[0] is pos, uncovered; a rhombus's second cell is last
-            if covered[spots[-1]]:
-                continue
-            added = []
-            for edge, label in assign:
-                known = labels[edge]
-                if known < 0:
-                    labels[edge] = label
-                    added.append(edge)
-                elif known != label:
-                    break
-            else:
-                for s in spots:
-                    covered[s] = True
+        _, keep, moves = steps[pos]
+        for (forbidden, added, _), anchor in zip(moves, anchors[pos]):
+            if not state & forbidden:
                 placements.append(anchor)
-                dfs(pos + 1)
+                dfs(pos + 1, (state | added) & keep)
                 placements.pop()
-                for s in spots:
-                    covered[s] = False
-            for edge in added:
-                labels[edge] = -1
 
-    dfs(0)
+    dfs(0, _start_state(catalogue, nw, ne))
     return MappingProxyType(
         {south: tuple(found) for south, found in results.items()}
     )
@@ -382,11 +364,10 @@ def sweep(pairs, factors: dict) -> dict:
                     del acc[e]
             current[state] = total
         future = current
-    south = catalogue.boundary[2]
     return {
         pair: {
             # pairs may share futures: each gets its own maps
-            "".join("01"[(final >> 2 * e & 3) - 1] for e in south): dict(weight)
+            _south_word(catalogue, final): dict(weight)
             for final, weight in future[start].items()
         }
         for pair, start in starts.items()
@@ -486,22 +467,6 @@ PRODUCT_CACHE_SIZE = 256
 def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
     """Map l -> sum of conjugated weights over Delta^{rev w_l}_{rev w_i, rev w_j}."""
     return _conjugated(k, n, [(i, j)])[(i, j)]
-
-
-def conjugated_constants(k: int, n: int) -> dict:
-    """Conjugated table (i, j, l) -> polynomial; the downstream orientation.
-
-    All pairs (i, j) in one sweep, past the ``conjugated_product`` cache.
-    """
-    m1 = symbols.count(k, n)
-    if m1 > TABLE_LIMIT:
-        raise CapacityError(
-            f"full puzzle tables need C(n, k) <= {TABLE_LIMIT}, got {m1}"
-        )
-    cells = _conjugated(k, n, [(i, j) for i in range(m1) for j in range(m1)])
-    return {
-        (i, j, l): poly for (i, j), cell in cells.items() for l, poly in cell.items()
-    }
 
 
 def render_ascii(puz: Puzzle) -> str:

