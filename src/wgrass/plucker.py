@@ -58,20 +58,34 @@ relations (``_PermutationContext.in_span``).
 For each pulled-back relation the admissible sign patterns eps are
 those passing the span test.  They depend only on the term tuple
 ((c_t, sigma r_t, sigma s_t), ...), so the context memoises them.  A
-backtracking search picks one pattern per relation, keeping the
-constraints t_r t_s = eps_t consistent in a parity union-find with an
-undo log; the first consistent choice is a proof, and the signs are
-read off the union-find.
+backtracking search, run from an explicit stack, picks one pattern per
+relation, keeping the constraints t_r t_s = eps_t consistent in a
+parity union-find with an undo log; the first consistent choice is a
+proof, and the signs are read off the union-find.
 
-Full scope reuses the witnesses of the S_n-induced permutations, which
-preserve the pair structure and so are a subset of it.
+The scopes have a closed form.  With its signs, a Plucker permutation
+sigma is a linear map preserving Pl(k, n), so an automorphism of
+Gr(k, n).  By Chow's theorem (W.-L. Chow, Ann. of Math. 50, 1949) it is
+induced by some g in GL_n, after the duality V -> V^perp (V_lam ->
+V_{[n] - lam}) when n = 2k.  It maps coordinate points e_lam to
+coordinate points, so g maps coordinate k-spaces, hence coordinate
+lines (their intersections, as k < n), to coordinate ones: g is
+monomial.  So sigma is induced by a column permutation in S_n, composed
+with the complement map lam -> [n] - lam if the duality was used; both
+kinds are Plucker permutations (signs from sorting, from the Hodge
+star).  Scope ``sn`` is the induced set, and ``full`` adds, when
+n = 2k, ``sn`` composed with the complement map.  The tests check this
+against the exhaustive search (``tests/reference.py``) on every size
+``full`` admits (C(n, k) <= 10 with n <= 8).  A search tries the plain
+permutations and certifies only the one it returns;
+``enumerate_plucker_permutations`` certifies every one it lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, product
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -240,9 +254,6 @@ class WASolution(NamedTuple):
 
     W: tuple
     a: int
-
-    def weight_of(self, sym) -> int:
-        return self.a + sum(self.W[u - 1] for u in sym)
 
 
 def _wa_candidate(vec, k: int, n: int) -> WASolution:
@@ -504,22 +515,31 @@ def is_plucker_permutation(sigma, k: int, n: int):
         options.append(opts)
 
     forest = _ParityForest(m1)
-
-    def search(idx: int) -> bool:
-        if idx == len(rels):
-            return True
-        mark = len(forest.log)
-        pairs = rels[idx].pairs
-        for eps in options[idx]:
-            if (all(forest.join(r, s, e) for (r, s), e in zip(pairs, eps))
-                    and search(idx + 1)):
-                return True
-            forest.undo(mark)
-        return False
-
-    if not search(0):
+    stack = [(0, 0)]  # (next pattern, undo mark) per relation entered
+    while 0 < len(stack) <= len(rels):
+        nxt, mark = stack.pop()
+        idx = len(stack)
+        forest.undo(mark)
+        if nxt < len(options[idx]):
+            stack.append((nxt + 1, mark))
+            eps = options[idx][nxt]
+            if all(forest.join(r, s, e)
+                   for (r, s), e in zip(rels[idx].pairs, eps)):
+                stack.append((0, len(forest.log)))
+    if not stack:
         return None
     return SignedPermutation(sigma, forest.signs())
+
+
+def certify(sigma, k: int, n: int) -> SignedPermutation:
+    """The sign witness of sigma, a permutation of a closed-form scope;
+    a failure contradicts the module docstring's argument."""
+    witness = is_plucker_permutation(sigma, k, n)
+    if witness is None:
+        raise InternalInconsistencyError(
+            "induced permutation failed the Plucker predicate"
+        )
+    return witness
 
 
 def _sn_induced_permutation(phi, k: int, n: int) -> tuple:
@@ -531,76 +551,42 @@ def _sn_induced_permutation(phi, k: int, n: int) -> tuple:
     )
 
 
-def _full_scope_candidates(k: int, n: int):
-    """Backtracking enumeration of pair-structure-preserving permutations."""
-    ctx = _permutation_context(k, n)
-    m1, pairs = ctx.m1, ctx.pair_pos
-
-    sigma = [-1] * m1
-    used = [False] * m1
-
-    def consistent(i: int) -> bool:
-        for j in range(i):
-            a, b = (j, i) if j <= i else (i, j)
-            ia, ib = sigma[a], sigma[b]
-            img = (ia, ib) if ia <= ib else (ib, ia)
-            if ((a, b) in pairs) != (img in pairs):
-                return False
-        return True
-
-    def rec(i: int):
-        if i == m1:
-            yield tuple(sigma)
-            return
-        for v in range(m1):
-            if used[v]:
-                continue
-            sigma[i] = v
-            used[v] = True
-            if consistent(i):
-                yield from rec(i + 1)
-            used[v] = False
-        sigma[i] = -1
-
-    yield from rec(0)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
+    """The scope's permutations, uncertified and sorted (module docstring).
+
+    ``sn`` composes induced transpositions: S_m is the union of the cosets
+    tau S_(m-1), tau in {id, (1 m), ..., (m-1 m)}."""
     m1 = symbols.count(k, n)
     if scope == "identity":
-        return (SignedPermutation(tuple(range(m1)), (1,) * m1),)
+        return (tuple(range(m1)),)
     if scope == "sn":
         if n > SN_SCOPE_LIMIT:
             raise CapacityError(f"sn scope needs n <= {SN_SCOPE_LIMIT}, got {n}")
-        found = {}
-        for phi in permutations(range(1, n + 1)):
-            sigma = _sn_induced_permutation(phi, k, n)
-            if sigma in found:
-                continue
-            witness = is_plucker_permutation(sigma, k, n)
-            if witness is None:
-                raise InternalInconsistencyError(
-                    "induced permutation failed the Plucker predicate"
-                )
-            found[sigma] = witness
-        return tuple(found[s] for s in sorted(found))
+        group = [tuple(range(m1))]
+        for m in range(2, n + 1):
+            taus = []
+            for j in range(1, m):
+                phi = list(range(1, n + 1))
+                phi[j - 1], phi[m - 1] = m, j
+                taus.append(_sn_induced_permutation(phi, k, n))
+            group += [tuple(tau[x] for x in h) for tau in taus for h in group]
+        return tuple(sorted(set(group)))
     if scope == "full":
         if m1 > FULL_SCOPE_LIMIT:
             raise CapacityError(
                 f"full scope needs m+1 <= {FULL_SCOPE_LIMIT}, got {m1}"
             )
-        # Induced permutations preserve the pair structure, so sn is a
-        # subset of full; a witness depends only on sigma.
-        known = {w.perm: w for w in _enumerate_cached(k, n, "sn")}
-        out = []
-        for sigma in _full_scope_candidates(k, n):
-            witness = known.get(sigma)
-            if witness is None:
-                witness = is_plucker_permutation(sigma, k, n)
-            if witness is not None:
-                out.append(witness)
-        return tuple(sorted(out, key=lambda w: w.perm))
+        sn = _enumerate_cached(k, n, "sn")
+        if n != 2 * k:
+            return sn
+        lat = symbols.lattice(k, n)
+        complement = [
+            lat.index[tuple(u for u in range(1, n + 1) if u not in sym)]
+            for sym in lat.symbols
+        ]
+        dual = {tuple(sigma[c] for c in complement) for sigma in sn}
+        return tuple(sorted(dual.union(sn)))
     raise ParameterError(f"unknown scope {scope!r}")
 
 
@@ -609,14 +595,15 @@ def enumerate_plucker_permutations(k: int, n: int, scope: str = "full") -> list:
 
     scope "full" exhausts every coordinate permutation (capacity-capped),
     "sn" only those induced by column permutations in S_n, and
-    "identity" the identity alone.
+    "identity" the identity alone.  Every one listed is certified.
     """
     symbols.check_kn(k, n)
-    return list(_enumerate_cached(k, n, scope))
+    return [certify(sigma, k, n) for sigma in _enumerate_cached(k, n, scope)]
 
 
 def scope_ladder(k: int, n: int, scope: str = "auto"):
-    """Permutations in the search order identity, sn, full, made lazily.
+    """Plain permutation tuples in the search order identity, sn, full,
+    each scope made when the search reaches it and none certified.
 
     An unknown scope raises on the call, before any search begins."""
     if scope not in ("auto", "identity", "sn", "full"):
@@ -632,10 +619,15 @@ def scope_ladder(k: int, n: int, scope: str = "auto"):
 def _first_occurrences(k: int, n: int, ladder: list):
     seen = set()
     for sc in ladder:
-        for w in enumerate_plucker_permutations(k, n, sc):
-            if w.perm not in seen:
-                seen.add(w.perm)
-                yield w
+        for sigma in _enumerate_cached(k, n, sc):
+            if sigma not in seen:
+                seen.add(sigma)
+                yield sigma
+
+
+def _permuted(vec, sigma) -> tuple:
+    """(sigma vec)_i = vec_{sigma(i)}, sigma taken as given."""
+    return tuple(vec[j] for j in sigma)
 
 
 def apply_permutation(sigma, b, k: int, n: int) -> tuple:
@@ -647,8 +639,7 @@ def apply_permutation(sigma, b, k: int, n: int) -> tuple:
         if witness is None:
             raise ParameterError("not a Plucker permutation")
         perm = witness.perm
-    vec = check_weight_vector_shape(b, k, n)
-    return tuple(vec[perm[i]] for i in range(len(vec)))
+    return _permuted(check_weight_vector_shape(b, k, n), perm)
 
 
 def is_descending_divisible(b) -> bool:
@@ -676,9 +667,9 @@ def is_divisive(b, k: int, n: int, scope: str = "auto"):
     ladder = scope_ladder(k, n, scope)
     if not is_descending_divisible(sorted(vec, reverse=True)):
         return None
-    for witness in ladder:
-        if is_descending_divisible(apply_permutation(witness, vec, k, n)):
-            return witness
+    for sigma in ladder:
+        if is_descending_divisible(_permuted(vec, sigma)):
+            return certify(sigma, k, n)
     return None
 
 
@@ -701,7 +692,7 @@ def equivalence(b, c, k: int, n: int, scope: str = "auto"):
     pb = primitive_part(vb)
     pc = primitive_part(vc)
     r = Fraction(gcd(*vc), gcd(*vb))
-    for witness in scope_ladder(k, n, scope):
-        if apply_permutation(witness, pb, k, n) == pc:
-            return witness, r
+    for sigma in scope_ladder(k, n, scope):
+        if _permuted(pb, sigma) == pc:
+            return certify(sigma, k, n), r
     return None

@@ -127,12 +127,13 @@ def no_p_torsion_certificate(b, k: int, n: int, p: int, scope: str = "auto"):
     """A Plucker permutation witnessing no p-torsion, or None.
 
     Searches identity first, then S_n-induced, then the full scope when
-    it is enumerable; None means not found in the searched scope.
+    it is enumerable, and certifies only the permutation it returns;
+    None means not found in the searched scope.
     """
     b = plucker.weight_vector(b, k, n)
-    for witness in plucker.scope_ladder(k, n, scope):
-        if certificate_condition(b, k, n, p, witness.perm):
-            return witness
+    for sigma in plucker.scope_ladder(k, n, scope):
+        if certificate_condition(b, k, n, p, sigma):
+            return plucker.certify(sigma, k, n)
     return None
 
 
@@ -217,12 +218,13 @@ def _eta_pair(vec) -> tuple:
     return eta, eta_prime
 
 
-def _admissible_gr24(b, p: int) -> list:
-    """Permutations with p-minimal entry at stage 5 and clean stages 4, 5."""
+def _admissible_gr24(b, p: int, full: list) -> list:
+    """Permutations of full with p-minimal entry at stage 5 and clean
+    stages 4, 5."""
     lat = symbols.lattice(2, 4)
     min_content = min(p_content(x, p) for x in b)
     return [
-        w for w in plucker.enumerate_plucker_permutations(2, 4, "full")
+        w for w in full
         if p_content(b[w.perm[5]], p) == min_content
         and _stage_clean(b, lat, p, w.perm, 4)
         and _stage_clean(b, lat, p, w.perm, 5)
@@ -244,7 +246,8 @@ def gr24_torsion_report(b) -> dict:
         "torsion_free_degrees": [i for i in range(9) if i != 3],
     }
     special_witness = None
-    for witness in plucker.enumerate_plucker_permutations(2, 4, "full"):
+    full = plucker.enumerate_plucker_permutations(2, 4, "full")
+    for witness in full:
         img = plucker.apply_permutation(witness, vec, 2, 4)
         if img[1] == img[2] and gcd(img[0], img[5]) == 1:
             special_witness = {"perm": list(witness.perm), "image": list(img)}
@@ -256,7 +259,7 @@ def gr24_torsion_report(b) -> dict:
     for p in primes:
         entries = []
         cleared = False
-        for witness in _admissible_gr24(vec, p):
+        for witness in _admissible_gr24(vec, p, full):
             img = plucker.apply_permutation(witness, vec, 2, 4)
             eta, eta_prime = _eta_pair(img)
             ok = gcd(eta, eta_prime) % p != 0

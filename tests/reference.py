@@ -5,7 +5,9 @@ The positivity rewrite's reference is ``rewrite_in_linear_basis``: the
 substitution by the inverse of the form matrix
 (``linear_basis_images``), where the library shears.  Weight-vector
 validity has its reference in ``reference_validate``: the walk over
-every Plucker relation that the (W, a) candidate replaced.
+every Plucker relation that the (W, a) candidate replaced.  The
+closed-form permutation scopes have theirs in ``reference_full_scope``:
+the exhaustive pair-structure search.
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps, or the route it ran before:
@@ -405,6 +407,48 @@ def reference_validate(b, k: int, n: int) -> bool:
         if len({vec[r] + vec[s] for r, s in rel.pairs}) > 1:
             return False
     return True
+
+
+def reference_full_scope(k: int, n: int) -> list:
+    """Every Plucker permutation at (k, n) with its witness, by search.
+
+    Backtracking over all C(n, k)! coordinate permutations, pruned to
+    those preserving the relation pairs (a Plucker permutation maps the
+    pair set of the relations onto itself), each survivor then put to
+    ``plucker.is_plucker_permutation``; sorted by permutation.  This is
+    the search the closed-form ``full`` scope replaced.
+    """
+    ctx = plucker._permutation_context(k, n)
+    m1, pairs = ctx.m1, ctx.pair_pos
+    sigma = [-1] * m1
+    used = [False] * m1
+    found = []
+
+    def consistent(i: int) -> bool:
+        for j in range(i):
+            ia, ib = sigma[j], sigma[i]
+            img = (ia, ib) if ia <= ib else (ib, ia)
+            if ((j, i) in pairs) != (img in pairs):
+                return False
+        return True
+
+    def rec(i: int) -> None:
+        if i == m1:
+            witness = plucker.is_plucker_permutation(tuple(sigma), k, n)
+            if witness is not None:
+                found.append(witness)
+            return
+        for v in range(m1):
+            if not used[v]:
+                sigma[i] = v
+                used[v] = True
+                if consistent(i):
+                    rec(i + 1)
+                used[v] = False
+        sigma[i] = -1
+
+    rec(0)
+    return sorted(found, key=lambda w: w.perm)
 
 
 def restrictions_as_json(b, k: int, n: int) -> dict:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -194,8 +195,7 @@ def test_solve_wa_integer_despite_fractional_naive_route():
     # the a = 1 route would give half-integer W here; a = 2 is integral
     sol = plucker.solve_wa([5, 1, 4, 4, 7, 3], 2, 4)
     assert sol.a == 2 and sol.W == (0, 3, -1, 2)
-    syms = symbols.enumerate_symbols(2, 4)
-    assert [sol.weight_of(s) for s in syms] == [5, 1, 4, 4, 7, 3]
+    assert plucker.weights_from_wa(sol.W, sol.a, 2, 4) == (5, 1, 4, 4, 7, 3)
 
 
 def test_solve_wa_rejects_invalid():
@@ -507,7 +507,57 @@ def test_echelon_identity_matches_row_reduction():
         assert seen == {True, False}
 
 
-def test_full_scope_reuses_induced_witnesses(monkeypatch, capsys):
+# every size the full scope admits: C(n, k) <= 10 and n <= 8
+FULL_SIZES = ([(1, n) for n in range(2, 9)] + [(n - 1, n) for n in range(3, 9)]
+              + [(2, 4), (2, 5), (3, 5)])
+
+
+@pytest.mark.parametrize("k, n", FULL_SIZES)
+def test_closed_form_scopes_match_the_search(k, n):
+    # Chow's closed form (sn, plus its complement composite at n = 2k)
+    # against the exhaustive pair-structure search, witnesses included
+    found = reference.reference_full_scope(k, n)
+    assert plucker.enumerate_plucker_permutations(k, n, "full") == found
+    sn = plucker.enumerate_plucker_permutations(k, n, "sn")
+    if n == 2 * k and k > 1:
+        assert len(sn) == len(found) // 2
+        assert set(sn) < set(found)
+    else:
+        assert sn == found
+
+
+def test_full_scope_sizes_are_exactly_the_admitted_ones():
+    admitted = {(k, n) for n in range(2, 12) for k in range(1, n)
+                if symbols.count(k, n) <= plucker.FULL_SCOPE_LIMIT
+                and n <= plucker.SN_SCOPE_LIMIT}
+    assert admitted == set(FULL_SIZES)
+
+
+def test_full_scope_at_1_9_raises_the_sn_capacity_error():
+    # C(9, 1) = 9 passes the full-scope guard; the sn guard then refuses
+    with pytest.raises(CapacityError, match=r"^sn scope needs n <= 8, got 9$"):
+        plucker.enumerate_plucker_permutations(1, 9, "full")
+
+
+def test_certificate_depth_is_not_bounded_by_the_recursion_limit():
+    # (3, 7) has 210 relations; the search holds them on its own stack
+    k, n = 3, 7
+    assert len(plucker.generate_relations(k, n)) == 210
+    plucker._permutation_context(k, n)
+    sigma = plucker._sn_induced_permutation((2, 1, 3, 4, 5, 6, 7), k, n)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        witness = plucker.is_plucker_permutation(sigma, k, n)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert witness is not None and witness.perm == sigma
+
+
+def test_searches_certify_only_the_returned_witness(monkeypatch, capsys):
     calls = []
     check = plucker.is_plucker_permutation
 
@@ -516,17 +566,22 @@ def test_full_scope_reuses_induced_witnesses(monkeypatch, capsys):
         return check(sigma, k, n)
 
     monkeypatch.setattr(plucker, "is_plucker_permutation", counting)
-    plucker._enumerate_cached.cache_clear()
     assert cli.main(["perms", "--k", "2", "--n", "4", "--scope", "full"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 48
     assert len(calls) == 48
-    # a failing classify walks identity, sn (24 checks) and full scope,
-    # which checks only the 24 permutations that are not induced
-    plucker._enumerate_cached.cache_clear()
+    # a failing classify walks identity, sn and full scope, and returns
+    # no witness, so it certifies nothing
     calls.clear()
     argv = ["classify", "[1,1,1,1,1,1]", "[5,1,4,3,6,2]", "--k", "2", "--n", "4"]
     assert cli.main(argv) == cli.EXIT_NOT_FOUND
-    assert len(calls) == 48
+    capsys.readouterr()
+    assert calls == []
+    # divisive passes over the identity and certifies the one witness
+    b = plucker.weights_from_wa((0, 0, 0, 0, 0, 3), 1, 2, 6)
+    assert cli.main(["divisive", json.dumps(b), "--k", "2", "--n", "6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["witness"] != list(range(15))
+    assert calls == [tuple(out["witness"])]
 
 
 def test_non_plucker_permutation_rejected():
@@ -551,7 +606,7 @@ def test_size_guards_run_before_any_lattice(monkeypatch):
         plucker.check_weight_vector_shape([1], 10, 20)
     with pytest.raises(ParameterError):
         plucker.is_plucker_point([1], 10, 20)
-    assert next(plucker.scope_ladder(8, 16)).perm == tuple(range(12870))
+    assert next(plucker.scope_ladder(8, 16)) == tuple(range(12870))
     assert len(plucker.weights_from_wa((0,) * 16, 1, 8, 16)) == 12870
 
 
