@@ -49,19 +49,7 @@ serve only ``is_plucker_point`` and the permutation test.
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
-Plucker point z.  Membership is decided by one exact integer test, on
-data built once per (k, n) on first use (``_permutation_context``):
-a signed pulled-back relation sum_t eps_t c_t z_{sigma r_t} z_{sigma s_t}
-vanishes on Pl(k, n) iff it lies in the span of the generating
-relations (``_PermutationContext.in_span``).
-
-For each pulled-back relation the admissible sign patterns eps are
-those passing the span test.  They depend only on the term tuple
-((c_t, sigma r_t, sigma s_t), ...), so the context memoises them.  A
-backtracking search, run from an explicit stack, picks one pattern per
-relation, keeping the constraints t_r t_s = eps_t consistent in a
-parity union-find with an undo log; the first consistent choice is a
-proof, and the signs are read off the union-find.
+Plucker point z.
 
 The scopes have a closed form.  With its signs, a Plucker permutation
 sigma is a linear map preserving Pl(k, n), so an automorphism of
@@ -70,15 +58,37 @@ induced by some g in GL_n, after the duality V -> V^perp (V_lam ->
 V_{[n] - lam}) when n = 2k.  It maps coordinate points e_lam to
 coordinate points, so g maps coordinate k-spaces, hence coordinate
 lines (their intersections, as k < n), to coordinate ones: g is
-monomial.  So sigma is induced by a column permutation in S_n, composed
-with the complement map lam -> [n] - lam if the duality was used; both
-kinds are Plucker permutations (signs from sorting, from the Hodge
-star).  Scope ``sn`` is the induced set, and ``full`` adds, when
+monomial.  So sigma is induced by a column permutation phi in S_n,
+composed with the complement map lam -> [n] - lam if the duality was
+used.  Scope ``sn`` is the induced set, and ``full`` adds, when
 n = 2k, ``sn`` composed with the complement map.  The tests check this
-against the exhaustive search (``tests/reference.py``) on every size
-``full`` admits (C(n, k) <= 10 with n <= 8).  A search tries the plain
-permutations and certifies only the one it returns;
-``enumerate_plucker_permutations`` certifies every one it lists.
+against the exhaustive search (``tests/reference.py``) on the sizes it
+affords.  A search tries the plain permutations and certifies only the
+one it returns; ``enumerate_plucker_permutations`` certifies every one
+it lists.
+
+Membership is decided by lookup, with no linear algebra: a sign
+pattern eps is admissible for the pulled-back relation
+sum_t c_t z_{sigma r_t} z_{sigma s_t} iff sum_t eps_t c_t z_{sigma r_t}
+z_{sigma s_t}, normalized as the generating relations are, is one of
+them (``_sign_patterns``).  The test is sufficient: with one
+admissible pattern per relation and consistent signs t, every
+generating relation vanishes at t.sigma(z), so t.sigma(z) lies in
+Pl(k, n).  It is also necessary for every Plucker permutation, which
+lies in the closed-form scopes.  There, with the sorting signs of phi,
+the exchange relation of head I and tail L pulls back to +-(phi I,
+phi L), and with the signs of the Hodge star the complement map takes
+it to +-([n] - L, [n] - I): one admissible pattern per relation, all
+consistent.  So a permutation is accepted iff it is a Plucker
+permutation, whatever the caller passes.
+
+The admissible patterns depend only on the term tuple
+((c_t, sigma r_t, sigma s_t), ...), so they are memoised on it in a
+bounded cache.  A backtracking search, run from an explicit stack,
+picks one pattern per relation, keeping the constraints t_r t_s = eps_t
+consistent in a parity union-find with an undo log; the first
+consistent choice is a proof, and the signs are read off the
+union-find.
 """
 
 from __future__ import annotations
@@ -86,10 +96,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
-from . import linalg, symbols
+from . import symbols
 from .errors import (
     CapacityError,
     InternalInconsistencyError,
@@ -98,7 +108,6 @@ from .errors import (
     ParameterError,
 )
 
-FULL_SCOPE_LIMIT = 10  # full permutation search allowed while m+1 <= 10
 SN_SCOPE_LIMIT = 8  # sn scope walks all n! column permutations while n <= 8
 FACTOR_LIMIT = 10**6  # trial divisors tried by prime_factors
 
@@ -155,7 +164,7 @@ def _canonical_relation(term_map: dict):
     return PluckerRelation(pairs, coefs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def generate_relations(k: int, n: int) -> tuple:
     """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
     index = symbols.lattice(k, n).index
@@ -360,77 +369,38 @@ class SignedPermutation(NamedTuple):
     signs: tuple
 
 
-class _PermutationContext:
-    """Exact data shared by every Plucker-permutation test at one (k, n).
+class _PermutationContext(NamedTuple):
+    """The generating relations at one (k, n), as a tuple and as a set,
+    and the pairs (r, s) of their terms."""
 
-    ``patterns`` memoises the admissible sign patterns on the pulled-back
-    term tuple.  ``pivot_rows`` maps each pivot column of the reduced row
-    echelon form of the relations to its row, as a sparse dict scaled to
-    integers by the common denominator ``scale``.
-    """
-
-    def __init__(self, k: int, n: int):
-        self.rels = generate_relations(k, n)
-        self.m1 = symbols.count(k, n)
-        all_pairs = sorted({pair for rel in self.rels for pair in rel.pairs})
-        self.pair_pos = {pair: t for t, pair in enumerate(all_pairs)}
-        rows = []
-        for rel in self.rels:
-            row = [0] * len(all_pairs)
-            for pair, c in zip(rel.pairs, rel.coefs):
-                row[self.pair_pos[pair]] = c
-            rows.append(row)
-        span_rref, span_pivots = linalg.rref(rows)
-        scale = 1
-        for row in span_rref[: len(span_pivots)]:
-            for x in row:
-                scale = lcm(scale, x.denominator)
-        self.scale = scale
-        self.pivot_rows = {
-            c: {col: int(x * scale) for col, x in enumerate(row) if x}
-            for row, c in zip(span_rref, span_pivots)
-        }
-        self.patterns: dict = {}
-
-    def in_span(self, vec: dict) -> bool:
-        """Whether vec ({column: int}) lies in the span of the relations.
-
-        In reduced row echelon form v is in the row span iff
-        v == sum over pivot columns c of v[c] * row_c, so only the rows
-        whose pivot v touches take part.
-        """
-        scale = self.scale
-        residue = {col: scale * x for col, x in vec.items()}
-        for c, x in vec.items():
-            row = self.pivot_rows.get(c)
-            if row is not None and x:
-                for col, y in row.items():
-                    residue[col] = residue.get(col, 0) - x * y
-        return not any(residue.values())
+    rels: tuple
+    members: frozenset
+    pairs: frozenset
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _permutation_context(k: int, n: int) -> _PermutationContext:
-    """Shared exact data for the permutation predicate, built on first use."""
-    return _PermutationContext(k, n)
+    """Shared data for the permutation predicate, built on first use."""
+    rels = generate_relations(k, n)
+    pairs = frozenset(pair for rel in rels for pair in rel.pairs)
+    return _PermutationContext(rels, frozenset(rels), pairs)
 
 
-def _sign_patterns(ctx: _PermutationContext, terms: tuple) -> list:
-    """Sign patterns eps with sum_t eps_t c_t e_(r_t, s_t) in the span.
+@lru_cache(maxsize=2**15)
+def _sign_patterns(k: int, n: int, terms: tuple) -> tuple:
+    """Sign patterns eps making sum_t eps_t c_t z_(r_t) z_(s_t) a
+    generating relation up to scale.
 
     terms is the pulled-back relation ((c_t, r_t, s_t), ...); patterns are
     kept in product((1, -1), repeat=T) order.
     """
-    admissible = ctx.patterns.get(terms)
-    if admissible is None:
-        cols = [ctx.pair_pos[(r, s)] for _, r, s in terms]
-        admissible = [
-            eps for eps in product((1, -1), repeat=len(terms))
-            if ctx.in_span({col: e * c
-                            for col, e, (c, _, _) in zip(cols, eps, terms)})
-        ]
-        ctx.patterns[terms] = admissible
-    return admissible
+    members = _permutation_context(k, n).members
+    admissible = []
+    for eps in product((1, -1), repeat=len(terms)):
+        signed = {(r, s): e * c for e, (c, r, s) in zip(eps, terms)}
+        if _canonical_relation(signed) in members:
+            admissible.append(eps)
+    return tuple(admissible)
 
 
 class _ParityForest:
@@ -490,18 +460,18 @@ class _ParityForest:
 def is_plucker_permutation(sigma, k: int, n: int):
     """Sign witness making sigma a Plucker permutation, or None.
 
-    Every pulled-back relation keeps the sign patterns that put it in
-    the span of the generating relations; a search then picks one
-    pattern per relation with consistent constraints t_r t_s = eps_t.
+    Every pulled-back relation keeps the sign patterns that make it a
+    generating relation; a search then picks one pattern per relation
+    with consistent constraints t_r t_s = eps_t.
     """
-    ctx = _permutation_context(k, n)
-    rels, m1, pair_pos = ctx.rels, ctx.m1, ctx.pair_pos
+    rels, _, pairs = _permutation_context(k, n)
+    m1 = symbols.count(k, n)
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(m1)):
         raise ParameterError(f"not a permutation of 0..{m1 - 1}")
-    for r, s in pair_pos:
+    for r, s in pairs:
         ir, is_ = sigma[r], sigma[s]
-        if ((ir, is_) if ir <= is_ else (is_, ir)) not in pair_pos:
+        if ((ir, is_) if ir <= is_ else (is_, ir)) not in pairs:
             return None
     options = []
     for rel in rels:
@@ -509,7 +479,7 @@ def is_plucker_permutation(sigma, k: int, n: int):
         for (r, s), c in zip(rel.pairs, rel.coefs):
             ir, is_ = sigma[r], sigma[s]
             terms.append((c, ir, is_) if ir <= is_ else (c, is_, ir))
-        opts = _sign_patterns(ctx, tuple(terms))
+        opts = _sign_patterns(k, n, tuple(terms))
         if not opts:
             return None
         options.append(opts)
@@ -573,10 +543,6 @@ def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
             group += [tuple(tau[x] for x in h) for tau in taus for h in group]
         return tuple(sorted(set(group)))
     if scope == "full":
-        if m1 > FULL_SCOPE_LIMIT:
-            raise CapacityError(
-                f"full scope needs m+1 <= {FULL_SCOPE_LIMIT}, got {m1}"
-            )
         sn = _enumerate_cached(k, n, "sn")
         if n != 2 * k:
             return sn
@@ -593,9 +559,10 @@ def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
 def enumerate_plucker_permutations(k: int, n: int, scope: str = "full") -> list:
     """All Plucker permutations in the requested scope, with witnesses.
 
-    scope "full" exhausts every coordinate permutation (capacity-capped),
-    "sn" only those induced by column permutations in S_n, and
-    "identity" the identity alone.  Every one listed is certified.
+    scope "sn" lists those induced by column permutations in S_n,
+    "full" every Plucker permutation (``sn``, plus its composites with
+    the complement map when n = 2k), and "identity" the identity alone.
+    Every one listed is certified.
     """
     symbols.check_kn(k, n)
     return [certify(sigma, k, n) for sigma in _enumerate_cached(k, n, scope)]
@@ -608,11 +575,7 @@ def scope_ladder(k: int, n: int, scope: str = "auto"):
     An unknown scope raises on the call, before any search begins."""
     if scope not in ("auto", "identity", "sn", "full"):
         raise ParameterError(f"unknown scope {scope!r}")
-    ladder = [scope]
-    if scope == "auto":
-        ladder = ["identity", "sn"]
-        if symbols.count(k, n) <= FULL_SCOPE_LIMIT:
-            ladder.append("full")
+    ladder = ["identity", "sn", "full"] if scope == "auto" else [scope]
     return _first_occurrences(k, n, ladder)
 
 

@@ -126,8 +126,8 @@ def certificate_condition(b, k: int, n: int, p: int, perm) -> bool:
 def no_p_torsion_certificate(b, k: int, n: int, p: int, scope: str = "auto"):
     """A Plucker permutation witnessing no p-torsion, or None.
 
-    Searches identity first, then S_n-induced, then the full scope when
-    it is enumerable, and certifies only the permutation it returns;
+    Searches identity first, then S_n-induced, then the full scope, and
+    certifies only the permutation it returns;
     None means not found in the searched scope.
     """
     b = plucker.weight_vector(b, k, n)

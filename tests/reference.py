@@ -7,7 +7,9 @@ substitution by the inverse of the form matrix
 validity has its reference in ``reference_validate``: the walk over
 every Plucker relation that the (W, a) candidate replaced.  The
 closed-form permutation scopes have theirs in ``reference_full_scope``:
-the exhaustive pair-structure search.
+the exhaustive pair-structure search; the lookup of signed relations
+has its in ``reference_sign_patterns``: the span test by dense
+``Fraction`` row reduction.
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps, or the route it ran before:
@@ -25,6 +27,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import lcm
 
 from wgrass import gkm, linalg, plucker, puzzles, symbols
@@ -418,8 +421,7 @@ def reference_full_scope(k: int, n: int) -> list:
     ``plucker.is_plucker_permutation``; sorted by permutation.  This is
     the search the closed-form ``full`` scope replaced.
     """
-    ctx = plucker._permutation_context(k, n)
-    m1, pairs = ctx.m1, ctx.pair_pos
+    m1, pairs = symbols.count(k, n), plucker._permutation_context(k, n).pairs
     sigma = [-1] * m1
     used = [False] * m1
     found = []
@@ -449,6 +451,54 @@ def reference_full_scope(k: int, n: int) -> list:
 
     rec(0)
     return sorted(found, key=lambda w: w.perm)
+
+
+def _relation_rows(rels, cols) -> list:
+    """The relations as dense Fraction rows over the column map cols."""
+    rows = []
+    for rel in rels:
+        row = [Fraction(0)] * len(cols)
+        for pair, c in zip(rel.pairs, rel.coefs):
+            row[cols[pair]] = Fraction(c)
+        rows.append(row)
+    return rows
+
+
+@lru_cache(maxsize=None)
+def _span_basis(k: int, n: int) -> tuple:
+    """Column map of the relation pairs and the rref basis of the
+    relations at (k, n)."""
+    rels = plucker.generate_relations(k, n)
+    cols = {pair: t for t, pair in
+            enumerate(sorted({pair for rel in rels for pair in rel.pairs}))}
+    rref_rows, pivots = linalg.rref(_relation_rows(rels, cols))
+    return cols, rref_rows[: len(pivots)], pivots
+
+
+def in_row_span(vec, rref_rows, pivots) -> bool:
+    """Dense Fraction reduction of vec against an rref basis."""
+    v = [Fraction(x) for x in vec]
+    for row, c in zip(rref_rows, pivots):
+        if v[c]:
+            f = v[c]
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return not any(v)
+
+
+@lru_cache(maxsize=None)
+def reference_sign_patterns(k: int, n: int, terms: tuple) -> tuple:
+    """``plucker._sign_patterns`` by the span test that the lookup
+    replaced: the patterns eps that put sum_t eps_t c_t z_(r_t) z_(s_t)
+    in the span of the generating relations."""
+    cols, rref_rows, pivots = _span_basis(k, n)
+    admissible = []
+    for eps in product((1, -1), repeat=len(terms)):
+        dense = [0] * len(cols)
+        for e, (c, r, s) in zip(eps, terms):
+            dense[cols[(r, s)]] = e * c
+        if in_row_span(dense, rref_rows, pivots):
+            admissible.append(eps)
+    return tuple(admissible)
 
 
 def restrictions_as_json(b, k: int, n: int) -> dict:

@@ -52,6 +52,22 @@ def test_divisive_and_not_found():
     assert code == 3 and not json.loads(out)["divisive"]
 
 
+def test_complement_presentations_at_n_2k():
+    # at (3, 6) b (1 on the symbols containing 1, 2 elsewhere) is
+    # presented only through the complement map, which also takes b to c
+    # (2 on the symbols containing 1); the full scope must be reached
+    syms = list(combinations(range(1, 7), 3))
+    b = json.dumps([1 if 1 in s else 2 for s in syms])
+    c = json.dumps([2 if 1 in s else 1 for s in syms])
+    code, out = run_cli("divisive", b, "--k", "3", "--n", "6")
+    data = json.loads(out)
+    assert code == 0 and data["divisive"]
+    assert data["witness"] == [10, 11, 13, 16, 12, 14, 17, 15, 18, 19,
+                               0, 1, 4, 2, 5, 7, 3, 6, 8, 9]
+    code, out = run_cli("classify", b, c, "--k", "3", "--n", "6")
+    assert code == 0 and json.loads(out)["equivalent"]
+
+
 def test_classify():
     code, out = run_cli(
         "classify", "[2,6,6,2,2,6]", "[6,6,6,2,2,2]", "--k", "2", "--n", "4"
@@ -296,7 +312,7 @@ def test_torsion_primes_must_be_primes(capsys):
 
 
 def test_capacity_exit_code():
-    code, _ = run_cli("perms", "--k", "2", "--n", "6", "--scope", "full")
+    code, _ = run_cli("perms", "--k", "2", "--n", "9", "--scope", "full")
     assert code == 4
 
 

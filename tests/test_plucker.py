@@ -51,16 +51,6 @@ def sample_plucker_point(k, n, seed):
             return tuple(minors)
 
 
-def in_row_span(vec, rref_rows, pivots):
-    """Dense Fraction reduction against an rref basis; the reference test."""
-    v = [Fraction(x) for x in vec]
-    for row, c in zip(rref_rows, pivots):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
-
-
 def test_relation_2_4_exact():
     rels = plucker.generate_relations(2, 4)
     assert len(rels) == 1
@@ -387,15 +377,11 @@ def _induced(k, n):
                    for phi in permutations(range(1, n + 1))})
 
 
-def _relation_rows(ctx):
-    """The relations as dense Fraction rows over ctx.pair_pos."""
-    rows = []
-    for rel in ctx.rels:
-        row = [Fraction(0)] * len(ctx.pair_pos)
-        for pair, c in zip(rel.pairs, rel.coefs):
-            row[ctx.pair_pos[pair]] = Fraction(c)
-        rows.append(row)
-    return rows
+def _pulled_back(sigma, k, n):
+    """The term tuple of each relation pulled back by sigma."""
+    return [tuple((c, *sorted((sigma[r], sigma[s])))
+                  for (r, s), c in zip(rel.pairs, rel.coefs))
+            for rel in plucker.generate_relations(k, n)]
 
 
 def test_predicate_answers_pinned():
@@ -425,38 +411,29 @@ def test_predicate_answers_pinned():
 
 
 def test_sign_screen_matches_fraction_evaluation():
-    # the memoised span screen against dense Fraction reduction, on the
+    # the memoised lookup against dense Fraction reduction, on the
     # pulled-back relations of induced permutations and on term tuples
     # mixed from several relations; admissible patterns vanish on samples
     rng = random.Random(23)
     for k, n in [(2, 5), (3, 5)]:
-        ctx = plucker._PermutationContext(k, n)
-        pairs = sorted(ctx.pair_pos)
-        rref_rows, pivots = linalg.rref(_relation_rows(ctx))
-        rref_rows = rref_rows[: len(pivots)]
+        ctx = plucker._permutation_context(k, n)
+        pairs = sorted(ctx.pairs)
         points = [sample_plucker_point(k, n, 500 + seed)
                   for seed in range(5)]
         induced = _induced(k, n)
         tuples = []
         for sigma in [rng.choice(induced) for _ in range(8)]:
-            for rel in ctx.rels:
-                tuples.append(tuple((c, *sorted((sigma[r], sigma[s])))
-                                    for (r, s), c in zip(rel.pairs, rel.coefs)))
+            tuples += _pulled_back(sigma, k, n)
         for _ in range(40):
             tuples.append(tuple((rng.choice((1, -1)), *pair)
                                 for pair in rng.sample(pairs, 3)))
         hits = 0
         outcomes = set()
         for terms in tuples + tuples[: 4 * len(ctx.rels)]:
-            expected = []
-            for eps in product((1, -1), repeat=len(terms)):
-                dense = [0] * len(pairs)
-                for e, (c, r, s) in zip(eps, terms):
-                    dense[ctx.pair_pos[(r, s)]] = e * c
-                if in_row_span(dense, rref_rows, pivots):
-                    expected.append(eps)
-            hits += terms in ctx.patterns
-            got = plucker._sign_patterns(ctx, terms)
+            expected = reference.reference_sign_patterns(k, n, terms)
+            before = plucker._sign_patterns.cache_info().hits
+            got = plucker._sign_patterns(k, n, terms)
+            hits += plucker._sign_patterns.cache_info().hits - before
             assert got == expected
             for eps, z in product(got, points):
                 assert not sum(e * c * z[r] * z[s]
@@ -466,48 +443,7 @@ def test_sign_screen_matches_fraction_evaluation():
         assert outcomes == {True, False}
 
 
-def test_echelon_identity_matches_row_reduction():
-    rng = random.Random(29)
-    for k, n in [(2, 5), (3, 5)]:
-        ctx = plucker._PermutationContext(k, n)
-        width = len(ctx.pair_pos)
-        rows = _relation_rows(ctx)
-        rref_rows, pivots = linalg.rref(rows)
-        rref_rows = rref_rows[: len(pivots)]
-        vectors = []
-        induced = _induced(k, n)
-        for sigma in [rng.choice(induced) for _ in range(10)]:
-            witness = plucker.is_plucker_permutation(sigma, k, n)
-            random_signs = tuple(rng.choice((1, -1)) for _ in sigma)
-            for signs in (witness.signs, random_signs):
-                for rel in ctx.rels:
-                    vec = {}
-                    for (r, s), c in zip(rel.pairs, rel.coefs):
-                        ir, is_ = sorted((sigma[r], sigma[s]))
-                        pos = ctx.pair_pos[(ir, is_)]
-                        vec[pos] = vec.get(pos, 0) + c * signs[r] * signs[s]
-                    vectors.append(vec)
-        for _ in range(40):
-            combo = [rng.randint(-3, 3) for _ in rows]
-            vec = {col: int(sum(a * row[col] for a, row in zip(combo, rows)))
-                   for col in range(width)}
-            vectors.append(vec)
-            bumped = dict(vec)
-            col = rng.randrange(width)
-            bumped[col] += rng.choice((1, -1))
-            vectors.append(bumped)
-        seen = set()
-        for vec in vectors:
-            dense = [Fraction(0)] * width
-            for col, x in vec.items():
-                dense[col] = Fraction(x)
-            expected = in_row_span(dense, rref_rows, pivots)
-            assert ctx.in_span(vec) == expected
-            seen.add(expected)
-        assert seen == {True, False}
-
-
-# every size the full scope admits: C(n, k) <= 10 and n <= 8
+# sizes the exhaustive reference search affords
 FULL_SIZES = ([(1, n) for n in range(2, 9)] + [(n - 1, n) for n in range(3, 9)]
               + [(2, 4), (2, 5), (3, 5)])
 
@@ -526,11 +462,63 @@ def test_closed_form_scopes_match_the_search(k, n):
         assert sn == found
 
 
-def test_full_scope_sizes_are_exactly_the_admitted_ones():
-    admitted = {(k, n) for n in range(2, 12) for k in range(1, n)
-                if symbols.count(k, n) <= plucker.FULL_SCOPE_LIMIT
-                and n <= plucker.SN_SCOPE_LIMIT}
-    assert admitted == set(FULL_SIZES)
+def test_lookup_matches_the_span_reference(monkeypatch):
+    # pattern lists and witnesses equal those of the span test, on every
+    # full permutation at FULL_SIZES and on the complement composites at
+    # (3, 6); the answers are equal on seeded non-Plucker permutations
+    cases = [(k, n, sigma) for k, n in FULL_SIZES
+             for sigma in plucker._enumerate_cached(k, n, "full")]
+    composites = sorted(set(plucker._enumerate_cached(3, 6, "full"))
+                        - set(plucker._enumerate_cached(3, 6, "sn")))
+    assert len(composites) == 720
+    cases += [(3, 6, sigma) for sigma in composites]
+    rng = random.Random(37)
+    rejected = []
+    for k, n in [(2, 4), (2, 5), (3, 5), (2, 6), (3, 6), (2, 7), (3, 7)]:
+        pool = plucker._enumerate_cached(k, n, "full")
+        full = set(pool)
+        for _ in range(30):
+            shuffled = list(range(symbols.count(k, n)))
+            rng.shuffle(shuffled)
+            swapped = list(rng.choice(pool))
+            i, j = rng.sample(range(len(swapped)), 2)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            rejected += [(k, n, tuple(sigma)) for sigma in (shuffled, swapped)
+                         if tuple(sigma) not in full]
+    assert len(rejected) > 300
+    span_patterns = reference.reference_sign_patterns
+    terms = {(k, n, t) for k, n, sigma in cases
+             for t in _pulled_back(sigma, k, n)}
+    for k, n, t in sorted(terms):
+        assert plucker._sign_patterns(k, n, t) == span_patterns(k, n, t)
+    lookup = [plucker.is_plucker_permutation(sigma, k, n)
+              for k, n, sigma in cases + rejected]
+    monkeypatch.setattr(plucker, "_sign_patterns", span_patterns)
+    span = [plucker.is_plucker_permutation(sigma, k, n)
+            for k, n, sigma in cases + rejected]
+    assert lookup == span
+    assert None not in lookup[: len(cases)]
+    assert set(lookup[len(cases):]) == {None}
+
+
+def test_permutation_caches_are_bounded():
+    # a process that certifies at more sizes than the bound keeps at
+    # most the bound in each cache of the predicate
+    caches = (plucker.generate_relations, plucker._permutation_context,
+              plucker._sign_patterns)
+    for cache in caches:
+        cache.cache_clear()
+    sizes = ([(2, n) for n in range(4, 8)] + [(3, n) for n in range(5, 8)]
+             + [(4, 6), (4, 7), (5, 7)])
+    assert len(sizes) > plucker._permutation_context.cache_info().maxsize
+    for k, n in sizes:
+        phi = (2, 1) + tuple(range(3, n + 1))
+        sigma = plucker._sn_induced_permutation(phi, k, n)
+        assert plucker.certify(sigma, k, n).perm == sigma
+    assert plucker._permutation_context.cache_info().misses == len(sizes)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def test_full_scope_at_1_9_raises_the_sn_capacity_error():
@@ -592,7 +580,7 @@ def test_non_plucker_permutation_rejected():
 
 def test_full_scope_capacity():
     with pytest.raises(CapacityError):
-        plucker.enumerate_plucker_permutations(2, 6, "full")
+        plucker.enumerate_plucker_permutations(2, 9, "full")
 
 
 def test_size_guards_run_before_any_lattice(monkeypatch):
