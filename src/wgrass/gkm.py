@@ -21,7 +21,7 @@ restriction form of the equivariant Chevalley formula (Knutson & Tao
 
 so the rows are built by decreasing i, each entry one exact division of
 rows already built, on integer maps from packed monomials (one
-``_packer`` per (n, max d)), the value at lam_t stored times
+``polynomial.packing`` per (n, max d)), the value at lam_t stored times
 b_t^{d_i}.  ``_validate_basis`` checks the pinning conditions, the
 closed row 1 (b_j Y_0 - b_0 Y_j at this scale) and GKM membership.
 Support, diagonal, degree and membership fix each basis class uniquely,
@@ -73,22 +73,12 @@ symmetry in.  A bounded memo per vector (``_products``) keeps them.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from . import plucker, symbols
-from .errors import InternalInconsistencyError, ParameterError
-from .polynomial import (
-    _build,
-    _cleared,
-    _degree_range,
-    _divide_packed,
-    _guard_bits,
-    _mul_packed,
-    _packer,
-    _substitute_packed,
-    linear_form,
-)
+from .errors import InternalInconsistencyError
+from .polynomial import _mul_packed, linear_form, packing
 
 
 class GKMGraph(NamedTuple):
@@ -123,21 +113,18 @@ def build_graph(b, k: int, n: int) -> GKMGraph:
     return GKMGraph(k, n, vec, tuple(edges), labels)
 
 
-def _packed_labels(graph: GKMGraph, pack) -> dict:
-    return {
-        edge: {pack(e): c for e, c in label.terms.items()}
-        for edge, label in graph.labels.items()
-    }
+def _packed_labels(graph: GKMGraph, pk) -> dict:
+    return {edge: pk.of(label.terms) for edge, label in graph.labels.items()}
 
 
-def _row_is_class(graph: GKMGraph, labels: dict, guard: int, row, scales) -> bool:
+def _row_is_class(graph: GKMGraph, labels: dict, pk, row, scales) -> bool:
     """GKM membership of the class with value row[t] / scales[t] at t.
 
-    ``row`` holds packed integer maps, ``labels`` the packed edge
-    labels and ``guard`` the ``_guard_bits`` of their packing.  Across
-    the edge (l, j) the difference is scaled to the integer map
-    (s_l row[j] - s_j row[l]) / gcd(s_l, s_j), which the label divides
-    in Q[y] iff ``_divide_packed`` finds a quotient (Gauss's lemma).
+    ``row`` holds integer maps and ``labels`` the edge labels, both
+    packed by the packing ``pk``.  Across the edge (l, j) the difference
+    is scaled to the integer map (s_l row[j] - s_j row[l]) /
+    gcd(s_l, s_j), which the label divides in Q[y] iff ``pk.divide``
+    finds a quotient (Gauss's lemma).
     """
     for l, j in graph.edges:
         hi, lo = row[j], row[l]
@@ -146,40 +133,19 @@ def _row_is_class(graph: GKMGraph, labels: dict, guard: int, row, scales) -> boo
         g = gcd(scales[j], scales[l])
         diff = {key: c * (scales[l] // g) for key, c in hi.items()}
         _mul_packed(lo, {0: 1}, diff, -(scales[j] // g))  # {0: 1} packs 1
-        if diff and _divide_packed(diff, labels[(l, j)], guard) is None:
+        if diff and pk.divide(diff, labels[(l, j)]) is None:
             return False
     return True
-
-
-def is_class(graph: GKMGraph, values) -> bool:
-    """True iff every edge label divides the difference across the edge."""
-    vals = list(values)
-    if len(vals) != len(symbols.lattice(graph.k, graph.n).symbols):
-        raise ParameterError("need one polynomial per fixed point")
-    if any(v.nvars != graph.n for v in vals):
-        raise ParameterError(f"values must be polynomials in {graph.n} variables")
-    top = max(1, *(v.degree() for v in vals))
-    pack, _ = _packer(graph.n, top)
-    cleared = [_cleared(v.terms) for v in vals]
-    scale = lcm(*(d for _, d in cleared))
-    row = [
-        {pack(e): c * (scale // d) for e, c in terms.items()}
-        for terms, d in cleared
-    ]
-    return _row_is_class(
-        graph, _packed_labels(graph, pack), _guard_bits(graph.n, top), row,
-        [1] * len(row),
-    )
 
 
 class _Restrictions(tuple):
     """A restriction matrix of Polys, rows by basis index, and its integer form.
 
-    ``rows[i][t]`` maps packed monomials (``pack``) to ints and equals
-    b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
-    ``guard`` is the ``_guard_bits`` of ``pack``.  Built by
-    ``_restrictions``.  Hashed by identity, so that the oracle's memo,
-    keyed by the basis it reads, is never shared with other rows.
+    ``rows[i][t]`` maps monomials packed by ``packing`` to ints and
+    equals b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
+    Built by ``_restrictions``.  Hashed by identity, so that the oracle's
+    memo, keyed by the basis it reads, is never shared with other rows,
+    nor with the rows rebuilt after this basis leaves its cache.
     """
 
     __hash__ = object.__hash__
@@ -189,53 +155,32 @@ class _ColumnMaps(NamedTuple):
     """A weighted graph and the integer maps from its columns to y.
 
     ``w`` is W as ``_column_maps`` shifts it.  Column t has coordinates
-    z_s = y_s - (w_s / b_t) Y_t.  ``columns[t]`` is
-    (b_t, to_y): the packed images z_s -> b_t y_s - w_s Y_t of the
-    variables with w_s != 0; the ``kept`` ones (w_s == 0) scale by b_t.
-    On a form of degree e that is b_t^e times the change of
-    coordinates.
+    z_s = y_s - (w_s / b_t) Y_t.  ``columns[t]`` is (b_t, to_y): the
+    images z_s -> b_t y_s - w_s Y_t of the variables with w_s != 0,
+    packed by ``packing`` as the b = 1 rows are; the ``kept`` ones
+    (w_s == 0) scale by b_t.  On a form of degree e that is b_t^e times
+    the change of coordinates.
     """
 
     graph: GKMGraph
-    pack: object
-    unpack: object
+    packing: object
     w: list
     kept: list
     columns: list
 
 
-def _unit_monomials(n: int, pack) -> list:
-    """The packed variables y_1, ..., y_n."""
-    return [pack(tuple(int(u == v) for u in range(n))) for v in range(n)]
-
-
-def _restrictions(graph: GKMGraph, pack, unpack, rows) -> _Restrictions:
+def _restrictions(graph: GKMGraph, pk, rows) -> _Restrictions:
     """The Poly matrix of integer ``rows``: one division per entry."""
     lat = symbols.lattice(graph.k, graph.n)
     out = _Restrictions(
-        tuple(
-            _build(
-                graph.n,
-                {unpack(key): c for key, c in entry.items()},
-                graph.b[t] ** lat.d[i],
-            )
-            for t, entry in enumerate(row)
-        )
+        tuple(pk.poly(entry, graph.b[t] ** lat.d[i]) for t, entry in enumerate(row))
         for i, row in enumerate(rows)
     )
-    out.graph, out.lat, out.rows = graph, lat, rows
-    out.pack, out.unpack = pack, unpack
-    out.guard = _guard_bits(graph.n, _row_top(lat))
+    out.graph, out.lat, out.rows, out.packing = graph, lat, rows, pk
     return out
 
 
-def _row_top(lat) -> int:
-    """The degree the integer rows are packed for: no form here goes
-    above max d (an entry, a label product, a c^r_{pq}, a cover's num)."""
-    return max(lat.d)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # a (3, 8) basis holds about 78 MB
 def kt_restrictions(k: int, n: int) -> tuple:
     """Basis restriction matrix at b = (1, ..., 1), rows by basis index.
 
@@ -254,12 +199,11 @@ def kt_restrictions(k: int, n: int) -> tuple:
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
     graph = build_graph((1,) * m1, k, n)
-    top = _row_top(lat)
-    pack, unpack = _packer(n, top)
-    guard = _guard_bits(n, top)
-    labels = _packed_labels(graph, pack)
-    forms = [{pack(e): c for e, c in linear_form(n, sym).terms.items()}
-             for sym in lat.symbols]
+    # no form here goes above max d: an entry, a label product, a
+    # c^r_{pq}, a cover's num; ``_column_maps`` packs alike
+    pk = packing(n, max(lat.d))
+    labels = _packed_labels(graph, pk)
+    forms = [pk.linear(sym) for sym in lat.symbols]
     rows: list = [None] * m1
     for i in reversed(range(m1)):
         row = rows[i] = [{} for _ in range(m1)]
@@ -269,10 +213,10 @@ def kt_restrictions(k: int, n: int) -> tuple:
             for up in lat.arrows[i]:
                 _mul_packed(rows[up][t], {0: 1}, num)  # {0: 1} packs 1
             den = _mul_packed(forms[t], {0: -1}, dict(forms[i]))
-            row[t] = _divide_packed(num, den, guard)
+            row[t] = pk.divide(num, den)
             if not row[t]:  # None, or zero inside the upper set
                 raise InternalInconsistencyError("Chevalley basis step fails")
-    out = _restrictions(graph, pack, unpack, rows)
+    out = _restrictions(graph, pk, rows)
     _validate_basis(out)
     return out
 
@@ -292,7 +236,7 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
          for t, entry in enumerate(row)]
         for i, row in enumerate(base.rows)
     ]
-    out = _restrictions(maps.graph, base.pack, base.unpack, rows)
+    out = _restrictions(maps.graph, base.packing, rows)
     _validate_basis(out)
     return out
 
@@ -327,24 +271,24 @@ def _column_maps(graph: GKMGraph) -> _ColumnMaps:
     v = max(sorted({x for x in w if a + graph.k * x > 0} | {0}), key=w.count)
     w = [x - v for x in w]
     moved = [s for s in range(n) if w[s]]
-    pack, unpack = _packer(n, _row_top(lat))
-    unit = _unit_monomials(n, pack)
+    pk = packing(n, max(lat.d))  # as ``kt_restrictions`` packs its rows
     columns = []
     for t, bt in enumerate(graph.b):
-        yt = {unit[u - 1]: 1 for u in lat.symbols[t]}
+        yt = pk.linear(lat.symbols[t])
         columns.append((
-            bt, [(s, _mul_packed(yt, {0: -w[s]}, {unit[s]: bt})) for s in moved]
+            bt, [(s, _mul_packed(yt, {0: -w[s]}, {pk.units[s]: bt})) for s in moved]
         ))
     kept = [s for s in range(n) if not w[s]]
-    return _ColumnMaps(graph, pack, unpack, w, kept, columns)
+    return _ColumnMaps(graph, pk, w, kept, columns)
 
 
 def _to_y(maps: _ColumnMaps, t: int, entry: dict, e: int) -> dict:
     """b_t^e times the packed degree-e form ``entry`` of the coordinates
     of column t, in y."""
     bt, to_y = maps.columns[t]
-    terms = {maps.unpack(key): c for key, c in entry.items()}
-    return _substitute_packed(terms, to_y, maps.kept, maps.graph.n, maps.pack, bt, e)
+    unpack = maps.packing.unpack
+    terms = {unpack(key): c for key, c in entry.items()}
+    return maps.packing.substitute(terms, to_y, maps.kept, bt, e)
 
 
 def _check_column_maps(maps: _ColumnMaps) -> None:
@@ -354,12 +298,12 @@ def _check_column_maps(maps: _ColumnMaps) -> None:
     to_y_j(z_s' - z_s) = b_j L and b_l to_y_j(z_u) - b_j to_y_l(z_u) =
     w_u b_j L.
     """
-    graph, pack = maps.graph, maps.pack
+    graph = maps.graph
     n, vec = graph.n, graph.b
     lat = symbols.lattice(graph.k, n)
-    labels = _packed_labels(graph, pack)
-    unit = _unit_monomials(n, pack)
-    images = [[_to_y(maps, t, {y: 1}, 1) for y in unit] for t in range(len(vec))]
+    labels = _packed_labels(graph, maps.packing)
+    images = [[_to_y(maps, t, {y: 1}, 1) for y in maps.packing.units]
+              for t in range(len(vec))]
     for l, j in graph.edges:
         (sp,) = set(lat.symbols[l]) - set(lat.symbols[j])
         (s,) = set(lat.symbols[j]) - set(lat.symbols[l])
@@ -390,11 +334,11 @@ def _validate_basis(matrix: _Restrictions) -> None:
     scale b_t^{d_i}, so the row-1 form reads b_j Y_0 - b_0 Y_j and the
     diagonal is the product of the integer labels b_i Y_l - b_l Y_i.
     """
-    graph, rows, pack = matrix.graph, matrix.rows, matrix.pack
-    n, vec, lat = graph.n, graph.b, matrix.lat
-    labels = _packed_labels(graph, pack)
+    graph, rows, pk = matrix.graph, matrix.rows, matrix.packing
+    vec, lat = graph.b, matrix.lat
+    labels = _packed_labels(graph, pk)
+    y0 = pk.linear(lat.symbols[0])
     for i in range(lat.m + 1):
-        lowest, highest = _degree_range(pack, n, lat.d[i])
         for j in range(lat.m + 1):
             entry = rows[i][j]
             if not lat.leq_idx(i, j):
@@ -405,19 +349,19 @@ def _validate_basis(matrix: _Restrictions) -> None:
                 if j == i:
                     raise InternalInconsistencyError("diagonal entry vanishes")
                 continue
-            if not all(lowest <= key <= highest for key in entry):
+            if not pk.homogeneous(entry, lat.d[i]):
                 raise InternalInconsistencyError("entry with wrong degree")
         if i == 1:
-            y0 = linear_form(n, lat.symbols[0])
             for j in range(1, lat.m + 1):
-                closed = y0 * vec[j] - linear_form(n, lat.symbols[j]) * vec[0]
-                if rows[1][j] != {pack(e): c for e, c in closed.terms.items()}:
+                closed = _mul_packed(pk.linear(lat.symbols[j]), {0: -vec[0]},
+                                     _mul_packed(y0, {0: vec[j]}))
+                if rows[1][j] != closed:
                     raise InternalInconsistencyError("row 1 closed form fails")
         if rows[i][i] != _diagonal(graph, labels, i):
             raise InternalInconsistencyError("diagonal product formula fails")
     for i, row in enumerate(rows):
         scales = [bt ** lat.d[i] for bt in vec]
-        if not _row_is_class(graph, labels, matrix.guard, row, scales):
+        if not _row_is_class(graph, labels, pk, row, scales):
             raise InternalInconsistencyError("basis row fails GKM membership")
 
 
@@ -456,8 +400,8 @@ class _Products:
             num = _mul_packed(prim, self.coefficient(up, p, up), None, content)
             diag = self.coefficient(up, up, up)
             den = gcd(*diag.values())  # 0 if the diagonal vanishes
-            quot = den and _divide_packed(
-                num, {key: c // den for key, c in diag.items()}, self.basis.guard
+            quot = den and self.basis.packing.divide(
+                num, {key: c // den for key, c in diag.items()}
             )
             if not quot or quot.keys() != {0}:
                 raise InternalInconsistencyError("non-constant Chevalley coefficient")
@@ -471,8 +415,7 @@ class _Products:
             lat, maps, rhs = self.lat, self.maps, {}
             if p == r:  # xi^q|_p: the b = 1 entry in column p's coordinates
                 e, got = lat.d[q], self.basis.rows[q][p]
-                lowest, highest = _degree_range(self.basis.pack, maps.graph.n, e)
-                if not all(lowest <= key <= highest for key in got):
+                if not self.basis.packing.homogeneous(got, e):
                     raise InternalInconsistencyError("coefficient with wrong degree")
                 if got and len(maps.kept) < maps.graph.n:  # at W = 0 columns are y
                     got = _divided(_to_y(maps, p, got, e), maps.columns[p][0] ** e)
@@ -486,7 +429,7 @@ class _Products:
                         m = self.cover(down, r)
                         _mul_packed({0: -m}, self.coefficient(p, q, down), rhs)
                 prim, content = self.form(p, r)
-                quot = _divide_packed(rhs, prim, self.basis.guard)
+                quot = self.basis.packing.divide(rhs, prim)
                 if quot is None:
                     raise InternalInconsistencyError("Chevalley recursion is not exact")
                 got = _divided(quot, content)
@@ -508,7 +451,7 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
     lat = symbols.lattice(k, n)
     lat.check_index(i, j)
     products = _products(vec, k, n, kt_restrictions(k, n))
-    unpack = products.basis.unpack
+    pk = products.basis.packing
     out = {}
     for r in lat.upper_set(i, j):
         if lat.d[r] <= lat.d[i] + lat.d[j]:
@@ -516,5 +459,5 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
             if coeff != products.coefficient(j, i, r):
                 raise InternalInconsistencyError("asymmetric structure constants")
             if coeff:
-                out[r] = _build(n, {unpack(e): c for e, c in coeff.items()})
+                out[r] = pk.poly(coeff)
     return out

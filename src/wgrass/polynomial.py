@@ -14,15 +14,16 @@ Multiplication, exact division and substitution clear
 denominators first: they run on integer coefficients and divide once
 at the end, because ``int`` arithmetic is several times cheaper than
 ``Fraction`` arithmetic.  Inside them a monomial is packed into one
-int (``_packer``), so that multiplying monomials is an int addition.
-The kernels on such packed integer term maps, ``_mul_packed`` and
-``_divide_packed``, are shared with the pipeline (``puzzles``,
-``structure``) and the oracle (``gkm``), which pack their input once
-and unpack once at their public return.  Substitution runs Horner's
-rule on packed images and kept parts (``_substitute_packed``, which
-``gkm`` also runs on its integer rows); a shear y_s -> y_s + y_{s+1}
-is a binomial split of one exponent field (``_shear_packed``, for the
-positivity rewrite in ``structure``).
+int, so that multiplying monomials is an int addition.  ``Packing``
+owns that format: the field layout, the guard bits of division, the
+degree field, and the moves on packed integer term maps that read
+fields (a shear y_s -> y_s + y_{s+1} as a binomial split of one field,
+splitting off the last variable, substitution by Horner's rule on
+packed images).  The pipeline (``puzzles``, ``structure``) and the
+oracle (``gkm``) get theirs from ``packing(nvars, top)``, pack their
+input once and turn packed maps back into ``Poly`` once, at their
+public return.  The kernels that read no field, ``_mul_packed`` and
+``_divide_packed``, take packed maps of any packing.
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
 name list, so the same class also serves rewritten bases such as
@@ -32,6 +33,7 @@ name list, so the same class also serves rewritten bases such as
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd, lcm
 
 from .errors import ParameterError
@@ -66,109 +68,10 @@ def _cleared(terms: dict) -> tuple:
     }, d
 
 
-def _field_bits(top: int) -> int:
-    """Bits per field of a monomial packed for degrees <= top.
-
-    In ``_packer(nvars, top)`` the exponent of variable v (0-based)
-    sits at bit (nvars - 1 - v) * bits and the total degree at bit
-    nvars * bits, so a field is read or moved by shifts alone
-    (``_shear_packed``, ``_split_last``).  The top bit of every
-    field stays clear (top < 2**(bits - 1)), so that ``_divide_packed``
-    compares all exponents at once (``_guard_bits``).
-    """
-    return 8 * max(1, (top.bit_length() + 8) // 8)
-
-
-def _guard_bits(nvars: int, top: int) -> int:
-    """The top bit of every exponent field of ``_packer(nvars, top)``.
-
-    With H this mask, the packed monomial k is divisible by kd iff
-    ((k | H) - kd) & H == H: each field subtracts below its own guard
-    bit, which survives exactly when k's exponent is >= kd's, and no
-    borrow crosses into the next field.
-    """
-    bits = _field_bits(top)
-    return sum(1 << bits * v + bits - 1 for v in range(nvars))
-
-
-def _packer(nvars: int, top: int) -> tuple:
-    """(pack, unpack) between exponent tuples and ints, for degree <= top.
-
-    A monomial packs into one int whose fields, most significant first,
-    are its total degree and then its exponents, each in w bytes with
-    256**w > 2 * top.  Packed ints compare like ``_grlex_key`` and multiply
-    monomials by addition, as long as no degree exceeds top.
-    """
-    w = _field_bits(top) // 8
-    size = (nvars + 1) * w
-    if w == 1:  # every degree below 128: bytes() packs and unpacks in C
-        def pack(e):
-            return int.from_bytes(bytes((sum(e), *e)), "big")
-
-        def unpack(k):
-            return tuple(k.to_bytes(size, "big")[1:])
-    else:
-        def pack(e):
-            return int.from_bytes(
-                b"".join(x.to_bytes(w, "big") for x in (sum(e), *e)), "big"
-            )
-
-        def unpack(k):
-            raw = k.to_bytes(size, "big")
-            return tuple(
-                int.from_bytes(raw[i:i + w], "big") for i in range(w, size, w)
-            )
-    return pack, unpack
-
-
-def _degree_range(pack, nvars: int, d: int) -> tuple:
-    """(lowest, highest): the monomials of degree d packed by ``pack`` fill
-    this range, because the degree field is the most significant one."""
-    return pack((0,) * (nvars - 1) + (d,)), pack((d,) + (0,) * (nvars - 1))
-
-
-def _shear_packed(terms: dict, s: int, nvars: int, top: int) -> dict:
-    """Packed ``terms`` under y_s -> y_s + y_{s+1} (1-based s < nvars).
-
-    A monomial with exponent e at y_s splits into the binomial terms
-    C(e, i) y_s^(e - i) y_{s+1}^i: i units move from the field of y_s to
-    the next one, and the total degree does not change.
-    """
-    bits = _field_bits(top)
-    shift = bits * (nvars - s)
-    mask = (1 << bits) - 1
-    move = (1 << shift - bits) - (1 << shift)
-    out: dict = {}
-    get = out.get
-    for key, c in terms.items():
-        e = key >> shift & mask
-        for i in range(e + 1):
-            k = key + i * move
-            out[k] = get(k, 0) + c * comb(e, i)
-    return {key: c for key, c in out.items() if c}
-
-
-def _split_last(terms: dict, nvars: int, top: int) -> dict:
-    """Map e -> the packed ``terms`` of exponent e in the last variable.
-
-    Each part is repacked without that variable, in nvars - 1
-    variables for the same top: the last field is dropped and e is
-    taken off the degree field.
-    """
-    bits = _field_bits(top)
-    mask = (1 << bits) - 1
-    degree_field = bits * (nvars - 1)
-    out: dict = {}
-    for key, c in terms.items():
-        e = key & mask
-        out.setdefault(e, {})[(key >> bits) - (e << degree_field)] = c
-    return out
-
-
 def _mul_packed(a: dict, b: dict, into: dict | None = None, scale: int = 1) -> dict:
     """``into`` + scale * a * b over packed term maps, without zero terms.
 
-    A packed term map sends packed monomials (``_packer``) to ints, so
+    A packed term map (``Packing``) sends packed monomials to ints, so
     multiplying two monomials is one int addition.  ``into`` is updated
     in place and returned; without it a new map is built.
     """
@@ -190,7 +93,7 @@ def _divide_packed(num: dict, den: dict, guard: int) -> dict | None:
     ``den`` must be primitive (content 1): by Gauss's lemma a quotient
     in Q[y] then lies in Z[y], so a coefficient that den's leading one
     does not divide proves non-divisibility.  ``guard`` is the
-    ``_guard_bits`` of the packing, which tests each remainder term
+    ``Packing.guard`` of the maps, which tests each remainder term
     against den's leading monomial without unpacking it.  The
     remainder's terms sit in a heap ordered by grlex, largest first;
     ``num`` is not changed.
@@ -234,13 +137,9 @@ def _mul_terms(a: dict, b: dict) -> dict:
     """Product of two term maps, without the zero terms."""
     if not (a and b):
         return {}
-    pack, unpack = _packer(
-        len(next(iter(a))), max(map(sum, a)) + max(map(sum, b))
-    )
-    prod = _mul_packed(
-        {pack(e): c for e, c in a.items()}, {pack(e): c for e, c in b.items()}
-    )
-    return {unpack(k): c for k, c in prod.items()}
+    pk = packing(len(next(iter(a))), max(map(sum, a)) + max(map(sum, b)))
+    unpack = pk.unpack
+    return {unpack(k): c for k, c in _mul_packed(pk.of(a), pk.of(b)).items()}
 
 
 def _accumulate(into: dict, terms) -> None:
@@ -276,27 +175,6 @@ def _horner(items: list, images: list, pos: int) -> dict:
     return acc
 
 
-def _substitute_packed(terms: dict, images: list, kept: list, nvars: int,
-                       pack, scale: int, deg: int) -> dict:
-    """Packed sum of c * scale**(deg - w) * (y^e under ``images``), no zeros.
-
-    The sum runs over the int ``terms`` of exponent tuples e, and w is
-    the degree of e in the variables of ``images``, a list of (0-based
-    variable, packed image) pairs.  The ``kept`` variables map to
-    themselves among the ``nvars`` that ``pack`` packs, for every degree
-    a term reaches.
-    """
-    mapped = [v for v, _ in images]
-    items = []
-    mono = [0] * nvars
-    for e, c in terms.items():
-        for v in kept:
-            mono[v] = e[v]
-        weight = sum(e[v] for v in mapped)
-        items.append((e, c * scale ** (deg - weight), pack(mono)))
-    return {key: c for key, c in _horner(items, images, 0).items() if c}
-
-
 def _build(nvars: int, terms: dict, d: int = 1) -> "Poly":
     """The Poly with coefficients terms[e] / d; zero terms are dropped.
 
@@ -314,6 +192,141 @@ def _build(nvars: int, terms: dict, d: int = 1) -> "Poly":
     out.nvars = nvars
     out.terms = clean
     return out
+
+
+class Packing:
+    """The packed form of the monomials of degree <= top in nvars variables.
+
+    A monomial packs into one int whose fields, most significant first,
+    are its total degree and then its exponents, each ``bits`` wide with
+    2**(bits - 1) > top: the exponent of variable v (0-based) sits at bit
+    (nvars - 1 - v) * bits and the degree at bit nvars * bits.  So
+    packed ints compare like ``_grlex_key``, multiplying monomials is an
+    int addition (``_mul_packed``), 0 packs the monomial 1, and a field
+    is read or moved by shifts alone.  The top bit of every exponent
+    field stays clear; ``guard`` holds those bits, and k is divisible by
+    kd iff ((k | guard) - kd) & guard == guard, since no borrow crosses
+    a guard bit (``_divide_packed``).  ``units`` are the packed y_1, ...,
+    y_n.  A packed term map sends packed monomials to ints; this class
+    is the one place that reads their fields.
+    """
+
+    __slots__ = ("nvars", "top", "bits", "pack", "unpack", "guard", "units")
+
+    def __init__(self, nvars: int, top: int):
+        w = max(1, (top.bit_length() + 8) // 8)  # bytes per field
+        bits = 8 * w
+        size = (nvars + 1) * w
+        if w == 1:  # every degree below 128: bytes() packs and unpacks in C
+            def pack(e):
+                return int.from_bytes(bytes((sum(e), *e)), "big")
+
+            def unpack(k):
+                return tuple(k.to_bytes(size, "big")[1:])
+        else:
+            def pack(e):
+                return int.from_bytes(
+                    b"".join(x.to_bytes(w, "big") for x in (sum(e), *e)), "big"
+                )
+
+            def unpack(k):
+                raw = k.to_bytes(size, "big")
+                return tuple(
+                    int.from_bytes(raw[i:i + w], "big") for i in range(w, size, w)
+                )
+        self.nvars, self.top, self.bits = nvars, top, bits
+        self.pack, self.unpack = pack, unpack
+        self.guard = sum(1 << bits * v + bits - 1 for v in range(nvars))
+        degree_one = 1 << bits * nvars
+        self.units = tuple(
+            degree_one | 1 << bits * (nvars - 1 - v) for v in range(nvars)
+        )
+
+    def of(self, terms: dict) -> dict:
+        """The packed term map of exponent-tuple ``terms``."""
+        pack = self.pack
+        return {pack(e): c for e, c in terms.items()}
+
+    def poly(self, terms: dict, d: int = 1) -> "Poly":
+        """The Poly of the packed ``terms`` divided by d (``_build``)."""
+        unpack = self.unpack
+        return _build(self.nvars, {unpack(k): c for k, c in terms.items()}, d)
+
+    def linear(self, support) -> dict:
+        """The packed sum of y_s over the distinct 1-based s in ``support``."""
+        return {self.units[s - 1]: 1 for s in support}
+
+    def homogeneous(self, terms: dict, d: int) -> bool:
+        """True iff every packed key of ``terms`` has total degree d."""
+        shift = self.bits * self.nvars
+        return all(k >> shift == d for k in terms)
+
+    def divide(self, num: dict, den: dict) -> dict | None:
+        """``_divide_packed`` of two maps of this packing."""
+        return _divide_packed(num, den, self.guard)
+
+    def shear(self, terms: dict, s: int) -> dict:
+        """``terms`` under y_s -> y_s + y_{s+1} (1-based s < nvars).
+
+        A monomial with exponent e at y_s splits into the binomial terms
+        C(e, i) y_s^(e - i) y_{s+1}^i: i units move from the field of y_s
+        to the next one, and the total degree does not change.
+        """
+        bits = self.bits
+        shift = bits * (self.nvars - s)
+        mask = (1 << bits) - 1
+        move = (1 << shift - bits) - (1 << shift)
+        out: dict = {}
+        get = out.get
+        for key, c in terms.items():
+            e = key >> shift & mask
+            for i in range(e + 1):
+                k = key + i * move
+                out[k] = get(k, 0) + c * comb(e, i)
+        return {key: c for key, c in out.items() if c}
+
+    def split_last(self, terms: dict) -> dict:
+        """Map e -> the ``terms`` of exponent e in the last variable.
+
+        Each part is repacked without that variable, as
+        ``packing(nvars - 1, top)`` packs it: the last field is dropped
+        and e is taken off the degree field.
+        """
+        bits = self.bits
+        mask = (1 << bits) - 1
+        degree_field = bits * (self.nvars - 1)
+        out: dict = {}
+        for key, c in terms.items():
+            e = key & mask
+            out.setdefault(e, {})[(key >> bits) - (e << degree_field)] = c
+        return out
+
+    def substitute(self, terms: dict, images: list, kept: list, scale: int,
+                   deg: int) -> dict:
+        """Packed sum of c * scale**(deg - w) * (y^e under ``images``), no zeros.
+
+        The sum runs over the int ``terms`` of exponent tuples e, and w is
+        the degree of e in the variables of ``images``, a list of (0-based
+        variable, packed image) pairs.  The ``kept`` variables map to
+        themselves; every degree a term reaches must be <= top.  Horner's
+        rule runs on the packed images (``_horner``).
+        """
+        mapped = [v for v, _ in images]
+        pack = self.pack
+        items = []
+        mono = [0] * self.nvars
+        for e, c in terms.items():
+            for v in kept:
+                mono[v] = e[v]
+            weight = sum(e[v] for v in mapped)
+            items.append((e, c * scale ** (deg - weight), pack(mono)))
+        return {key: c for key, c in _horner(items, images, 0).items() if c}
+
+
+@lru_cache(maxsize=128)
+def packing(nvars: int, top: int) -> Packing:
+    """The shared ``Packing`` of nvars variables for degrees <= top."""
+    return Packing(nvars, top)
 
 
 class Poly:
@@ -478,23 +491,19 @@ class Poly:
         top = self.degree()
         if divisor.degree() > top:
             return None
-        pack, unpack = _packer(self.nvars, top)
+        pk = packing(self.nvars, top)
         lifted, da = _cleared(self.terms)
         prim, db = _cleared(divisor.terms)
         g = gcd(*prim.values())
-        quot = _divide_packed(
-            {pack(e): c for e, c in lifted.items()},
-            {pack(e): c // g for e, c in prim.items()},
-            _guard_bits(self.nvars, top),
+        quot = pk.divide(
+            pk.of(lifted), {pk.pack(e): c // g for e, c in prim.items()}
         )
         if quot is None:
             return None
         num, den = db, da * g
         h = gcd(num, den)
         num, den = num // h, den // h
-        return _build(
-            self.nvars, {unpack(k): c * num for k, c in quot.items()}, den
-        )
+        return pk.poly({k: c * num for k, c in quot.items()}, den)
 
     def substitute(self, images: dict) -> "Poly":
         """Simultaneously replace variables by polynomials.
@@ -539,17 +548,12 @@ class Poly:
             sum(e[v] for v in kept) + sum(e[v] * dv for v, dv in degrees)
             for e in lifted
         )
-        pack, unpack = _packer(target_n, top)
+        pk = packing(target_n, top)
         bases = [
-            (v, {pack(e): c * (scale // d) for e, c in t.items()})
+            (v, {pk.pack(e): c * (scale // d) for e, c in t.items()})
             for v, (t, d) in cleared
         ]
-        terms = _substitute_packed(lifted, bases, kept, target_n, pack, scale, deg)
-        return _build(
-            target_n,
-            {unpack(key): c for key, c in terms.items()},
-            lift * scale**deg,
-        )
+        return pk.poly(pk.substitute(lifted, bases, kept, scale, deg), lift * scale**deg)
 
     # -- rendering -----------------------------------------------------
 

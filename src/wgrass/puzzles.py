@@ -58,7 +58,7 @@ one step, the sums over its completions to the last step of the
 products of their piece factors, one sum per final state, and adds
 those of each state's successors, so every pair that reaches a state
 shares its future.  A weight is a packed integer term map
-(``polynomial._packer``); an equivariant piece multiplies it by a
+(``polynomial.Packing``); an equivariant piece multiplies it by a
 factor the caller gives per conjugated pair (u, v), packed for degrees
 up to ``max_equivariant_pieces(n)``.  Sums that cancel to zero are
 kept, so the final states of a pair, which hold only the south edges,
@@ -84,7 +84,7 @@ from typing import NamedTuple
 
 from . import symbols
 from .errors import InternalInconsistencyError, ParameterError
-from .polynomial import _build, _degree_range, _packer
+from .polynomial import packing
 
 
 class Puzzle(NamedTuple):
@@ -167,7 +167,7 @@ class _Catalogue(NamedTuple):
     anchors: tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
 def _catalogue(n: int) -> _Catalogue:
     cells = []
     for r in range(1, n + 1):
@@ -235,7 +235,7 @@ def enumerate_puzzles(nw: str, ne: str, south: str) -> list:
     return list(_enumerate_cached(nw, ne).get(south, ()))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)  # each entry holds every tiling of its pair
 def _enumerate_cached(nw: str, ne: str) -> MappingProxyType:
     """Read-only map south word -> tilings with the nw and ne words."""
     n = len(nw)
@@ -278,7 +278,7 @@ def max_equivariant_pieces(n: int) -> int:
 
     No partial tiling carries more, so this bounds the degree of every
     frontier weight; the factors and sums of ``frontier_sums`` are
-    packed with ``_packer(nvars, max_equivariant_pieces(n))``.
+    packed by ``packing(nvars, max_equivariant_pieces(n))``.
     """
     return n * (n - 1) // 2
 
@@ -404,7 +404,7 @@ def symbol_sums(k: int, n: int, pairs, factors: dict, nvars: int) -> dict:
         lat.check_index(i, j)
     rev = [symbols.sigma_r_word(w) for w in lat.words]
     index = {w: q for q, w in enumerate(rev)}
-    pack, _ = _packer(nvars, max_equivariant_pieces(n))
+    pk = packing(nvars, max_equivariant_pieces(n))
     swept = sweep(dict.fromkeys((rev[i], rev[j]) for i, j in pairs), factors)
     out = {}
     for i, j in pairs:
@@ -416,10 +416,7 @@ def symbol_sums(k: int, n: int, pairs, factors: dict, nvars: int) -> dict:
                 raise InternalInconsistencyError(
                     "puzzle found outside the dominance region"
                 )
-            lowest, highest = _degree_range(
-                pack, nvars, lat.d[i] + lat.d[j] - lat.d[q]
-            )
-            if not all(lowest <= key <= highest for key in total):
+            if not pk.homogeneous(total, lat.d[i] + lat.d[j] - lat.d[q]):
                 raise InternalInconsistencyError(
                     "piece count violates the dimension balance"
                 )
@@ -443,15 +440,15 @@ def _conjugated(k: int, n: int, pairs) -> dict:
     """Map (i, j) -> ``conjugated_product(k, n, i, j)``, by one sweep with
     the factors y_u - y_v; ``symbol_sums`` checks dominance and the
     piece-count balance."""
-    pack, unpack = _packer(n, max_equivariant_pieces(n))
-    unit = [pack(tuple(int(s == v) for s in range(n))) for v in range(n)]
+    pk = packing(n, max_equivariant_pieces(n))
+    unit = pk.units
     factors = {
         (u, v): {unit[u - 1]: 1, unit[v - 1]: -1}
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
     return {
         pair: {
-            l: _build(n, {unpack(key): c for key, c in total.items()})
+            l: pk.poly(total)
             for l, total in sorted(sums.items()) if total
         }
         for pair, sums in symbol_sums(k, n, pairs, factors, n).items()

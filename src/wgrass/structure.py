@@ -52,12 +52,12 @@ T = dim(i) + dim(j) - min dim(q), the contraction runs in integers,
 and each entry is divided by b_0^T once.
 
 The contraction runs on packed integer term maps
-(``polynomial._packer``), packed for one degree bound in the whole
-context: the frontier sums come packed in (y_1..y_n, B), and
-``_split_last`` reads the power s of B off its field and repacks the
-rest in y_1..y_n alone.  The Pieri memo holds packed maps too, so every product is one
-``_mul_packed`` into the entry it feeds, and each entry is unpacked
-once, when it is divided.
+(``polynomial.Packing``), packed for one degree bound in the whole
+context: the frontier sums come packed in (y_1..y_n, B), and the
+frontier packing's ``split_last`` reads the power s of B off its field
+and repacks the rest in y_1..y_n alone.  The Pieri memo holds packed
+maps too, so every product is one ``_mul_packed`` into the entry it
+feeds, and each entry becomes a ``Poly`` once, when it is divided.
 
 Ordinary route.  The ordinary constants are the equivariant ones at
 y = 0, computed by the same contraction.  There the frontier factors
@@ -85,7 +85,7 @@ g_q = z_q - z_{q+1}, so the rewrite needs no inverse matrix.  With
 u_q = y_q - y_{q+1} (q < n) and u_n = y_n, n - 1 shears
 y_s -> u_s + y_{s+1}, s = 1..n-1 in turn, take p to a polynomial in
 the u's; each is a binomial split of one packed exponent field
-(``polynomial._shear_packed``), with no multiplication.  Then one
+(``Packing.shear``), with no multiplication.  Then one
 substitution finishes it:
 
     u_q -> g_q + c_q Y_0,   c_q = (w_q - w_{q+1}) / b_0,
@@ -93,8 +93,8 @@ substitution finishes it:
 
 the second because Y_0 = y_1 + ... + y_k = sum_q min(q, k) u_q.  Only
 the u_q with c_q != 0 move; the others are g_q already.  It runs on
-packed integer maps (``polynomial._substitute_packed``), and the
-denominators are cleared once.
+packed integer maps (``Packing.substitute``), and the denominators are
+cleared once.
 """
 
 from __future__ import annotations
@@ -108,15 +108,11 @@ from . import plucker, puzzles, symbols
 from .errors import CapacityError, InternalInconsistencyError, ParameterError
 from .polynomial import (
     Poly,
-    _build,
     _cleared,
     _mul_packed,
-    _packer,
-    _shear_packed,
-    _split_last,
-    _substitute_packed,
     expand_linear_product,
     linear_form,
+    packing,
 )
 
 
@@ -139,9 +135,10 @@ class WeightedContext:
         self._ratios = [ratio for ratio, _ in ratios]  # b_0 / b_t
         # every packed map of the context reaches at most this degree:
         # a frontier sum, a B-power s read off it, a Pieri power of that
-        # s and the product of the two
-        self._top = puzzles.max_equivariant_pieces(n)
-        self._pack, self._unpack = _packer(n, self._top)
+        # s and the product of the two; the frontier adds B to y_1..y_n
+        top = puzzles.max_equivariant_pieces(n)
+        self.packing = packing(n, top)
+        self._frontier = packing(n + 1, top)
         self._pieces: dict = {}
 
     # -- piece data ----------------------------------------------------
@@ -187,9 +184,8 @@ class WeightedContext:
 
     def _packed_factors(self, factor) -> dict:
         """(u, v) -> factor(u, v) over (y_1..y_n, B), packed for the frontier."""
-        pack, _ = _packer(self.n + 1, self._top)
         return {
-            (u, v): {pack(e): c for e, c in factor(u, v).terms.items()}
+            (u, v): self._frontier.of(factor(u, v).terms)
             for u, v in combinations(range(1, self.n + 1), 2)
         }
 
@@ -222,11 +218,7 @@ class WeightedContext:
     def _equivariant(self) -> tuple:
         """Factors, packed Pieri diagonals Y_0 - (b_0 / b_t) Y_t and memo."""
         diagonals = [
-            {
-                self._pack(e): c for e, c in (
-                    self._y0 - ratio * linear_form(self.n, sym)
-                ).terms.items()
-            }
+            self.packing.of((self._y0 - ratio * linear_form(self.n, sym)).terms)
             for ratio, sym in zip(self._ratios, self.lattice.symbols)
         ]
         return self.equivariant_factors, diagonals, {}
@@ -248,9 +240,9 @@ class WeightedContext:
             return cached
         lat = self.lattice
         lat.check_index(q)
-        if s > self._top:
+        if s > self.packing.top:
             raise CapacityError(
-                f"Pieri powers are held up to s = {self._top}, got {s}"
+                f"Pieri powers are held up to s = {self.packing.top}, got {s}"
             )
         out = memo.setdefault((q, 0), {q: {0: 1}})  # 0 packs 1
         for r in range(1, s + 1):
@@ -269,9 +261,8 @@ class WeightedContext:
 
     def pieri_power(self, q: int, s: int) -> dict:
         """Map l -> coefficient of basis_l in (degree-one class)^s * basis_q."""
-        unpack = self._unpack
         return {
-            l: _build(self.n, {unpack(key): c for key, c in p.items()})
+            l: self.packing.poly(p)
             for l, p in self._pieri_packed(q, s, self._equivariant).items()
         }
 
@@ -288,7 +279,6 @@ class WeightedContext:
         sweep them for this pair alone.
         """
         lat = self.lattice
-        n = self.n
         if sums is None:
             sums = self._sums([(i, j)], level)[(i, j)]
         reached = [q for q, total in sums.items() if total]
@@ -300,7 +290,7 @@ class WeightedContext:
         out: dict = {}
         for q in reached:
             # B is the last variable: a_s in y_1..y_n per power s of B
-            by_power = _split_last(sums[q], n + 1, self._top)
+            by_power = self._frontier.split_last(sums[q])
             scale = self.b[0] ** (lat.d[q] + top - lat.d[i] - lat.d[j])
             for s, a_s in by_power.items():
                 for l, piece in self._pieri_packed(q, s, level).items():
@@ -315,11 +305,7 @@ class WeightedContext:
         """
         self.lattice.check_index(i, j)
         out, denominator = self._contract(i, j, self._equivariant, sums)
-        n, unpack = self.n, self._unpack
-        return {
-            l: _build(n, {unpack(key): c for key, c in p.items()}, denominator)
-            for l, p in out.items()
-        }
+        return {l: self.packing.poly(p, denominator) for l, p in out.items()}
 
     def equivariant_cells(self, pairs) -> dict:
         """(i, j) -> ``equivariant_constants(i, j)`` for every pair, by one
@@ -420,17 +406,16 @@ class WeightedContext:
         if not p.terms:
             return p
         lifted, lift = _cleared(p.terms)
-        top = p.degree()
-        pack, unpack = _packer(n, top)
-        terms = {pack(e): c for e, c in lifted.items()}
+        pk = packing(n, p.degree())
+        terms = pk.of(lifted)
         for s in range(1, n):
-            terms = _shear_packed(terms, s, n, top)
+            terms = pk.shear(terms, s)
         images, kept, scale = self._sheared_images
-        sheared = {unpack(key): c for key, c in terms.items()}
+        sheared = {pk.unpack(key): c for key, c in terms.items()}
         deg = max(sum(e[v] for v, _ in images) for e in sheared)
-        packed = [(v, {pack(e): c for e, c in image.items()}) for v, image in images]
-        out = _substitute_packed(sheared, packed, kept, n, pack, scale, deg)
-        return _build(n, {unpack(key): c for key, c in out.items()}, lift * scale**deg)
+        packed = [(v, pk.of(image)) for v, image in images]
+        out = pk.substitute(sheared, packed, kept, scale, deg)
+        return pk.poly(out, lift * scale**deg)
 
 
 def context(b, k: int, n: int) -> WeightedContext:

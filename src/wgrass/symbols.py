@@ -39,7 +39,7 @@ Symbol = tuple  # strictly increasing tuple of ints
 
 
 def check_kn(k: int, n: int) -> None:
-    if not (isinstance(k, int) and isinstance(n, int) and 1 <= k < n):
+    if not (type(k) is int and type(n) is int and 1 <= k < n):  # no bool
         raise ParameterError(f"need integers 1 <= k < n, got k={k!r}, n={n!r}")
 
 
@@ -191,7 +191,7 @@ class SymbolLattice:
         return f"SymbolLattice(k={self.k}, n={self.n}, size={self.m + 1})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32, typed=True)  # typed: True never gets the lattice of 1
 def lattice(k: int, n: int) -> SymbolLattice:
     """Cached lattice for (k, n)."""
     return SymbolLattice(k, n)

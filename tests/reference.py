@@ -1,6 +1,7 @@
 """Reference routes of the packed kernels, the data they are run on, and
 helpers only the tests call (``evaluate``, ``constant_value``,
-``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``).
+``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``,
+and ``is_class``, GKM membership by ``Poly.divide_exact``).
 The positivity rewrite's reference is ``rewrite_in_linear_basis``: the
 substitution by the inverse of the form matrix
 (``linear_basis_images``), where the library shears.  Weight-vector
@@ -39,8 +40,8 @@ from wgrass.polynomial import (
     _cleared,
     _coerce,
     _mul_terms,
-    _packer,
     linear_form,
+    packing,
 )
 
 
@@ -266,6 +267,19 @@ def unit_restrictions(k: int, n: int) -> tuple:
     return tuple(matrix)
 
 
+def is_class(graph, values) -> bool:
+    """True iff every edge label of the GKM ``graph`` divides the
+    difference of ``values`` across the edge, by ``Poly.divide_exact``
+    (the library checks its rows on packed maps)."""
+    vals = list(values)
+    if len(vals) != symbols.count(graph.k, graph.n):
+        raise ParameterError("need one polynomial per fixed point")
+    return all(
+        (vals[j] - vals[l]).divide_exact(graph.labels[(l, j)]) is not None
+        for l, j in graph.edges
+    )
+
+
 def weighted_restrictions(b, k: int, n: int) -> tuple:
     """Column t of the b = 1 matrix under y_s -> y_s - (w_s / b_t) Y_t."""
     lat = symbols.lattice(k, n)
@@ -357,9 +371,9 @@ def reference_frontier_sums(nw: str, ne: str, factors: dict) -> dict:
 def equivariant_constants(ctx, i: int, j: int) -> dict:
     """``ctx.equivariant_constants(i, j)`` contracted in Poly arithmetic."""
     lat, n = ctx.lattice, ctx.n
-    _, unpack = _packer(n + 1, puzzles.max_equivariant_pieces(n))
+    frontier = packing(n + 1, puzzles.max_equivariant_pieces(n))
     sums = {
-        q: Poly(n + 1, {unpack(key): c for key, c in total.items()})
+        q: frontier.poly(total)
         for q, total in puzzles.symbol_sums(
             ctx.k, n, [(i, j)], ctx.equivariant_factors, n + 1
         )[(i, j)].items()

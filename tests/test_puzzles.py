@@ -10,7 +10,7 @@ import pytest
 import reference
 from wgrass import cli, plucker, puzzles, structure, symbols
 from wgrass.errors import ParameterError
-from wgrass.polynomial import Poly, _packer
+from wgrass.polynomial import Poly, packing
 
 
 def y(i, n=4):
@@ -87,24 +87,21 @@ def test_frontier_sums_match_enumeration(k, n):
     ctx = structure.context(plucker.weights_from_wa(W, a, k, n), k, n)
     # factors and sums are packed integer maps, packed for this degree
     top = puzzles.max_equivariant_pieces(n)
-    pack, _ = _packer(n, top)
+    pk = packing(n, top)
     unit = {
-        (u, v): {pack(e): c for e, c in (y(u, n) - y(v, n)).terms.items()}
+        (u, v): pk.of((y(u, n) - y(v, n)).terms)
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
     factor_sets = []
     for nvars, factors in ((n, unit), (n + 1, ctx.ordinary_factors),
                            (n + 1, ctx.equivariant_factors)):
-        _, unpack = _packer(nvars, top)
-        polys = {
-            pair: Poly(nvars, {unpack(key): c for key, c in f.items()})
-            for pair, f in factors.items()
-        }
-        factor_sets.append((nvars, unpack, factors, polys))
+        pk = packing(nvars, top)
+        polys = {pair: pk.poly(f) for pair, f in factors.items()}
+        factor_sets.append((nvars, pk, factors, polys))
     words = symbols.lattice(k, n).words
     for nw, ne in product(words, repeat=2):
         found = puzzles._enumerate_cached(nw, ne)
-        for nvars, unpack, factors, polys in factor_sets:
+        for nvars, pk, factors, polys in factor_sets:
             sums = puzzles.frontier_sums(nw, ne, factors)
             assert sums.keys() == found.keys(), (nw, ne)
             for south, tilings in found.items():
@@ -115,8 +112,7 @@ def test_frontier_sums_match_enumeration(k, n):
                         weight = weight * polys[pair]
                     total = total + weight
                 assert all(sums[south].values()), (nw, ne, south)
-                got = Poly(nvars, {unpack(key): c for key, c in sums[south].items()})
-                assert got == total, (nw, ne, south)
+                assert pk.poly(sums[south]) == total, (nw, ne, south)
 
 
 @pytest.mark.parametrize("k,n", [(2, 5), (3, 5), (2, 6)])
@@ -126,9 +122,9 @@ def test_sweep_matches_forward_reference(k, n):
     lat = symbols.lattice(k, n)
     b = tuple(2 if 1 in sym else 1 for sym in lat.symbols)
     ctx = structure.context(b, k, n)
-    pack, _ = _packer(n, puzzles.max_equivariant_pieces(n))
+    pk = packing(n, puzzles.max_equivariant_pieces(n))
     unit = {
-        (u, v): {pack(e): c for e, c in (y(u, n) - y(v, n)).terms.items()}
+        (u, v): pk.of((y(u, n) - y(v, n)).terms)
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
     pairs = list(product(lat.words, repeat=2))

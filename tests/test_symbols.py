@@ -5,7 +5,7 @@ import random
 import pytest
 
 import reference
-from wgrass import symbols
+from wgrass import plucker, symbols
 from wgrass.errors import ParameterError
 
 
@@ -48,6 +48,20 @@ def test_enumeration_rejects_bad_parameters():
         symbols.enumerate_symbols(3, 3)
     with pytest.raises(ParameterError):
         symbols.enumerate_symbols(0, 4)
+
+
+def test_booleans_are_no_k_or_n():
+    # True == 1 and hashes alike, so a cached lattice of True would be
+    # served for (1, n) afterwards
+    for k, n in ((True, 4), (1, True), (False, 4)):
+        with pytest.raises(ParameterError):
+            symbols.check_kn(k, n)
+    symbols.lattice(1, 4)
+    with pytest.raises(ParameterError):
+        symbols.lattice(True, 4)
+    assert symbols.lattice(1, 4).k.__class__ is int
+    with pytest.raises(ParameterError):
+        plucker.validate_weight_vector([1, 1, 1, 1], True, 4)
 
 
 def test_count_is_the_binomial_without_a_lattice():
