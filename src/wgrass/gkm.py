@@ -67,7 +67,8 @@ rows are read as they are), and each coefficient is one exact division
 by xi^1|_r - xi^1|_p.  The oracle raises on a failed division ("not
 exact"), a non-integral coefficient, a wrong degree, and on c^r_{ij} !=
 c^r_{ji} in a cell it returns, as the recursion does not build the
-symmetry in.  A bounded memo per vector (``_products``) keeps them.
+symmetry in.  A bounded memo per vector keeps them, held by the b = 1
+rows it reads (``_Restrictions.products``), so it leaves with them.
 """
 
 from __future__ import annotations
@@ -143,12 +144,23 @@ class _Restrictions(tuple):
 
     ``rows[i][t]`` maps monomials packed by ``packing`` to ints and
     equals b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
-    Built by ``_restrictions``.  Hashed by identity, so that the oracle's
-    memo, keyed by the basis it reads, is never shared with other rows,
-    nor with the rows rebuilt after this basis leaves its cache.
+    Built by ``_restrictions``.
     """
 
-    __hash__ = object.__hash__
+    def products(self, b: tuple) -> "_Products":
+        """The oracle's memo of the shape-checked b on these rows.
+
+        The memos live here, the ``WEIGHTED_CACHE_SIZE`` most recently
+        used, so that none outlives the rows it reads.
+        """
+        memos = self.memos
+        got = memos.pop(b, None)
+        if got is None:
+            got = _Products(_weighted_cached(b, self.graph.k, self.graph.n), self)
+            if len(memos) == WEIGHTED_CACHE_SIZE:
+                del memos[next(iter(memos))]  # the least recently used
+        memos[b] = got
+        return got
 
 
 class _ColumnMaps(NamedTuple):
@@ -177,10 +189,11 @@ def _restrictions(graph: GKMGraph, pk, rows) -> _Restrictions:
         for i, row in enumerate(rows)
     )
     out.graph, out.lat, out.rows, out.packing = graph, lat, rows, pk
+    out.memos = {}
     return out
 
 
-@lru_cache(maxsize=4)  # a (3, 8) basis holds about 78 MB
+@lru_cache(maxsize=4, typed=True)  # a (3, 8) basis holds about 78 MB
 def kt_restrictions(k: int, n: int) -> tuple:
     """Basis restriction matrix at b = (1, ..., 1), rows by basis index.
 
@@ -241,9 +254,9 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
     return out
 
 
-# weighted graphs and column maps kept per process, so that a long-lived
-# process checking many vectors stays bounded; the b = 1 rows they map
-# are shared with ``kt_restrictions``
+# weighted graphs and column maps kept per process, and oracle memos
+# kept per basis, so that a long-lived process checking many vectors
+# stays bounded; the b = 1 rows they map are shared with ``kt_restrictions``
 WEIGHTED_CACHE_SIZE = 16
 
 
@@ -377,10 +390,13 @@ def _divided(form: dict, d: int) -> dict:
 
 class _Products:
     """The c^r_{pq} of one weighted basis, packed in y, filled lazily in
-    ``memo``; ``covers`` keeps the m's."""
+    ``memo``; ``covers`` keeps the m's.  It holds the b = 1 rows and
+    their packing, not the ``_Restrictions`` that holds it, so that an
+    evicted basis is freed with its memos, without a reference cycle."""
 
     def __init__(self, maps: _ColumnMaps, basis: _Restrictions):
-        self.maps, self.basis, self.lat = maps, basis, basis.lat
+        self.maps, self.rows, self.packing = maps, basis.rows, basis.packing
+        self.lat = basis.lat
         self.covers, self.memo = {}, {}
 
     def form(self, p: int, r: int) -> tuple:
@@ -400,7 +416,7 @@ class _Products:
             num = _mul_packed(prim, self.coefficient(up, p, up), None, content)
             diag = self.coefficient(up, up, up)
             den = gcd(*diag.values())  # 0 if the diagonal vanishes
-            quot = den and self.basis.packing.divide(
+            quot = den and self.packing.divide(
                 num, {key: c // den for key, c in diag.items()}
             )
             if not quot or quot.keys() != {0}:
@@ -414,8 +430,8 @@ class _Products:
         if got is None:
             lat, maps, rhs = self.lat, self.maps, {}
             if p == r:  # xi^q|_p: the b = 1 entry in column p's coordinates
-                e, got = lat.d[q], self.basis.rows[q][p]
-                if not self.basis.packing.homogeneous(got, e):
+                e, got = lat.d[q], self.rows[q][p]
+                if not self.packing.homogeneous(got, e):
                     raise InternalInconsistencyError("coefficient with wrong degree")
                 if got and len(maps.kept) < maps.graph.n:  # at W = 0 columns are y
                     got = _divided(_to_y(maps, p, got, e), maps.columns[p][0] ** e)
@@ -429,18 +445,12 @@ class _Products:
                         m = self.cover(down, r)
                         _mul_packed({0: -m}, self.coefficient(p, q, down), rhs)
                 prim, content = self.form(p, r)
-                quot = self.basis.packing.divide(rhs, prim)
+                quot = self.packing.divide(rhs, prim)
                 if quot is None:
                     raise InternalInconsistencyError("Chevalley recursion is not exact")
                 got = _divided(quot, content)
             self.memo[(p, q, r)] = got
         return got
-
-
-@lru_cache(maxsize=WEIGHTED_CACHE_SIZE)
-def _products(b: tuple, k: int, n: int, basis: _Restrictions) -> _Products:
-    """The memo of b, keyed by the b = 1 rows it reads as well."""
-    return _Products(_weighted_cached(b, k, n), basis)
 
 
 def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
@@ -450,8 +460,8 @@ def localize_product(b, k: int, n: int, i: int, j: int) -> dict:
     vec = plucker.check_weight_vector_shape(b, k, n)
     lat = symbols.lattice(k, n)
     lat.check_index(i, j)
-    products = _products(vec, k, n, kt_restrictions(k, n))
-    pk = products.basis.packing
+    products = kt_restrictions(k, n).products(vec)
+    pk = products.packing
     out = {}
     for r in lat.upper_set(i, j):
         if lat.d[r] <= lat.d[i] + lat.d[j]:

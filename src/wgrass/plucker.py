@@ -164,7 +164,7 @@ def _canonical_relation(term_map: dict):
     return PluckerRelation(pairs, coefs)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def generate_relations(k: int, n: int) -> tuple:
     """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
     index = symbols.lattice(k, n).index
@@ -224,10 +224,10 @@ def check_weight_vector_shape(b, k: int, n: int) -> tuple:
 
     A WeightVector of the same (k, n) is handed back unchanged.
     """
+    m1 = symbols.count(k, n)  # first, so that True never matches a kn of 1
     if isinstance(b, WeightVector) and b.kn == (k, n):
         return b
     vec = tuple(b)
-    m1 = symbols.count(k, n)
     if len(vec) != m1:
         raise ParameterError(f"weight vector must have length {m1}")
     for x in vec:
@@ -250,6 +250,7 @@ def weight_vector(b, k: int, n: int) -> WeightVector:
     The one validation entry point: a bad shape raises ParameterError,
     a failed pair-sum test InvalidWeightVectorError.
     """
+    symbols.check_kn(k, n)  # first, so that True never matches a kn of 1
     if isinstance(b, WeightVector) and b.kn == (k, n):
         return b
     vec = list(b)
@@ -378,7 +379,7 @@ class _PermutationContext(NamedTuple):
     pairs: frozenset
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _permutation_context(k: int, n: int) -> _PermutationContext:
     """Shared data for the permutation predicate, built on first use."""
     rels = generate_relations(k, n)
@@ -386,7 +387,7 @@ def _permutation_context(k: int, n: int) -> _PermutationContext:
     return _PermutationContext(rels, frozenset(rels), pairs)
 
 
-@lru_cache(maxsize=2**15)
+@lru_cache(maxsize=2**15, typed=True)
 def _sign_patterns(k: int, n: int, terms: tuple) -> tuple:
     """Sign patterns eps making sum_t eps_t c_t z_(r_t) z_(s_t) a
     generating relation up to scale.
@@ -521,7 +522,7 @@ def _sn_induced_permutation(phi, k: int, n: int) -> tuple:
     )
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
     """The scope's permutations, uncertified and sorted (module docstring).
 

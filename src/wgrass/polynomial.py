@@ -634,29 +634,3 @@ def linear_form(nvars: int, support) -> Poly:
         terms[key] = terms.get(key, 0) + 1
     return Poly(nvars, terms)
 
-
-def expand_linear_product(nvars: int, factors) -> list:
-    """Coefficients of prod_s (a_s + b_s*B) as polynomials in B.
-
-    ``factors`` is a sequence of (a_s, b_s) with a_s a Poly and b_s a
-    rational scalar.  Returns [alpha_0, ..., alpha_t]; the empty product
-    gives [1].  alpha_s equals the sum over s-subsets S of
-    prod_{i in S} b_i * prod_{i not in S} a_i.
-    """
-    # Scaled by the lcm D of all denominators, each factor becomes
-    # (D*a_s + D*b_s*B) with integer coefficients; alpha_s is then the
-    # integer expansion divided by D**t.
-    factors = [(_cleared(a.terms), _coerce(b)) for a, b in factors]
-    scale = lcm(
-        1, *(d for (_, d), _ in factors), *(b.denominator for _, b in factors)
-    )
-    coeffs = [{(0,) * nvars: 1}]
-    for (a, d), b in factors:
-        a = {e: c * (scale // d) for e, c in a.items()}
-        b = b.numerator * (scale // b.denominator)
-        nxt = [{} for _ in range(len(coeffs) + 1)]
-        for s, c in enumerate(coeffs):
-            _accumulate(nxt[s], _mul_terms(a, c).items())
-            _accumulate(nxt[s + 1], ((e, v * b) for e, v in c.items()))
-        coeffs = nxt
-    return [_build(nvars, c, scale ** len(factors)) for c in coeffs]

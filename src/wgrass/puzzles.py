@@ -167,7 +167,7 @@ class _Catalogue(NamedTuple):
     anchors: tuple
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)
 def _catalogue(n: int) -> _Catalogue:
     cells = []
     for r in range(1, n + 1):
@@ -460,7 +460,7 @@ def _conjugated(k: int, n: int, pairs) -> dict:
 PRODUCT_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=PRODUCT_CACHE_SIZE)
+@lru_cache(maxsize=PRODUCT_CACHE_SIZE, typed=True)
 def conjugated_product(k: int, n: int, i: int, j: int) -> dict:
     """Map l -> sum of conjugated weights over Delta^{rev w_l}_{rev w_i, rev w_j}."""
     return _conjugated(k, n, [(i, j)])[(i, j)]

@@ -49,7 +49,9 @@ above, |P| = dim(i) + dim(j) - dim(q).  In divisive presentation every
 b_t divides b_0, which the context checks, so c(q, s) is integral
 too.  Each q is scaled to the common denominator b_0^T,
 T = dim(i) + dim(j) - min dim(q), the contraction runs in integers,
-and each entry is divided by b_0^T once.
+and each entry is divided by b_0^T once.  ``a_coefficients`` reads the
+a_s(P) of one puzzle off the same packed frontier factors: their
+product over its pieces, split by powers of B, over b_0^|P|.
 
 The contraction runs on packed integer term maps
 (``polynomial.Packing``), packed for one degree bound in the whole
@@ -110,7 +112,6 @@ from .polynomial import (
     Poly,
     _cleared,
     _mul_packed,
-    expand_linear_product,
     linear_form,
     packing,
 )
@@ -126,7 +127,6 @@ class WeightedContext:
         self.n = n
         self.lattice = symbols.lattice(k, n)
         self.wa = plucker.solve_wa(vec, k, n)
-        self._y0 = linear_form(n, self.lattice.symbols[0])
         ratios = [divmod(vec[0], bt) for bt in vec]
         if any(rem for _, rem in ratios):
             raise InternalInconsistencyError(
@@ -143,51 +143,42 @@ class WeightedContext:
 
     # -- piece data ----------------------------------------------------
 
-    def _piece(self, u: int, v: int) -> tuple:
-        """(b(p), bwt(p)) for a reversed-alphabet pair (u, v), u < v.
-
-        b(p) = w_u - w_v is checked once per pair against a
-        representative symbol pair (lam_e, lam_f) with
-        Y_e - Y_f = y_u - y_v.
-        """
-        cached = self._pieces.get((u, v))
-        if cached is not None:
-            return cached
-        lat = self.lattice
-        w = self.wa.W
-        value = w[u - 1] - w[v - 1]
-        f_sym = next(sym for sym in lat.symbols if v in sym and u not in sym)
-        e_sym = symbols.exchange(f_sym, v, u)
-        if self.b[lat.index[e_sym]] - self.b[lat.index[f_sym]] != value:
-            raise InternalInconsistencyError(
-                "piece value depends on the representative pair"
-            )
-        bwt = (
-            Poly.variable(self.n, u)
-            - Poly.variable(self.n, v)
-            - Fraction(value, self.b[0]) * self._y0
-        )
-        self._pieces[(u, v)] = (value, bwt)
-        return value, bwt
-
     def piece_value(self, u: int, v: int) -> int:
-        """b(p) = w_u - w_v for a reversed-alphabet pair (u, v), u < v."""
-        return self._piece(u, v)[0]
+        """b(p) = w_u - w_v for a reversed-alphabet pair (u, v), u < v.
+
+        Checked once per pair against a representative symbol pair
+        (lam_e, lam_f) with Y_e - Y_f = y_u - y_v.
+        """
+        value = self._pieces.get((u, v))
+        if value is None:
+            lat = self.lattice
+            w = self.wa.W
+            value = w[u - 1] - w[v - 1]
+            f_sym = next(sym for sym in lat.symbols if v in sym and u not in sym)
+            e_sym = symbols.exchange(f_sym, v, u)
+            if self.b[lat.index[e_sym]] - self.b[lat.index[f_sym]] != value:
+                raise InternalInconsistencyError(
+                    "piece value depends on the representative pair"
+                )
+            self._pieces[(u, v)] = value
+        return value
 
     def a_coefficients(self, puz) -> list:
-        """Coefficients a_0..a_|P| of the piece-factor expansion."""
-        factors = []
-        for u, v in puz.conjugated_pairs():
-            bp, bwt = self._piece(u, v)
-            factors.append((bwt, Fraction(bp, self.b[0])))
-        return expand_linear_product(self.n, factors)
+        """Coefficients a_0..a_|P| of the piece-factor expansion.
 
-    def _packed_factors(self, factor) -> dict:
-        """(u, v) -> factor(u, v) over (y_1..y_n, B), packed for the frontier."""
-        return {
-            (u, v): self._frontier.of(factor(u, v).terms)
-            for u, v in combinations(range(1, self.n + 1), 2)
-        }
+        The product of the puzzle's packed ``equivariant_factors`` is
+        b_0^|P| prod_s (bwt(p_s) + (b(p_s)/b_0) B); a_s is its part at B^s
+        over b_0^|P|.
+        """
+        pairs = puz.conjugated_pairs()
+        product = {0: 1}  # 0 packs 1
+        for pair in pairs:
+            product = _mul_packed(product, self.equivariant_factors[pair])
+        by_power = self._frontier.split_last(product)
+        d = self.b[0] ** len(pairs)
+        return [
+            self.packing.poly(by_power.get(s, {}), d) for s in range(len(pairs) + 1)
+        ]
 
     @cached_property
     def equivariant_factors(self) -> dict:
@@ -196,30 +187,35 @@ class WeightedContext:
         That is b_0 times bwt(p) + (b(p)/b_0) B, with integer
         coefficients; one packed factor per pair u < v.
         """
-        n = self.n
-        y = [Poly.variable(n + 1, s) for s in range(1, n + 2)]  # y[n] is B
-        shift = y[n] - linear_form(n + 1, self.lattice.symbols[0])
-        return self._packed_factors(
-            lambda u, v: self.b[0] * (y[u - 1] - y[v - 1])
-            + self.piece_value(u, v) * shift
-        )
+        fr, b0 = self._frontier, self.b[0]
+        unit = fr.units  # unit[n] is B
+        y0 = fr.linear(self.lattice.symbols[0])
+        shift = _mul_packed(y0, {0: -1}, {unit[self.n]: 1})  # B - Y_0
+        return {
+            (u, v): _mul_packed(
+                shift, {0: self.piece_value(u, v)}, {unit[u - 1]: b0, unit[v - 1]: -b0}
+            )
+            for u, v in combinations(range(1, self.n + 1), 2)
+        }
 
     @cached_property
     def ordinary_factors(self) -> dict:
         """(u, v) -> b(p) B over (y_1..y_n, B), one packed factor per pair."""
-        big_b = Poly.variable(self.n + 1, self.n + 1)
-        return self._packed_factors(
-            lambda u, v: self.piece_value(u, v) * big_b
-        )
+        big_b = {self._frontier.units[self.n]: 1}
+        return {
+            (u, v): _mul_packed(big_b, {0: self.piece_value(u, v)})
+            for u, v in combinations(range(1, self.n + 1), 2)
+        }
 
     # -- levels: (frontier factors, Pieri diagonals, Pieri memo) ---------
 
     @cached_property
     def _equivariant(self) -> tuple:
         """Factors, packed Pieri diagonals Y_0 - (b_0 / b_t) Y_t and memo."""
+        pk, syms = self.packing, self.lattice.symbols
         diagonals = [
-            self.packing.of((self._y0 - ratio * linear_form(self.n, sym)).terms)
-            for ratio, sym in zip(self._ratios, self.lattice.symbols)
+            _mul_packed(pk.linear(sym), {0: -ratio}, pk.linear(syms[0]))
+            for ratio, sym in zip(self._ratios, syms)
         ]
         return self.equivariant_factors, diagonals, {}
 
@@ -232,8 +228,6 @@ class WeightedContext:
 
     def _pieri_packed(self, q: int, s: int, level: tuple) -> dict:
         """``pieri_power(q, s)`` of a level as packed maps, memoised there."""
-        if s < 0:
-            raise ParameterError("power must be nonnegative")
         _, diagonals, memo = level
         cached = memo.get((q, s))
         if cached is not None:
@@ -261,6 +255,8 @@ class WeightedContext:
 
     def pieri_power(self, q: int, s: int) -> dict:
         """Map l -> coefficient of basis_l in (degree-one class)^s * basis_q."""
+        if type(s) is not int or s < 0:  # no bool reaches the memo
+            raise ParameterError("power must be a nonnegative integer")
         return {
             l: self.packing.poly(p)
             for l, p in self._pieri_packed(q, s, self._equivariant).items()
@@ -372,7 +368,13 @@ class WeightedContext:
 
     def positivity_forms(self) -> list:
         """The rewrite basis (g_1, ..., g_{n-1}, Y_0), g_q = bwt(q, q+1)."""
-        return [self._piece(q, q + 1)[1] for q in range(1, self.n)] + [self._y0]
+        n = self.n
+        y0 = linear_form(n, self.lattice.symbols[0])
+        return [
+            Poly.variable(n, q) - Poly.variable(n, q + 1)
+            - Fraction(self.piece_value(q, q + 1), self.b[0]) * y0
+            for q in range(1, n)
+        ] + [y0]
 
     @cached_property
     def _sheared_images(self) -> tuple:

@@ -149,9 +149,10 @@ class SymbolLattice:
         return leq(self.symbols[i], self.symbols[j])
 
     def check_index(self, *idxs) -> None:
-        """Raise ParameterError unless every index names a symbol, 0..m."""
+        """Raise ParameterError unless every index names a symbol, 0..m
+        (an int, not a bool)."""
         for idx in idxs:
-            if not (isinstance(idx, int) and 0 <= idx <= self.m):
+            if not (type(idx) is int and 0 <= idx <= self.m):
                 raise ParameterError(f"symbol index {idx} out of range")
 
     def upper_set(self, *idxs: int) -> list[int]:

@@ -2,6 +2,9 @@
 helpers only the tests call (``evaluate``, ``constant_value``,
 ``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``,
 and ``is_class``, GKM membership by ``Poly.divide_exact``).
+``a_coefficients`` expands one puzzle's piece factors by subset sums
+(``expand_linear_product_subsets``), where the library multiplies its
+packed frontier factors.
 The positivity rewrite's reference is ``rewrite_in_linear_basis``: the
 substitution by the inverse of the form matrix
 (``linear_basis_images``), where the library shears.  Weight-vector
@@ -28,7 +31,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import lcm
 
 from wgrass import gkm, linalg, plucker, puzzles, symbols
@@ -363,6 +366,40 @@ def reference_frontier_sums(nw: str, ne: str, factors: dict) -> dict:
         {e: c for e, c in weight.items() if c}
         for state, weight in states.items()
     }
+
+
+# -- one puzzle's piece-factor expansion -------------------------------------
+
+
+def expand_linear_product_subsets(nvars: int, factors) -> list:
+    """[alpha_0, ..., alpha_t] with prod_s (a_s + b_s B) = sum_s alpha_s B^s,
+    for Poly a_s and scalar b_s: alpha_s is the sum over the s-subsets S
+    of prod_{i in S} b_i prod_{i not in S} a_i."""
+    t = len(factors)
+    out = []
+    for s in range(t + 1):
+        total = Poly.zero(nvars)
+        for chosen in combinations(range(t), s):
+            term = Poly.one(nvars)
+            for i, (a, b) in enumerate(factors):
+                term = term * (b if i in chosen else a)
+            total = total + term
+        out.append(total)
+    return out
+
+
+def a_coefficients(ctx, puz) -> list:
+    """``ctx.a_coefficients(puz)`` by subset sums over the Poly factors
+    (y_u - y_v - (b(p)/b_0) Y_0, b(p)/b_0), b(p) = w_u - w_v read off the
+    (W, a) form of ``ctx.b``."""
+    n = ctx.n
+    w = plucker.solve_wa(ctx.b, ctx.k, n).W
+    y0 = linear_form(n, ctx.lattice.symbols[0])
+    factors = []
+    for u, v in puz.conjugated_pairs():
+        ratio = Fraction(w[u - 1] - w[v - 1], ctx.b[0])
+        factors.append((Poly.variable(n, u) - Poly.variable(n, v) - ratio * y0, ratio))
+    return expand_linear_product_subsets(n, factors)
 
 
 # -- the pipeline contraction on Polys ----------------------------------------

@@ -315,11 +315,11 @@ def _class_one_as_y1(rows, pack):
 
 @pytest.fixture
 def fresh_products():
-    """An empty oracle memo, emptied again after the test: a corrupted
-    coefficient must not outlive it."""
-    gkm._products.cache_clear()
+    """Empty oracle memos on the (2, 4) basis, emptied again after the
+    test: a corrupted coefficient must not outlive it."""
+    gkm.kt_restrictions(2, 4).memos.clear()
     yield
-    gkm._products.cache_clear()
+    gkm.kt_restrictions(2, 4).memos.clear()
 
 
 def _raises_or_disagrees(b, k, n):
@@ -381,8 +381,8 @@ def test_corrupted_memo_entry_breaks_the_symmetry(fresh_products):
     # c^4_{23} has degree 1; one added y1 keeps its degree, so only the
     # other recursion, c^4_{32}, can catch it
     for b in ((1,) * 6, (2, 2, 2, 1, 1, 1)):
-        products = gkm._products(b, 2, 4, gkm.kt_restrictions(2, 4))
-        y1 = products.basis.packing.pack((1, 0, 0, 0))
+        products = gkm.kt_restrictions(2, 4).products(b)
+        y1 = products.packing.pack((1, 0, 0, 0))
         true = dict(products.coefficient(2, 3, 4))
         products.memo[(2, 3, 4)] = {**true, y1: true.get(y1, 0) + 1}
         with pytest.raises(InternalInconsistencyError, match="asymmetric"):

@@ -15,7 +15,6 @@ CACHES = (
     "puzzles._catalogue",
     "gkm.kt_restrictions",
     "gkm._weighted_cached",
-    "gkm._products",
     "structure.context",
     "plucker.generate_relations",
     "plucker._permutation_context",
@@ -126,6 +125,24 @@ unbounded = [
 ]
 print(json.dumps({"filled": filled, "unbounded": unbounded}))
 """
+
+
+# Runs the oracle at (1, 3) ... (1, 9) in a fresh process and counts the
+# restriction matrices still alive, against the bound of the basis cache.
+LIVE_BASES_PROBE = """
+import gc, json
+from wgrass import gkm
+for n in range(3, 10):
+    gkm.localize_product((1,) * n, 1, n, 1, 1)
+gc.collect()
+live = sum(isinstance(o, gkm._Restrictions) for o in gc.get_objects())
+print(json.dumps([live, gkm.kt_restrictions.cache_info().maxsize]))
+"""
+
+
+def test_oracle_memos_keep_no_evicted_basis_alive():
+    live, bound = _run(LIVE_BASES_PROBE)
+    assert bound == 4 and live <= bound
 
 
 def test_caches_are_bounded():

@@ -9,7 +9,7 @@ import pytest
 
 from wgrass.errors import ParameterError
 from reference import evaluate, permute_variables, rewrite_in_linear_basis
-from wgrass.polynomial import Poly, expand_linear_product, linear_form, packing
+from wgrass.polynomial import Poly, linear_form, packing
 
 
 def y(i, n=4):
@@ -105,43 +105,6 @@ def test_permute_variables_identifies_like_substitute():
         p = random_poly(rng, n=4, degree=4, terms=5)
         want = p.substitute({v: y(w) for v, w in images.items()})
         assert permute_variables(p, images) == want
-
-
-def test_expand_linear_product_examples():
-    n = 4
-    a1 = y(1) * y(2)
-    out = expand_linear_product(n, [(a1, Fraction(3))])
-    assert out == [a1, Poly.const(n, 3)]
-    out = expand_linear_product(n, [(y(1), 1), (y(2), 1)])
-    assert out == [y(1) * y(2), y(1) + y(2), Poly.one(n)]
-    assert expand_linear_product(n, []) == [Poly.one(n)]
-
-
-def expand_linear_product_subsets(nvars, factors):
-    """Subset-sum form of ``expand_linear_product``; the reference route."""
-    t = len(factors)
-    out = []
-    for s in range(t + 1):
-        total = Poly.zero(nvars)
-        for chosen in combinations(range(t), s):
-            term = Poly.one(nvars)
-            for i, (a, b) in enumerate(factors):
-                term = term * (b if i in chosen else a)
-            total = total + term
-        out.append(total)
-    return out
-
-
-def test_expand_linear_product_routes_agree():
-    rng = random.Random(11)
-    for _ in range(25):
-        factors = [
-            (random_poly(rng, n=3, degree=1, terms=2),
-             Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-            for _ in range(rng.randint(0, 4))
-        ]
-        assert expand_linear_product(3, factors) == \
-            expand_linear_product_subsets(3, factors)
 
 
 def test_rewrite_in_linear_basis_roundtrip():

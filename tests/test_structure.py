@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import gcd, lcm, prod
 
 import pytest
@@ -444,6 +444,30 @@ def test_piece_value_well_defined():
                     assert delta == val
 
 
+def _unit_and_w1(k, n):
+    syms = symbols.enumerate_symbols(k, n)
+    return {"unit": (1,) * len(syms), "w1": tuple(2 if 1 in s else 1 for s in syms)}
+
+
+@pytest.mark.parametrize("k, n, b", [
+    *(pytest.param(k, n, b, id=f"{k}-{n}-{name}")
+      for k, n in ((2, 4), (2, 5), (3, 5))
+      for name, b in _unit_and_w1(k, n).items()),
+    pytest.param(1, 5, (8, 4, 2, 2, 1), id="1-5-84221"),
+    pytest.param(4, 5, (8, 4, 2, 2, 1), id="4-5-84221"),
+])
+def test_a_coefficients_match_subset_sums(k, n, b):
+    # every puzzle of every symbol triple, against the Poly factors
+    ctx = structure.context(b, k, n)
+    found = 0
+    for i, j, l in product(range(symbols.count(k, n)), repeat=3):
+        for puz in puzzles.puzzles_for(k, n, i, j, l):
+            assert ctx.a_coefficients(puz) == reference.a_coefficients(ctx, puz), \
+                (i, j, l, puz.equivariant)
+            found += 1
+    assert found > symbols.count(k, n)
+
+
 # -- the Poly contraction and tuple substitution, kept as references --------
 
 
@@ -517,7 +541,8 @@ def test_vector_caches_are_bounded():
     vecs = [tuple(a * (t + 1) if 1 in s else a for s in syms) for a, t in pairs]
     structure.context.cache_clear()
     gkm._weighted_cached.cache_clear()
-    gkm._products.cache_clear()
+    basis = gkm.kt_restrictions(2, 4)  # the oracle's memos live on it
+    basis.memos.clear()
     first = vecs[0]
     cell = structure.context(first, 2, 4).equivariant_constants(2, 3)
     rows = gkm.weighted_restrictions(first, 2, 4)
@@ -528,11 +553,10 @@ def test_vector_caches_are_bounded():
             structure.CONTEXT_CACHE_SIZE
         assert gkm._weighted_cached.cache_info().currsize <= \
             gkm.WEIGHTED_CACHE_SIZE
-        assert gkm._products.cache_info().currsize <= gkm.WEIGHTED_CACHE_SIZE
+        assert len(basis.memos) <= gkm.WEIGHTED_CACHE_SIZE
     assert structure.context.cache_info().maxsize == structure.CONTEXT_CACHE_SIZE
     assert gkm._weighted_cached.cache_info().maxsize == gkm.WEIGHTED_CACHE_SIZE
-    assert gkm._products.cache_info().maxsize == gkm.WEIGHTED_CACHE_SIZE
-    assert gkm._products.cache_info().currsize == gkm.WEIGHTED_CACHE_SIZE
+    assert len(basis.memos) == gkm.WEIGHTED_CACHE_SIZE
     # the first vector was evicted: it is recomputed, equal to before
     misses = structure.context.cache_info().misses
     assert structure.context(first, 2, 4).equivariant_constants(2, 3) == cell
@@ -540,6 +564,6 @@ def test_vector_caches_are_bounded():
     again = gkm.weighted_restrictions(first, 2, 4)
     assert again is not rows and again == rows
     # the first vector's memo was evicted too: rebuilt, with equal products
-    misses = gkm._products.cache_info().misses
+    assert first not in basis.memos
     assert gkm.localize_product(first, 2, 4, 2, 3) == cell
-    assert gkm._products.cache_info().misses == misses + 1
+    assert gkm.kt_restrictions(2, 4) is basis and first in basis.memos

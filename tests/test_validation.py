@@ -113,6 +113,32 @@ def test_symbol_index_checked_at_every_entry_point(bad):
             call()
 
 
+def test_booleans_reach_no_cache_key_and_no_index():
+    # True == 1 and hash(True) == hash(1): with the (1, 4) entries cached
+    # first, an untyped cache would answer True from them
+    wv = plucker.weight_vector((1,) * 4, 1, 4)
+    gkm.kt_restrictions(1, 4)
+    plucker._permutation_context(1, 4)
+    list(plucker.scope_ladder(1, 4))
+    structure.context(wv, 1, 4)
+    b = (1,) * 6
+    calls = [
+        lambda: gkm.kt_restrictions(True, 4),
+        lambda: plucker.generate_relations(True, 4),
+        lambda: plucker._permutation_context(True, 4),
+        lambda: list(plucker.scope_ladder(True, 4)),
+        lambda: plucker.weight_vector(wv, True, 4),
+        lambda: structure.context(wv, True, 4),
+        lambda: gkm.localize_product(b, 2, 4, True, 0),
+        lambda: structure.context(b, 2, 4).equivariant_constants(True, 0),
+        lambda: structure.context(b, 2, 4).pieri_power(1, True),
+        lambda: puzzles.conjugated_product(2, 4, True, 0),
+    ]
+    for call in calls:
+        with pytest.raises(ParameterError):
+            call()
+
+
 def test_structure_wrappers_accept_lists_and_reject_booleans():
     b = (6, 6, 6, 2, 2, 2)
     assert structure.ordinary_constants(list(b), 2, 4, 3, 3) == \
