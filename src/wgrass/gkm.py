@@ -42,8 +42,9 @@ U[i][l](z^(j)) - U[i][l](z^(l)): every weighted row is a GKM class.
 The b = 1 diagonal becomes the product of the weighted labels; support
 and degree survive a linear substitution; and row 1, Y_0 - Y_j, becomes
 Y_0 - (b_0 / b_j) Y_j since the ``solve_wa`` data of a valid b satisfy
-sum_{u in lam_t} w_u = b_t - a.  ``weighted_restrictions`` reads the ``Poly`` matrix in y off
-these rows on request and validates it.
+sum_{u in lam_t} w_u = b_t - a.  ``weighted_restrictions`` takes the
+rows to y on request, still packed, and validates them; no basis is
+ever held as ``Poly`` entries.
 
 ``localize_product`` is the independent oracle every structure-constant
 formula is tested against.  With xi^p the basis classes, xi^1 the
@@ -139,13 +140,20 @@ def _row_is_class(graph: GKMGraph, labels: dict, pk, row, scales) -> bool:
     return True
 
 
-class _Restrictions(tuple):
-    """A restriction matrix of Polys, rows by basis index, and its integer form.
+class _Restrictions(NamedTuple):
+    """A basis restriction matrix as packed integer rows, by basis index.
 
     ``rows[i][t]`` maps monomials packed by ``packing`` to ints and
-    equals b_t^{d_i} times entry [i][t]; a zero entry is an empty map.
-    Built by ``_restrictions``.
+    equals b_t^{d_i} times the value of basis class i at fixed point t;
+    a zero entry is an empty map.  ``memos`` holds the oracle's memos
+    (``products``); only the b = 1 basis fills it.
     """
+
+    graph: GKMGraph
+    lat: object
+    rows: list
+    packing: object
+    memos: dict
 
     def products(self, b: tuple) -> "_Products":
         """The oracle's memo of the shape-checked b on these rows.
@@ -181,23 +189,11 @@ class _ColumnMaps(NamedTuple):
     columns: list
 
 
-def _restrictions(graph: GKMGraph, pk, rows) -> _Restrictions:
-    """The Poly matrix of integer ``rows``: one division per entry."""
-    lat = symbols.lattice(graph.k, graph.n)
-    out = _Restrictions(
-        tuple(pk.poly(entry, graph.b[t] ** lat.d[i]) for t, entry in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-    out.graph, out.lat, out.rows, out.packing = graph, lat, rows, pk
-    out.memos = {}
-    return out
+@lru_cache(maxsize=4, typed=True)  # a (3, 8) basis holds about 21 MB
+def kt_restrictions(k: int, n: int) -> _Restrictions:
+    """The basis restriction matrix at b = (1, ..., 1), as packed rows.
 
-
-@lru_cache(maxsize=4, typed=True)  # a (3, 8) basis holds about 78 MB
-def kt_restrictions(k: int, n: int) -> tuple:
-    """Basis restriction matrix at b = (1, ..., 1), rows by basis index.
-
-    Entry [i][t] is the value of basis class i at fixed point t.  The
+    Row i holds the values of basis class i at the fixed points.  The
     rows are built by decreasing i on packed integer maps, by the
     restriction form of the equivariant Chevalley formula at b = 1
     (every m is 1 there): for lam_i < lam_t,
@@ -206,8 +202,7 @@ def kt_restrictions(k: int, n: int) -> tuple:
 
     so each entry, taken by increasing d_t, is one exact division of
     rows already built.  Off the upper set the value is zero, and the
-    diagonal is the pinned product.  The rows are then validated and
-    read back as the result.
+    diagonal is the pinned product.  The rows are then validated.
     """
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
@@ -229,13 +224,14 @@ def kt_restrictions(k: int, n: int) -> tuple:
             row[t] = pk.divide(num, den)
             if not row[t]:  # None, or zero inside the upper set
                 raise InternalInconsistencyError("Chevalley basis step fails")
-    out = _restrictions(graph, pk, rows)
+    out = _Restrictions(graph, lat, rows, pk, {})
     _validate_basis(out)
     return out
 
 
-def weighted_restrictions(b, k: int, n: int) -> tuple:
-    """Basis restriction matrix for a presented divisive weight vector.
+def weighted_restrictions(b, k: int, n: int) -> _Restrictions:
+    """The basis restriction matrix of a presented divisive weight
+    vector, as packed rows.
 
     The b = 1 rows taken to y by the column maps of b (``_to_y``),
     validated; built on every call, since the oracle never reads it.
@@ -249,7 +245,7 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
          for t, entry in enumerate(row)]
         for i, row in enumerate(base.rows)
     ]
-    out = _restrictions(maps.graph, base.packing, rows)
+    out = _Restrictions(maps.graph, base.lat, rows, base.packing, {})
     _validate_basis(out)
     return out
 

@@ -335,13 +335,15 @@ def prime_factors(x: int) -> set:
 
 
 def normalize(b, k: int, n: int) -> tuple:
-    """Primitive form, then divide out primes dividing all but one entry.
+    """Primitive form of a valid b, then divide out primes dividing all
+    but one entry.
 
-    The second step only triggers for k = 1 (projective space); a valid
-    vector with relations can never have all but one entry divisible by
-    a prime.
+    The second step only triggers where there are no relations, at k = 1
+    and k = n - 1 (projective space): normalize((2, 2, 1), 2, 3) is
+    (1, 1, 1).  A valid vector with relations can never have all but one
+    entry divisible by a prime.
     """
-    vec = list(primitive_part(b))
+    vec = list(primitive_part(weight_vector(b, k, n)))
     changed = True
     while changed:
         changed = False

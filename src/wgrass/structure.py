@@ -445,19 +445,6 @@ context.cache_info = _cached_context.cache_info
 context.cache_clear = _cached_context.cache_clear
 
 
-def weighted_equivariant_constants(b, k: int, n: int, i: int, j: int) -> dict:
-    return context(b, k, n).equivariant_constants(i, j)
-
-
-def ordinary_constants(b, k: int, n: int, i: int, j: int) -> dict:
-    return context(b, k, n).ordinary_constants(i, j)
-
-
-def change_basis_positivity(p: Poly, b, k: int, n: int) -> Poly:
-    """Rewrite p in the positivity basis (g_1..g_{n-1}, Y_0) of b."""
-    return context(b, k, n).change_basis_positivity(p)
-
-
 def verify_integrality(table) -> tuple:
     """(ok, counterexample) over a table of polynomial or integer cells."""
     for key in sorted(table):

@@ -1,7 +1,8 @@
 """Reference routes of the packed kernels, the data they are run on, and
 helpers only the tests call (``evaluate``, ``constant_value``,
 ``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``,
-and ``is_class``, GKM membership by ``Poly.divide_exact``).
+``poly_matrix``, the ``Poly`` view of a packed basis, and ``is_class``,
+GKM membership by ``Poly.divide_exact``).
 ``a_coefficients`` expands one puzzle's piece factors by subset sums
 (``expand_linear_product_subsets``), where the library multiplies its
 packed frontier factors.
@@ -552,9 +553,19 @@ def reference_sign_patterns(k: int, n: int, terms: tuple) -> tuple:
     return tuple(admissible)
 
 
+def poly_matrix(basis) -> tuple:
+    """The restriction matrix of a packed ``gkm`` basis as ``Poly``s:
+    entry [i][t] is rows[i][t] divided by b_t^{d_i}."""
+    pk, vec, d = basis.packing, basis.graph.b, basis.lat.d
+    return tuple(
+        tuple(pk.poly(entry, vec[t] ** d[i]) for t, entry in enumerate(row))
+        for i, row in enumerate(basis.rows)
+    )
+
+
 def restrictions_as_json(b, k: int, n: int) -> dict:
     """Restriction matrix as nested {basis index: {vertex: polynomial string}}."""
-    matrix = gkm.weighted_restrictions(b, k, n)
+    matrix = poly_matrix(gkm.weighted_restrictions(b, k, n))
     return {
         str(i): {
             str(j): entry.render()

@@ -233,7 +233,7 @@ def test_criterion_11_property_suites():
         ((2, 2, 2, 2, 1, 1, 1, 1, 1, 1), 2, 5),
     ]:
         lat = symbols.lattice(k, n)
-        mat = gkm.weighted_restrictions(b, k, n)
+        mat = reference.poly_matrix(gkm.weighted_restrictions(b, k, n))
         graph = gkm.build_graph(b, k, n)
         for i in range(lat.m + 1):
             trials += 1

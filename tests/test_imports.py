@@ -1,5 +1,6 @@
 """Importing the CLI does no computation and loads no heavy module;
-each command loads only the layers it uses."""
+each command loads only the layers it uses; caches stay bounded and a
+basis holds one form of its rows."""
 
 import json
 import os
@@ -143,6 +144,27 @@ print(json.dumps([live, gkm.kt_restrictions.cache_info().maxsize]))
 def test_oracle_memos_keep_no_evicted_basis_alive():
     live, bound = _run(LIVE_BASES_PROBE)
     assert bound == 4 and live <= bound
+
+
+# Measures, in a fresh process, the live memory a cold (2, 7) basis
+# build leaves behind, with the lattice it reads built first.
+BASIS_SIZE_PROBE = """
+import gc, json, tracemalloc
+from wgrass import gkm, symbols
+symbols.lattice(2, 7)
+gc.collect()
+tracemalloc.start()
+before = tracemalloc.get_traced_memory()[0]
+gkm.kt_restrictions(2, 7)
+gc.collect()
+print(json.dumps(tracemalloc.get_traced_memory()[0] - before))
+"""
+
+
+def test_basis_holds_only_packed_rows():
+    # the packed rows are about 0.65 MB; a second copy of the matrix as
+    # Poly entries would make it 1.66 MB
+    assert _run(BASIS_SIZE_PROBE) < 1_100_000
 
 
 def test_caches_are_bounded():

@@ -636,6 +636,12 @@ def test_normalize():
     assert plucker.normalize((1, 2), 1, 2) == (1, 1)
     assert plucker.normalize((1, 2, 4), 1, 3) == (1, 1, 2)
     assert plucker.normalize((4, 2, 2), 1, 3) == (2, 1, 1)
+    # and so does k = n - 1, which has no relations either
+    assert plucker.normalize((2, 2, 1), 2, 3) == (1, 1, 1)
+    # b is validated first: a wrong length or a zero entry raises
+    for bad, k, n in [((6, 4, 2), 5, 9), ((0, 0), 1, 2)]:
+        with pytest.raises(ParameterError):
+            plucker.normalize(bad, k, n)
 
 
 def test_equivalence():

@@ -47,7 +47,6 @@ def test_pieri_power_matches_iterated_localization():
     # independent oracle: s-fold product with the degree-one class
     for b in VECTORS_2_4:
         ctx = structure.context(b, 2, 4)
-        mat = gkm.weighted_restrictions(b, 2, 4)
         for q in range(6):
             expansion = {q: Poly.one(4)}
             for s in range(1, 4):
@@ -232,7 +231,7 @@ def test_weighted_projective_space_matches_kawasaki():
                             value, rest = divmod(ls[i] * ls[j], ls[i + j])
                             assert rest == 0
                             want = {i + j: value}
-                        got = structure.ordinary_constants(b, k, n, i, j)
+                        got = structure.context(b, k, n).ordinary_constants(i, j)
                         assert got == want, (b, k, n, i, j)
 
 
@@ -416,7 +415,7 @@ def test_change_basis_positivity_generator():
     ctx = structure.context((2, 2, 2, 1, 1, 1), 2, 4)
     forms = ctx.positivity_forms()
     g1 = forms[0]
-    rewritten = structure.change_basis_positivity(g1, (2, 2, 2, 1, 1, 1), 2, 4)
+    rewritten = ctx.change_basis_positivity(g1)
     expo = [0] * 4
     expo[0] = 1
     assert rewritten == Poly(4, {tuple(expo): 1})

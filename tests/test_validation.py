@@ -100,8 +100,8 @@ def test_symbol_index_checked_at_every_entry_point(bad):
     calls = [
         lambda: gkm.localize_product(b, 2, 4, bad, 0),
         lambda: gkm.localize_product(b, 2, 4, 0, bad),
-        lambda: structure.ordinary_constants(b, 2, 4, bad, 0),
-        lambda: structure.weighted_equivariant_constants(b, 2, 4, 0, bad),
+        lambda: structure.context(b, 2, 4).ordinary_constants(bad, 0),
+        lambda: structure.context(b, 2, 4).equivariant_constants(0, bad),
         lambda: structure.context(b, 2, 4).equivariant_constants(bad, 1),
         lambda: structure.context(b, 2, 4).ordinary_constants(1, bad),
         lambda: structure.context(b, 2, 4).pieri_power(bad, 1),
@@ -141,14 +141,13 @@ def test_booleans_reach_no_cache_key_and_no_index():
 
 def test_structure_wrappers_accept_lists_and_reject_booleans():
     b = (6, 6, 6, 2, 2, 2)
-    assert structure.ordinary_constants(list(b), 2, 4, 3, 3) == \
-        structure.ordinary_constants(b, 2, 4, 3, 3)
-    assert structure.weighted_equivariant_constants(list(b), 2, 4, 2, 3) == \
-        structure.context(b, 2, 4).equivariant_constants(2, 3)
-    structure.ordinary_constants((1,) * 6, 2, 4, 3, 3)
+    ctx = structure.context(list(b), 2, 4)
+    assert ctx is structure.context(b, 2, 4)
+    assert ctx.equivariant_constants(2, 3) == gkm.localize_product(b, 2, 4, 2, 3)
+    structure.context((1,) * 6, 2, 4).ordinary_constants(3, 3)
     for bad in [(True, 1, 1, 1, 1, 1), (1.0, 1, 1, 1, 1, 1)]:
         with pytest.raises(ParameterError):
-            structure.ordinary_constants(bad, 2, 4, 3, 3)
+            structure.context(bad, 2, 4).ordinary_constants(3, 3)
 
 
 def test_equivalence_rejects_invalid_vectors():
