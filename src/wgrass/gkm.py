@@ -8,8 +8,13 @@ label
     Y_{lam_i} - (b_i / b_j) * Y_{lam_j},      Y_lam = sum_{s in lam} y_s,
 
 divides the difference of the two components.  The divisive
-presentation (b_i | b_{i-1}) makes every label an integer polynomial,
-built once, in ``build_graph``.
+presentation (b_i | b_{i-1}) makes every label an integer linear form,
+built once, in ``build_graph``, as a packed integer map in the packing
+that every gkm map uses (``GKMGraph.packing``).  Each label is monic in
+the variable its edge gains, so it divides a form iff the form vanishes
+when that variable is replaced by the rest of the label
+(``_rows_are_classes``): membership is read off the packed labels without a
+quotient.
 
 The distinguished basis class of lam_i vanishes off the upper set of
 lam_i, takes the product of the edge labels into lam_i there, and is
@@ -23,9 +28,9 @@ so the rows are built by decreasing i, each entry one exact division of
 rows already built, on integer maps from packed monomials (one
 ``polynomial.packing`` per (n, max d)), the value at lam_t stored times
 b_t^{d_i}.  ``_validate_basis`` checks the pinning conditions, the
-closed row 1 (b_j Y_0 - b_0 Y_j at this scale) and GKM membership.
-Support, diagonal, degree and membership fix each basis class uniquely,
-so a wrong recursion step cannot pass it.
+closed row 1 (b_j Y_0 - b_0 Y_j at this scale) and GKM membership, by
+vanishing.  Support, diagonal, degree and membership fix each basis
+class uniquely, so a wrong recursion step cannot pass it.
 
 A weighted basis is the b = 1 basis U plus one integer map per column
 (``_ColumnMaps``): with (W, a) the integer exponent data of b, in the
@@ -80,7 +85,7 @@ from typing import NamedTuple
 
 from . import plucker, symbols
 from .errors import InternalInconsistencyError
-from .polynomial import _mul_packed, linear_form, packing
+from .polynomial import _mul_packed, packing
 
 
 class GKMGraph(NamedTuple):
@@ -90,7 +95,8 @@ class GKMGraph(NamedTuple):
     n: int
     b: tuple
     edges: tuple  # (i, j) with lam_i in R(lam_j)
-    labels: dict  # (i, j) -> integer Poly, primitive
+    labels: dict  # (i, j) -> primitive integer label, packed by ``packing``
+    packing: object  # ``polynomial.packing(n, max d)``, as every gkm map
 
 
 def build_graph(b, k: int, n: int) -> GKMGraph:
@@ -102,41 +108,52 @@ def build_graph(b, k: int, n: int) -> GKMGraph:
     """
     vec = plucker.presented_weight_vector(b, k, n)
     lat = symbols.lattice(k, n)
+    pk = packing(n, max(lat.d))
     edges = []
     labels = {}
     for j in range(lat.m + 1):
-        yj = linear_form(n, lat.symbols[j])
+        yj = pk.linear(lat.symbols[j])
         for i in lat.R[j]:
             ratio, rest = divmod(vec[i], vec[j])
             if rest:
                 raise InternalInconsistencyError("b_j does not divide b_i")
             edges.append((i, j))
-            labels[(i, j)] = linear_form(n, lat.symbols[i]) - yj * ratio
-    return GKMGraph(k, n, vec, tuple(edges), labels)
+            labels[(i, j)] = _mul_packed(yj, {0: -ratio}, pk.linear(lat.symbols[i]))
+    return GKMGraph(k, n, vec, tuple(edges), labels, pk)
 
 
-def _packed_labels(graph: GKMGraph, pk) -> dict:
-    return {edge: pk.of(label.terms) for edge, label in graph.labels.items()}
+def _rows_are_classes(graph: GKMGraph, rows: list) -> bool:
+    """GKM membership of every row: row i has value row[t] / b_t^{d_i}
+    at t, each row[t] an integer map packed by ``graph.packing``.
 
+    Across the edge (l, j), lam_l being lam_j with s replaced by s' < s
+    and r = b_l / b_j, the label is
 
-def _row_is_class(graph: GKMGraph, labels: dict, pk, row, scales) -> bool:
-    """GKM membership of the class with value row[t] / scales[t] at t.
+        L = y_s' - y_s + (1 - r) Y_j,
 
-    ``row`` holds integer maps and ``labels`` the edge labels, both
-    packed by the packing ``pk``.  Across the edge (l, j) the difference
-    is scaled to the integer map (s_l row[j] - s_j row[l]) /
-    gcd(s_l, s_j), which the label divides in Q[y] iff ``pk.divide``
-    finds a quotient (Gauss's lemma).
+    monic in y_s', since Y_j holds y_s but not y_s'.  So dividing f by L
+    as a polynomial in y_s' leaves f under y_s' -> y_s' - L, a form
+    without y_s', as the remainder: L divides f in Z[y] iff that image
+    of f vanishes.  It is tested on f = s_l row[j] - s_j row[l], the
+    difference at the common scale s_l s_j, with no quotient built.  At
+    b = 1 the image y_s' - L is the single variable y_s, so each term
+    moves its y_s' exponent onto y_s and no multiplication runs.
     """
+    lat = symbols.lattice(graph.k, graph.n)
+    units, vanishes = graph.packing.units, graph.packing.vanishes
+    edges = []
     for l, j in graph.edges:
-        hi, lo = row[j], row[l]
-        if not (hi or lo):
-            continue
-        g = gcd(scales[j], scales[l])
-        diff = {key: c * (scales[l] // g) for key, c in hi.items()}
-        _mul_packed(lo, {0: 1}, diff, -(scales[j] // g))  # {0: 1} packs 1
-        if diff and pk.divide(diff, labels[(l, j)]) is None:
-            return False
+        (sp,) = set(lat.symbols[l]) - set(lat.symbols[j])
+        image = {key: -c for key, c in graph.labels[(l, j)].items()
+                 if key != units[sp - 1]}
+        # the powers of the image, which ``vanishes`` extends as needed
+        edges.append((l, j, sp - 1, [{0: 1}, image]))  # {0: 1} packs 1
+    for i, row in enumerate(rows):
+        scales = [bt ** lat.d[i] for bt in graph.b]
+        for l, j, v, powers in edges:
+            hi, lo = row[j], row[l]
+            if (hi or lo) and not vanishes(((hi, scales[l]), (lo, -scales[j])), v, powers):
+                return False
     return True
 
 
@@ -209,13 +226,12 @@ def kt_restrictions(k: int, n: int) -> _Restrictions:
     graph = build_graph((1,) * m1, k, n)
     # no form here goes above max d: an entry, a label product, a
     # c^r_{pq}, a cover's num; ``_column_maps`` packs alike
-    pk = packing(n, max(lat.d))
-    labels = _packed_labels(graph, pk)
+    pk = graph.packing
     forms = [pk.linear(sym) for sym in lat.symbols]
     rows: list = [None] * m1
     for i in reversed(range(m1)):
         row = rows[i] = [{} for _ in range(m1)]
-        row[i] = _diagonal(graph, labels, i)
+        row[i] = _diagonal(graph, i)
         for t in sorted(lat.upper_set(i)[1:], key=lat.d.__getitem__):
             num: dict = {}
             for up in lat.arrows[i]:
@@ -280,7 +296,7 @@ def _column_maps(graph: GKMGraph) -> _ColumnMaps:
     v = max(sorted({x for x in w if a + graph.k * x > 0} | {0}), key=w.count)
     w = [x - v for x in w]
     moved = [s for s in range(n) if w[s]]
-    pk = packing(n, max(lat.d))  # as ``kt_restrictions`` packs its rows
+    pk = graph.packing  # as ``kt_restrictions`` packs its rows
     columns = []
     for t, bt in enumerate(graph.b):
         yt = pk.linear(lat.symbols[t])
@@ -310,7 +326,7 @@ def _check_column_maps(maps: _ColumnMaps) -> None:
     graph = maps.graph
     n, vec = graph.n, graph.b
     lat = symbols.lattice(graph.k, n)
-    labels = _packed_labels(graph, maps.packing)
+    labels = graph.labels
     images = [[_to_y(maps, t, {y: 1}, 1) for y in maps.packing.units]
               for t in range(len(vec))]
     for l, j in graph.edges:
@@ -326,13 +342,13 @@ def _check_column_maps(maps: _ColumnMaps) -> None:
                 raise InternalInconsistencyError("column maps disagree across an edge")
 
 
-def _diagonal(graph: GKMGraph, labels: dict, i: int) -> dict:
+def _diagonal(graph: GKMGraph, i: int) -> dict:
     """The pinned value at lam_i, scaled by b_i^{d_i}: b_i^{d_i} times
-    the product of the packed ``labels`` into it."""
+    the product of the packed labels into it."""
     lat = symbols.lattice(graph.k, graph.n)
     diag = {0: graph.b[i] ** lat.d[i]}  # 0 packs the monomial 1
     for l in lat.R[i]:
-        diag = _mul_packed(diag, labels[(l, i)])
+        diag = _mul_packed(diag, graph.labels[(l, i)])
     return diag
 
 
@@ -345,7 +361,6 @@ def _validate_basis(matrix: _Restrictions) -> None:
     """
     graph, rows, pk = matrix.graph, matrix.rows, matrix.packing
     vec, lat = graph.b, matrix.lat
-    labels = _packed_labels(graph, pk)
     y0 = pk.linear(lat.symbols[0])
     for i in range(lat.m + 1):
         for j in range(lat.m + 1):
@@ -366,12 +381,10 @@ def _validate_basis(matrix: _Restrictions) -> None:
                                      _mul_packed(y0, {0: vec[j]}))
                 if rows[1][j] != closed:
                     raise InternalInconsistencyError("row 1 closed form fails")
-        if rows[i][i] != _diagonal(graph, labels, i):
+        if rows[i][i] != _diagonal(graph, i):
             raise InternalInconsistencyError("diagonal product formula fails")
-    for i, row in enumerate(rows):
-        scales = [bt ** lat.d[i] for bt in vec]
-        if not _row_is_class(graph, labels, pk, row, scales):
-            raise InternalInconsistencyError("basis row fails GKM membership")
+    if not _rows_are_classes(graph, rows):
+        raise InternalInconsistencyError("basis row fails GKM membership")
 
 
 def _divided(form: dict, d: int) -> dict:

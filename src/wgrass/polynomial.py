@@ -19,10 +19,10 @@ owns that format: the field layout, the guard bits of division, the
 degree field, and the moves on packed integer term maps that read
 fields (a shear y_s -> y_s + y_{s+1} as a binomial split of one field,
 splitting off the last variable, substitution by Horner's rule on
-packed images).  The pipeline (``puzzles``, ``structure``) and the
-oracle (``gkm``) get theirs from ``packing(nvars, top)``, pack their
-input once and turn packed maps back into ``Poly`` once, at their
-public return.  The kernels that read no field, ``_mul_packed`` and
+packed images, the vanishing test of a substitution y_v -> image).
+The pipeline (``puzzles``, ``structure``) and the oracle (``gkm``) get
+theirs from ``packing(nvars, top)``, pack their input once and turn
+packed maps back into ``Poly`` once, at their public return.  The kernels that read no field, ``_mul_packed`` and
 ``_divide_packed``, take packed maps of any packing.
 
 Variables are anonymous; rendering defaults to y1..yn but accepts any
@@ -264,6 +264,36 @@ class Packing:
     def divide(self, num: dict, den: dict) -> dict | None:
         """``_divide_packed`` of two maps of this packing."""
         return _divide_packed(num, den, self.guard)
+
+    def vanishes(self, parts, v: int, powers: list) -> bool:
+        """True iff sum of scale * terms over the (terms, scale) ``parts``
+        vanishes under y_v -> image (0-based v), an image without y_v.
+
+        powers[e] is the packed image**e, powers[1] the image itself; the
+        list is extended in place up to the largest exponent of y_v met.
+        A term of exponent e at y_v drops e units of that field and the
+        degree, then takes each term of powers[e]: with a one-term image
+        that is one key move per term.
+        """
+        shift = self.bits * (self.nvars - 1 - v)
+        mask = (1 << self.bits) - 1
+        unit = self.units[v]
+        out: dict = {}
+        get = out.get
+        for terms, scale in parts:
+            for key, c in terms.items():
+                c *= scale
+                e = key >> shift & mask
+                if not e:
+                    out[key] = get(key, 0) + c
+                    continue
+                while len(powers) <= e:
+                    powers.append(_mul_packed(powers[-1], powers[1]))
+                base = key - e * unit
+                for kp, cp in powers[e].items():
+                    k = base + kp
+                    out[k] = get(k, 0) + c * cp
+        return not any(out.values())
 
     def shear(self, terms: dict, s: int) -> dict:
         """``terms`` under y_s -> y_s + y_{s+1} (1-based s < nvars).

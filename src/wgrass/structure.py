@@ -95,15 +95,16 @@ substitution finishes it:
 
 the second because Y_0 = y_1 + ... + y_k = sum_q min(q, k) u_q.  Only
 the u_q with c_q != 0 move; the others are g_q already.  It runs on
-packed integer maps (``Packing.substitute``), and the denominators are
-cleared once.
+packed integer maps (``Packing.substitute``).  Every image coefficient
+is an integer over k b_0, so the images are built from integers alone,
+scaled by their least common denominator, which is divided out once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd
 from itertools import combinations
 
 from . import plucker, puzzles, symbols
@@ -313,10 +314,15 @@ class WeightedContext:
         return self._table(self.equivariant_cells)
 
     def _matches(self, i: int, j: int) -> bool:
-        """True iff some l above i and j has d_l = d_i + d_j."""
-        lat = self.lattice
-        target_d = lat.d[i] + lat.d[j]
-        return any(lat.d[l] == target_d for l in lat.upper_set(i, j))
+        """True iff some l above i and j has d_l = d_i + d_j.
+
+        The symbols above both form the interval from their join to the
+        top, of dimension k(n - k).  The join has dimension <= d_i + d_j
+        (its diagram is the union of the two), and a graded interval
+        takes every dimension in between, so that is d_i + d_j <= k(n - k).
+        """
+        d = self.lattice.d
+        return d[i] + d[j] <= self.k * (self.n - self.k)
 
     def ordinary_constants(self, i: int, j: int, sums=None) -> dict:
         """Map l (dimension-matching only) -> integer structure constant.
@@ -380,25 +386,35 @@ class WeightedContext:
     def _sheared_images(self) -> tuple:
         """(images, kept, D): D times the images of the module docstring
         over (g_1..g_{n-1}, Y_0), of u_n and of the u_q with c_q != 0, as
-        (0-based variable, integer terms); the kept u's are g's already."""
-        n, w = self.n, self.wa.W
-        y0 = Poly.variable(n, n)  # the last target variable is Y_0
-        u = [
-            Poly.variable(n, q) + Fraction(w[q - 1] - w[q], self.b[0]) * y0
-            for q in range(1, n)
-        ]
-        rest = sum(
-            (min(q, self.k) * image for q, image in enumerate(u, 1)), Poly.zero(n)
-        )
-        moved = {v: u[v] for v in range(n - 1) if w[v] != w[v + 1]}
-        moved[n - 1] = (y0 - rest) * Fraction(1, self.k)
-        cleared = {v: _cleared(image.terms) for v, image in moved.items()}
-        scale = lcm(*(d for _, d in cleared.values()))
+        (0-based variable, integer terms); the kept u's are g's already.
+
+        Every coefficient is an integer over k b_0:
+
+            u_q -> (k b_0 g_q + k (w_q - w_{q+1}) Y_0) / (k b_0),
+            u_n -> (b_0 Y_0 - sum_q min(q, k) (b_0 g_q + (w_q - w_{q+1}) Y_0))
+                   / (k b_0),
+
+        so the least common denominator is D = k b_0 / g, g the gcd of
+        k b_0 and every numerator, and D times an image is its numerators
+        over g.
+        """
+        n, k, b0, w = self.n, self.k, self.b[0], self.wa.W
+        units = [tuple(int(u == v) for u in range(n)) for v in range(n)]
+        y0 = units[n - 1]  # the last target variable is Y_0
+        moved = {}
+        last = {y0: b0}
+        for q in range(1, n):
+            c = w[q - 1] - w[q]
+            if c:
+                moved[q - 1] = {units[q - 1]: k * b0, y0: k * c}
+            last[units[q - 1]] = -min(q, k) * b0
+            last[y0] -= min(q, k) * c
+        moved[n - 1] = last
+        g = gcd(k * b0, *(c for image in moved.values() for c in image.values()))
         images = [
-            (v, {e: c * (scale // d) for e, c in terms.items()})
-            for v, (terms, d) in cleared.items()
+            (v, {e: c // g for e, c in image.items() if c}) for v, image in moved.items()
         ]
-        return images, [v for v in range(n) if v not in moved], scale
+        return images, [v for v in range(n) if v not in moved], k * b0 // g
 
     def change_basis_positivity(self, p: Poly) -> Poly:
         """p rewritten as a polynomial in (g_1..g_{n-1}, Y_0)."""

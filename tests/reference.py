@@ -1,14 +1,16 @@
 """Reference routes of the packed kernels, the data they are run on, and
 helpers only the tests call (``evaluate``, ``constant_value``,
 ``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``,
-``poly_matrix``, the ``Poly`` view of a packed basis, and ``is_class``,
-GKM membership by ``Poly.divide_exact``).
+``poly_matrix`` and ``poly_labels``, the ``Poly`` views of a packed
+basis and of packed edge labels, and ``is_class``, GKM membership by
+``Poly.divide_exact``).
 ``a_coefficients`` expands one puzzle's piece factors by subset sums
 (``expand_linear_product_subsets``), where the library multiplies its
 packed frontier factors.
 The positivity rewrite's reference is ``rewrite_in_linear_basis``: the
 substitution by the inverse of the form matrix
-(``linear_basis_images``), where the library shears.  Weight-vector
+(``linear_basis_images``), where the library shears; its sheared images
+have theirs in ``sheared_images``, by ``Fraction`` arithmetic.  Weight-vector
 validity has its reference in ``reference_validate``: the walk over
 every Plucker relation that the (W, a) candidate replaced.  The
 closed-form permutation scopes have theirs in ``reference_full_scope``:
@@ -144,6 +146,28 @@ def rewrite_in_linear_basis(p: Poly, forms: list) -> Poly:
     return p.substitute(linear_basis_images(forms))
 
 
+def sheared_images(ctx) -> tuple:
+    """``ctx._sheared_images`` by ``Fraction`` arithmetic on ``Poly``s:
+    the images of u_n and of the moved u_q over (g_1..g_{n-1}, Y_0),
+    each cleared, all scaled to the lcm of their denominators."""
+    n, w = ctx.n, ctx.wa.W
+    y0 = Poly.variable(n, n)  # the last target variable is Y_0
+    u = [
+        Poly.variable(n, q) + Fraction(w[q - 1] - w[q], ctx.b[0]) * y0
+        for q in range(1, n)
+    ]
+    rest = sum((min(q, ctx.k) * image for q, image in enumerate(u, 1)), Poly.zero(n))
+    moved = {v: u[v] for v in range(n - 1) if w[v] != w[v + 1]}
+    moved[n - 1] = (y0 - rest) * Fraction(1, ctx.k)
+    cleared = {v: _cleared(image.terms) for v, image in moved.items()}
+    scale = lcm(*(d for _, d in cleared.values()))
+    images = [
+        (v, {e: c * (scale // d) for e, c in terms.items()})
+        for v, (terms, d) in cleared.items()
+    ]
+    return images, [v for v in range(n) if v not in moved], scale
+
+
 # -- substitution on exponent tuples ------------------------------------------
 
 
@@ -248,7 +272,7 @@ def unit_restrictions(k: int, n: int) -> tuple:
     """The b = 1 restriction matrix, interpolated on Polys."""
     lat = symbols.lattice(k, n)
     m1 = lat.m + 1
-    graph = gkm.build_graph((1,) * m1, k, n)
+    labels = poly_labels(gkm.build_graph((1,) * m1, k, n))
     matrix = []
     for i in range(m1):
         row: list = []
@@ -259,7 +283,7 @@ def unit_restrictions(k: int, n: int) -> tuple:
             if j == i:
                 diag = Poly.one(n)
                 for l in lat.R[i]:
-                    diag = diag * graph.labels[(l, i)]
+                    diag = diag * labels[(l, i)]
                 row.append(diag)
                 continue
             constraints = []
@@ -271,15 +295,21 @@ def unit_restrictions(k: int, n: int) -> tuple:
     return tuple(matrix)
 
 
+def poly_labels(graph) -> dict:
+    """The edge labels of a ``gkm`` graph as ``Poly``s, by edge."""
+    return {edge: graph.packing.poly(label) for edge, label in graph.labels.items()}
+
+
 def is_class(graph, values) -> bool:
     """True iff every edge label of the GKM ``graph`` divides the
     difference of ``values`` across the edge, by ``Poly.divide_exact``
-    (the library checks its rows on packed maps)."""
+    (the library tests its rows on packed maps, by vanishing)."""
     vals = list(values)
     if len(vals) != symbols.count(graph.k, graph.n):
         raise ParameterError("need one polynomial per fixed point")
+    labels = poly_labels(graph)
     return all(
-        (vals[j] - vals[l]).divide_exact(graph.labels[(l, j)]) is not None
+        (vals[j] - vals[l]).divide_exact(labels[(l, j)]) is not None
         for l, j in graph.edges
     )
 

@@ -23,15 +23,16 @@ def y(i, n=4):
 
 def test_build_graph_labels():
     g = gkm.build_graph((2, 2, 2, 1, 1, 1), 2, 4)
-    assert g.labels[(0, 1)] == y(2) - y(3)
-    assert g.labels[(1, 3)] == y(1) - 2 * y(2) - y(3)
+    labels = reference.poly_labels(g)
+    assert labels[(0, 1)] == y(2) - y(3)
+    assert labels[(1, 3)] == y(1) - 2 * y(2) - y(3)
     lat = symbols.lattice(2, 4)
     assert len(g.edges) == sum(lat.d)
 
 
 def test_build_graph_unit_labels():
     g = gkm.build_graph((1,) * 6, 2, 4)
-    for (i, j), label in g.labels.items():
+    for (i, j), label in reference.poly_labels(g).items():
         terms = sorted(label.terms.items())
         assert len(terms) == 2
         coeffs = sorted(c for _, c in terms)
@@ -46,9 +47,10 @@ def test_labels_are_primitive_integer_forms(k, n):
     forms = [sum((y(s, n) for s in sym), Poly.zero(n)) for sym in syms]
     for b in reference.vectors(k, n):
         graph = gkm.build_graph(b, k, n)
-        assert len(graph.labels) == len(graph.edges)
+        labels = reference.poly_labels(graph)
+        assert len(labels) == len(graph.edges)
         for l, j in graph.edges:
-            label = graph.labels[(l, j)]
+            label = labels[(l, j)]
             assert label.is_integral(), (b, l, j)
             assert gcd(*label.terms.values()) == 1, (b, l, j)
             assert label * b[j] == forms[l] * b[j] - forms[j] * b[l], (b, l, j)
@@ -406,6 +408,38 @@ def test_corrupted_rows_fail_validation(message, edit):
             gkm._validate_basis(_corrupted(b, 2, 4, edit))
 
 
+@pytest.mark.parametrize("k, n", [(2, 4), (2, 5), (3, 5), (2, 6)])
+def test_seeded_corruptions_fail_validation_as_the_division_does(k, n):
+    # one coefficient of one row changed, at an entry of degree d_i off
+    # the diagonal inside the upper set and past the closed row 1, so
+    # only GKM membership can catch it: the vanishing test raises exactly
+    # where the division by Poly.divide_exact rejects the row
+    lat = symbols.lattice(k, n)
+    w1 = tuple(2 if 1 in s else 1 for s in lat.symbols)
+    rng = random.Random(f"corrupt {k} {n}")
+    rejected = 0
+    for b in ((1,) * (lat.m + 1), w1):
+        gkm._validate_basis(_corrupted(b, k, n, lambda rows, pack: None))
+        graph = gkm.build_graph(b, k, n)
+        for _ in range(25):
+            i = rng.randrange(2, lat.m)
+            t = rng.choice(lat.upper_set(i)[1:])
+            expo = [0] * n
+            for _ in range(lat.d[i]):
+                expo[rng.randrange(n)] += 1
+            delta = rng.choice((-2, -1, 1, 2, 3))
+            bad = _corrupted(
+                b, k, n, lambda rows, pack: _add(rows, pack, i, t, expo, delta)
+            )
+            if reference.is_class(graph, reference.poly_matrix(bad)[i]):
+                gkm._validate_basis(bad)
+            else:
+                rejected += 1
+                with pytest.raises(InternalInconsistencyError, match="GKM membership"):
+                    gkm._validate_basis(bad)
+    assert rejected, (k, n)
+
+
 def test_is_class_rejects_perturbed_weighted_row():
     b = (6, 6, 6, 3, 3, 3)
     mat = reference.poly_matrix(gkm.weighted_restrictions(b, 2, 4))
@@ -504,7 +538,8 @@ def _edited_image(maps, t):
 
 
 def _doubled_label(graph):
-    return graph._replace(labels={**graph.labels, (0, 1): graph.labels[(0, 1)] * 2})
+    doubled = {key: 2 * c for key, c in graph.labels[(0, 1)].items()}
+    return graph._replace(labels={**graph.labels, (0, 1): doubled})
 
 
 MAP_CORRUPTIONS = [

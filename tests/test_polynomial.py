@@ -375,3 +375,38 @@ def test_packing_across_field_widths(nvars, top):
         split.setdefault(e[-1], {})[e[:-1]] = c
     rest = packing(nvars - 1, top)
     assert pk.split_last(packed) == {e: rest.of(part) for e, part in split.items()}
+
+
+@pytest.mark.parametrize("top", [6, 127, 128])
+def test_vanishing_is_divisibility_by_a_monic_linear_form(top):
+    # L = y_v - image, monic in y_v, divides f iff f vanishes under
+    # y_v -> image; checked against Poly.divide_exact on multiples of L
+    # and on multiples with one monomial added, across a field width
+    nvars = 4
+    pk = packing(nvars, top)
+    rng = random.Random(f"vanishes:{top}")
+    seen = set()
+    for trial in range(12):
+        v, a, b = rng.sample(range(nvars), 3)
+        image = {pk.units[a]: 1, pk.units[b]: rng.choice((-2, -1, 1, 3))}
+        if trial % 3 == 0:
+            image = {pk.units[a]: 1}  # a b = 1 label: one key move per term
+        label = Poly.variable(nvars, v + 1) - pk.poly(image)
+        expo = [0] * nvars
+        for _ in range(top - 1):
+            expo[rng.choice((v, v, a))] += 1
+        f = label * Poly(nvars, {tuple(expo): 1, (0,) * (nvars - 1) + (top - 1,): 2})
+        if trial % 2:
+            extra = [0] * nvars
+            for _ in range(top):
+                extra[rng.randrange(nvars)] += 1
+            f = f + Poly(nvars, {tuple(extra): rng.choice((-1, 1))})
+        powers = [{0: 1}, image]
+        packed = pk.of(f.terms)
+        want = f.divide_exact(label) is not None
+        seen.add(want)
+        assert pk.vanishes(((packed, 1),), v, powers) == want, trial
+        assert pk.vanishes(((packed, 3), (packed, -3)), v, powers)
+        assert pk.vanishes(((packed, 2), (pk.of((f * 2).terms), -1)), v, powers)
+        assert len(powers) <= top + 1
+    assert seen == {True, False}

@@ -370,6 +370,25 @@ def test_ordinary_matches_degree_zero_equivariant(k, n):
                     assert ordinary.get(l, 0) == eq
 
 
+def test_matches_is_the_upper_set_scan():
+    # the rank bound against a scan of the symbols above both, the
+    # intersection of the two upper sets, on every ordered pair of every
+    # lattice with n <= 9 (C(n, k) <= 126)
+    pairs = 0
+    for n in range(2, 10):
+        for k in range(1, n):
+            ctx = structure.context((1,) * symbols.count(k, n), k, n)
+            lat = ctx.lattice
+            upper = [set(lat.upper_set(i)) for i in range(lat.m + 1)]
+            for i in range(lat.m + 1):
+                for j in range(lat.m + 1):
+                    scan = any(lat.d[l] == lat.d[i] + lat.d[j]
+                               for l in upper[i] & upper[j])
+                    assert ctx._matches(i, j) == scan, (k, n, i, j)
+                    pairs += 1
+    assert pairs == 66178
+
+
 def test_unit_ordinary_table_matches_oracle_lr():
     ctx = structure.context((1,) * 6, 2, 4)
     lat = ctx.lattice
@@ -483,9 +502,15 @@ def test_packed_contraction_matches_reference(k, n):
 
 
 def _assert_rewrites_match_reference(b, k, n):
-    # every entry of the table against ``reference.rewrite_in_linear_basis``,
-    # with the inverse of the form matrix built once
+    # the integer sheared images against the Fraction route (images,
+    # kept variables, scale and term order), then every entry of the
+    # table against ``reference.rewrite_in_linear_basis``, with the
+    # inverse of the form matrix built once
     ctx = structure.context(b, k, n)
+    sheared, want = ctx._sheared_images, reference.sheared_images(ctx)
+    assert [(v, list(t.items())) for v, t in sheared[0]] == \
+        [(v, list(t.items())) for v, t in want[0]], b
+    assert sheared[1:] == want[1:], b
     images = reference.linear_basis_images(ctx.positivity_forms())
     for (i, j), cell in ctx.equivariant_table().items():
         if i <= j:
