@@ -35,7 +35,6 @@ EXIT_NOT_FOUND = 3
 EXIT_CAPACITY = 4
 
 RING_LIMIT = 35  # largest C(n, k) that ring tabulates; (3, 7) fits
-PERMS_LIMIT = 12870  # largest C(n, k) that perms prints; (8, 16) fits
 PUZZLES_LIMIT = 924  # largest C(n, k) whose lattice puzzles builds; (6, 12) fits
 POINCARE_LIMIT = 2500  # largest k (n - k) that poincare expands; (50, 100) fits
 
@@ -120,9 +119,8 @@ def _cmd_solve_wa(args) -> tuple:
 
 
 def _cmd_perms(args) -> tuple:
-    from . import plucker, symbols
+    from . import plucker
 
-    _check_size(symbols.count(args.k, args.n), PERMS_LIMIT, "perms prints C(n, k)")
     perms = plucker.enumerate_plucker_permutations(args.k, args.n, args.scope)
     return EXIT_OK, {
         "k": args.k,

@@ -63,9 +63,22 @@ composed with the complement map lam -> [n] - lam if the duality was
 used.  Scope ``sn`` is the induced set, and ``full`` adds, when
 n = 2k, ``sn`` composed with the complement map.  The tests check this
 against the exhaustive search (``tests/reference.py``) on the sizes it
-affords.  A search tries the plain permutations and certifies only the
-one it returns; ``enumerate_plucker_permutations`` certifies every one
-it lists.
+affords.  ``enumerate_plucker_permutations`` certifies every one it
+lists, ``_first_witness`` only the candidate it returns.
+
+Divisivity and equivalence need no walk.  With b_lam = a + sum_{u in
+lam} W_u, the induced sigma_phi presents lam -> b_{phi(lam)}, of data
+W o phi.  A divisibility chain is non-increasing, so W o phi is too: a
+lam holding u but not u + 1 comes before lam - u + (u + 1).  Swapping
+columns of equal W leaves the presented vector fixed, so the W-sorted
+candidate decides; the lex-least witness, which a walk meets first,
+keeps each tie class ascending: swapping tied u < v with phi(u) > phi(v)
+lowers sigma_phi at the lex-first symbol holding exactly one of them,
+which holds u.  At n = 2k the complement map reverses lex order (lam_i
+-> lam_(m - i)) and commutes with sigma_phi, so i -> m - sigma_phi(i)
+has data -W o phi plus a constant: it needs W o phi non-decreasing and
+is least when phi reverses each tie class.  Equivalence sorts c, not
+1..n, against b, on primitive parts, and certifies as divisivity does.
 
 Membership is decided by lookup, with no linear algebra: a sign
 pattern eps is admissible for the pulled-back relation
@@ -109,6 +122,8 @@ from .errors import (
 )
 
 SN_SCOPE_LIMIT = 8  # sn scope walks all n! column permutations while n <= 8
+SCOPES = ("auto", "identity", "sn", "full")  # searches: the ladder, or one rung
+CERTIFY_LIMIT = 252  # largest C(n, k) whose relations are built; n <= 10 fits
 FACTOR_LIMIT = 10**6  # trial divisors tried by prime_factors
 
 
@@ -167,6 +182,9 @@ def _canonical_relation(term_map: dict):
 @lru_cache(maxsize=8, typed=True)
 def generate_relations(k: int, n: int) -> tuple:
     """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
+    if symbols.count(k, n) > CERTIFY_LIMIT:
+        raise CapacityError(f"relations need C(n, k) <= {CERTIFY_LIMIT}, "
+                            f"got {symbols.count(k, n)}")
     index = symbols.lattice(k, n).index
     rels = set()
     for head in combinations(range(1, n + 1), k - 1):
@@ -576,7 +594,7 @@ def scope_ladder(k: int, n: int, scope: str = "auto"):
     each scope made when the search reaches it and none certified.
 
     An unknown scope raises on the call, before any search begins."""
-    if scope not in ("auto", "identity", "sn", "full"):
+    if scope not in SCOPES:
         raise ParameterError(f"unknown scope {scope!r}")
     ladder = ["identity", "sn", "full"] if scope == "auto" else [scope]
     return _first_occurrences(k, n, ladder)
@@ -627,16 +645,39 @@ def presented_weight_vector(b, k: int, n: int) -> WeightVector:
     return vec
 
 
+def _w_order(vec, k: int, n: int) -> list:
+    """The columns 1..n by W non-increasing, ties by ascending column."""
+    W = _wa_candidate(vec, k, n).W
+    return sorted(range(1, n + 1), key=lambda u: -W[u - 1])
+
+
+def _first_witness(k: int, n: int, scope: str, src: list, dst, hit):
+    """The scope ladder's first sigma with hit(sigma), certified, or None;
+    the candidates take phi(dst[i]) = src[i], or src[n - 1 - i]."""
+    if scope not in SCOPES:
+        raise ParameterError(f"unknown scope {scope!r}")
+    m1 = symbols.count(k, n)
+    found = [tuple(range(m1))]
+    if scope != "identity":
+        found = [_sn_induced_permutation(
+            [v for _, v in sorted(zip(dst, src))], k, n)]
+    if n == 2 * k and scope in ("auto", "full"):
+        sigma = _sn_induced_permutation(
+            [v for _, v in sorted(zip(dst, src[::-1]))], k, n)
+        found.append(tuple(m1 - 1 - i for i in sigma))
+    found = [sigma for sigma in found if hit(sigma)]
+    if scope == "full":
+        found.sort()
+    return certify(found[0], k, n) if found else None
+
+
 def is_divisive(b, k: int, n: int, scope: str = "auto"):
     """A Plucker permutation sigma with b_{sigma(i)} | b_{sigma(i-1)}, or None."""
     vec = weight_vector(b, k, n)
-    ladder = scope_ladder(k, n, scope)
-    if not is_descending_divisible(sorted(vec, reverse=True)):
-        return None
-    for sigma in ladder:
-        if is_descending_divisible(_permuted(vec, sigma)):
-            return certify(sigma, k, n)
-    return None
+    return _first_witness(
+        k, n, scope, _w_order(vec, k, n), range(1, n + 1),
+        lambda sigma: is_descending_divisible(_permuted(vec, sigma)),
+    )
 
 
 def divisive_presentation(b, k: int, n: int, scope: str = "auto"):
@@ -648,7 +689,7 @@ def divisive_presentation(b, k: int, n: int, scope: str = "auto"):
 
 
 def equivalence(b, c, k: int, n: int, scope: str = "auto"):
-    """(sigma, r) with c = r * sigma(b) over the enumerated scope, or None.
+    """(sigma, r) with c = r * sigma(b) in the scope, or None.
 
     A None answer at restricted scope means "not found in scope", not a
     disproof.
@@ -658,7 +699,8 @@ def equivalence(b, c, k: int, n: int, scope: str = "auto"):
     pb = primitive_part(vb)
     pc = primitive_part(vc)
     r = Fraction(gcd(*vc), gcd(*vb))
-    for sigma in scope_ladder(k, n, scope):
-        if _permuted(pb, sigma) == pc:
-            return certify(sigma, k, n), r
-    return None
+    witness = _first_witness(
+        k, n, scope, _w_order(pb, k, n), _w_order(pc, k, n),
+        lambda sigma: _permuted(pb, sigma) == pc,
+    )
+    return None if witness is None else (witness, r)

@@ -16,7 +16,9 @@ every Plucker relation that the (W, a) candidate replaced.  The
 closed-form permutation scopes have theirs in ``reference_full_scope``:
 the exhaustive pair-structure search; the lookup of signed relations
 has its in ``reference_sign_patterns``: the span test by dense
-``Fraction`` row reduction.
+``Fraction`` row reduction.  The W-sorted divisivity and equivalence
+witnesses have theirs in ``reference_divisive`` and
+``reference_equivalence``: the walk over the scope ladder.
 
 Each is the tuple or ``Poly`` form of a hot loop that the library now
 runs on packed integer term maps, or the route it ran before:
@@ -35,7 +37,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import lcm
+from math import gcd, lcm
 
 from wgrass import gkm, linalg, plucker, puzzles, symbols
 from wgrass.errors import InternalInconsistencyError, ParameterError
@@ -533,6 +535,30 @@ def reference_full_scope(k: int, n: int) -> list:
 
     rec(0)
     return sorted(found, key=lambda w: w.perm)
+
+
+def reference_divisive(b, k: int, n: int, scope: str = "auto"):
+    """``plucker.is_divisive`` by walking the scope ladder: the first
+    permutation that makes b a divisibility chain, certified, or None.
+    This is the walk the W-sorted candidate replaced."""
+    vec = plucker.weight_vector(b, k, n)
+    for sigma in plucker.scope_ladder(k, n, scope):
+        if plucker.is_descending_divisible(plucker._permuted(vec, sigma)):
+            return plucker.certify(sigma, k, n)
+    return None
+
+
+def reference_equivalence(b, c, k: int, n: int, scope: str = "auto"):
+    """``plucker.equivalence`` by walking the scope ladder: the first
+    permutation taking the primitive part of b to that of c, certified,
+    with the scalar, or None."""
+    vb = plucker.weight_vector(b, k, n)
+    vc = plucker.weight_vector(c, k, n)
+    pb, pc = plucker.primitive_part(vb), plucker.primitive_part(vc)
+    for sigma in plucker.scope_ladder(k, n, scope):
+        if plucker._permuted(pb, sigma) == pc:
+            return plucker.certify(sigma, k, n), Fraction(gcd(*vc), gcd(*vb))
+    return None
 
 
 def _relation_rows(rels, cols) -> list:

@@ -191,39 +191,63 @@ def test_poincare_needs_no_lattice():
     assert len(ranks) == 1601 and sum(ranks) == comb(80, 40)
 
 
+def _run_bounded(argv):
+    """The CLI in a child process under the time and memory limits."""
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "wgrass.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_limit_memory,
+    )
+    assert time.perf_counter() - start < 2, argv[:4]
+    return proc
+
+
 def test_ring_is_bounded_before_any_relation_work():
     # Above cli.RING_LIMIT symbols, ring exits 4 on the count alone; the
     # time and memory limits stop a regression that builds the lattice or
-    # scans the relations first.  The commands that take only (k, n), and
-    # the auto ladder's sn rung past plucker.SN_SCOPE_LIMIT, are bounded
+    # scans the relations first.  The commands that take only (k, n),
+    # torsion's sn rung past plucker.SN_SCOPE_LIMIT and every certificate
+    # past plucker.CERTIFY_LIMIT, the identity's included, are bounded
     # the same way.
     argvs = [
         ["--jobs", "1", "ring", json.dumps([1] * comb(n, k), separators=(",", ":")),
          "--k", str(k), "--n", str(n), "--ordinary"]
         for k, n in ((5, 10), (8, 16))
     ]
-    kn9 = ["--k", "1", "--n", "9"]  # the identity does not present these
     argvs += [
         ["perms", "--k", "7", "--n", "14", "--scope", "sn"],
+        ["perms", "--k", "6", "--n", "12", "--scope", "identity"],
         ["perms", "--k", "11", "--n", "22", "--scope", "identity"],
         ["puzzles", "--k", "7", "--n", "14", "--i", "0", "--j", "0", "--l", "0"],
         ["poincare", "--k", "200", "--n", "400"],
-        ["divisive", "[1,2,1,1,1,1,1,1,1]", *kn9],
-        ["classify", "[1,2,1,1,1,1,1,1,1]", "[2,1,1,1,1,1,1,1,1]", *kn9],
-        ["torsion", "[1,1,1,1,1,1,1,1,2]", *kn9],
+        ["divisive", json.dumps([1] * comb(14, 5), separators=(",", ":")),
+         "--k", "5", "--n", "14"],
+        ["torsion", "[1,1,1,1,1,1,1,1,2]", "--k", "1", "--n", "9"],
     ]
     for argv in argvs:
-        start = time.perf_counter()
-        proc = subprocess.run(
-            [sys.executable, "-m", "wgrass.cli", *argv],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            preexec_fn=_limit_memory,
-        )
-        assert time.perf_counter() - start < 2, argv[:4]
+        proc = _run_bounded(argv)
         assert proc.returncode == 4, argv[:4]
         assert json.loads(proc.stdout)["kind"] == "capacity"
+
+
+def test_divisive_and_classify_answer_past_the_sn_limit():
+    # divisive and classify sort W instead of walking the n! induced
+    # permutations, so at (1, 9), where the identity presents neither
+    # vector, they answer within the same time and memory limits
+    kn9 = ["--k", "1", "--n", "9"]
+    swap = [1, 0, 2, 3, 4, 5, 6, 7, 8]
+    proc = _run_bounded(["divisive", "[1,2,1,1,1,1,1,1,1]", *kn9])
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["witness"] == swap and out["presented"] == [2] + [1] * 8
+    proc = _run_bounded(
+        ["classify", "[1,2,1,1,1,1,1,1,1]", "[2,1,1,1,1,1,1,1,1]", *kn9])
+    assert proc.returncode == 0
+    out = json.loads(proc.stdout)
+    assert out["permutation"] == swap and out["scalar"] == "1"
 
 
 RING_DIGESTS = {

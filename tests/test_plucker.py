@@ -557,8 +557,8 @@ def test_searches_certify_only_the_returned_witness(monkeypatch, capsys):
     assert cli.main(["perms", "--k", "2", "--n", "4", "--scope", "full"]) == 0
     assert json.loads(capsys.readouterr().out)["count"] == 48
     assert len(calls) == 48
-    # a failing classify walks identity, sn and full scope, and returns
-    # no witness, so it certifies nothing
+    # a failing classify tests its sn and complement candidates, and
+    # returns no witness, so it certifies nothing
     calls.clear()
     argv = ["classify", "[1,1,1,1,1,1]", "[5,1,4,3,6,2]", "--k", "2", "--n", "4"]
     assert cli.main(argv) == cli.EXIT_NOT_FOUND
@@ -656,6 +656,57 @@ def test_equivalence():
     assert plucker.apply_permutation(w, b, 2, 4) == (6, 6, 6, 2, 2, 2)
     assert r == 1
     assert plucker.equivalence((1,) * 6, (5, 1, 4, 3, 6, 2), 2, 4) is None
+
+
+# k = 1, k = n - 1, n = 2k (with k = 1 and k >= 2) and neither
+CENSUS_SIZES = [(1, 2), (1, 4), (3, 4), (2, 4), (2, 5), (3, 5), (3, 6)]
+
+
+def _census_vectors(k, n, rng):
+    """Seeded (W, a) box vectors with W in [-1, 2]^n and a in [1, k], the
+    divisive family beta on the symbols that hold u, and a seeded
+    full-scope image of each."""
+    box = [b for W in product(range(-1, 3), repeat=n) for a in range(1, k + 1)
+           if min(b := plucker.weights_from_wa(W, a, k, n)) >= 1]
+    vecs = rng.sample(box, min(len(box), 16))
+    syms = symbols.enumerate_symbols(k, n)
+    vecs += [tuple(beta if u in sym else 1 for sym in syms)
+             for u in (1, n) for beta in (2, 3)]
+    pool = plucker._enumerate_cached(k, n, "full")
+    return vecs + [plucker._permuted(b, rng.choice(pool)) for b in vecs]
+
+
+@pytest.mark.parametrize("k, n", CENSUS_SIZES)
+def test_w_sorted_witnesses_match_the_ladder(k, n):
+    # the closed-form candidates return the scope ladder's first hit,
+    # witness and scalar, at every scope: divisivity on the census
+    # vectors, equivalence on scaled full-scope images and on pairs
+    # that are seldom equivalent
+    rng = random.Random(31 * n + k)
+    vecs = _census_vectors(k, n, rng)
+    pool = plucker._enumerate_cached(k, n, "full")
+    sn = set(plucker._enumerate_cached(k, n, "sn"))
+    pairs = [(b, tuple(r * x for x in plucker._permuted(b, rng.choice(pool))))
+             for b, r in zip(vecs, rng.choices((1, 2, 3), k=len(vecs)))]
+    pairs += [(b, rng.choice(vecs)) for b in vecs]
+    def kind(witness):
+        return "none" if witness is None else "sn" if witness.perm in sn else "dual"
+
+    outcomes = set()
+    for scope in plucker.SCOPES:
+        for b in vecs:
+            found = plucker.is_divisive(b, k, n, scope)
+            assert found == reference.reference_divisive(b, k, n, scope), (b, scope)
+            outcomes.add(("divisive", kind(found)))
+        for b, c in pairs:
+            found = plucker.equivalence(b, c, k, n, scope)
+            assert found == reference.reference_equivalence(b, c, k, n, scope), (b, c, scope)
+            outcomes.add(("equivalence", kind(found and found[0])))
+    # hits and misses occur, and at n = 2k > 2 some witness is a
+    # complement composite outside sn
+    kinds = {"none", "sn", "dual"} if n == 2 * k > 2 else {"none", "sn"}
+    assert outcomes == {(what, x) for what in ("divisive", "equivalence")
+                        for x in kinds}
 
 
 def test_adjacent_vectors_of_primitive_vector_are_primitive():
