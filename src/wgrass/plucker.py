@@ -63,8 +63,7 @@ composed with the complement map lam -> [n] - lam if the duality was
 used.  Scope ``sn`` is the induced set, and ``full`` adds, when
 n = 2k, ``sn`` composed with the complement map.  The tests check this
 against the exhaustive search (``tests/reference.py``) on the sizes it
-affords.  ``enumerate_plucker_permutations`` certifies every one it
-lists, ``_first_witness`` only the candidate it returns.
+affords.  A search certifies only the witness it returns.
 
 Divisivity and equivalence need no walk.  With b_lam = a + sum_{u in
 lam} W_u, the induced sigma_phi presents lam -> b_{phi(lam)}, of data
@@ -583,9 +582,10 @@ def enumerate_plucker_permutations(k: int, n: int, scope: str = "full") -> list:
     scope "sn" lists those induced by column permutations in S_n,
     "full" every Plucker permutation (``sn``, plus its composites with
     the complement map when n = 2k), and "identity" the identity alone.
-    Every one listed is certified.
+    Every one listed is certified, so (k, n) must fit CERTIFY_LIMIT.
     """
     symbols.check_kn(k, n)
+    generate_relations(k, n)  # raises CapacityError before any listing
     return [certify(sigma, k, n) for sigma in _enumerate_cached(k, n, scope)]
 
 

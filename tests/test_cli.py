@@ -211,7 +211,8 @@ def test_ring_is_bounded_before_any_relation_work():
     # scans the relations first.  The commands that take only (k, n),
     # torsion's sn rung past plucker.SN_SCOPE_LIMIT and every certificate
     # past plucker.CERTIFY_LIMIT, the identity's included, are bounded
-    # the same way.
+    # the same way: perms checks the count before it lists a permutation,
+    # so (50, 100) exits 4 instead of overflowing range().
     argvs = [
         ["--jobs", "1", "ring", json.dumps([1] * comb(n, k), separators=(",", ":")),
          "--k", str(k), "--n", str(n), "--ordinary"]
@@ -221,6 +222,8 @@ def test_ring_is_bounded_before_any_relation_work():
         ["perms", "--k", "7", "--n", "14", "--scope", "sn"],
         ["perms", "--k", "6", "--n", "12", "--scope", "identity"],
         ["perms", "--k", "11", "--n", "22", "--scope", "identity"],
+        ["perms", "--k", "16", "--n", "32", "--scope", "identity"],
+        ["perms", "--k", "50", "--n", "100", "--scope", "identity"],
         ["puzzles", "--k", "7", "--n", "14", "--i", "0", "--j", "0", "--l", "0"],
         ["poincare", "--k", "200", "--n", "400"],
         ["divisive", json.dumps([1] * comb(14, 5), separators=(",", ":")),
