@@ -45,7 +45,7 @@ unchanged, so a vector passed down through several layers is checked
 once.  ``validate_weight_vector`` is the bare predicate it runs, and
 ``presented_weight_vector`` adds the divisibility-descending order that
 the integral model and the structure constants need.  The relations
-serve only ``is_plucker_point`` and the permutation test.
+serve only the permutation test.
 
 A permutation sigma of the coordinates is a *Plucker permutation* when
 signs t in {+1, -1}^(m+1) exist with t.sigma(z) in Pl(k, n) for every
@@ -105,7 +105,6 @@ union-find.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import gcd
@@ -136,19 +135,6 @@ class PluckerRelation(NamedTuple):
 
     pairs: tuple
     coefs: tuple
-
-    def evaluate(self, z):
-        total = 0
-        for (r, s), c in zip(self.pairs, self.coefs):
-            total += c * z[r] * z[s]
-        return total
-
-    def render(self) -> str:
-        pieces = []
-        for (r, s), c in zip(self.pairs, self.coefs):
-            sign = "+" if c > 0 else "-"
-            pieces.append(f"{sign}z{r}*z{s}")
-        return " ".join(pieces)
 
 
 def _sort_sign(seq) -> tuple:
@@ -202,17 +188,6 @@ def generate_relations(k: int, n: int) -> tuple:
             if rel is not None:
                 rels.add(rel)
     return tuple(sorted(rels, key=lambda rel: rel.pairs))
-
-
-def is_plucker_point(z, k: int, n: int) -> bool:
-    """Membership test: all relations vanish (z must be nonzero)."""
-    vec = [Fraction(v) for v in z]
-    m1 = symbols.count(k, n)
-    if len(vec) != m1:
-        raise ParameterError(f"coordinate vector must have length {m1}")
-    if not any(vec):
-        raise ParameterError("the zero vector is excluded from Pl(k, n)")
-    return all(rel.evaluate(vec) == 0 for rel in generate_relations(k, n))
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +293,6 @@ def weights_from_wa(W, a: int, k: int, n: int) -> tuple:
     """The weight vector induced by exponent data (W, a)."""
     return tuple(a + sum(W[u - 1] for u in sym)
                  for sym in symbols.enumerate_symbols(k, n))
-
-
-def is_primitive(b) -> bool:
-    return gcd(*b) == 1
 
 
 def primitive_part(b) -> tuple:
@@ -694,6 +665,8 @@ def equivalence(b, c, k: int, n: int, scope: str = "auto"):
     A None answer at restricted scope means "not found in scope", not a
     disproof.
     """
+    from fractions import Fraction  # here, so other commands never load it
+
     vb = weight_vector(b, k, n)
     vc = weight_vector(c, k, n)
     pb = primitive_part(vb)

@@ -408,10 +408,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
-
     def is_integral(self) -> bool:
         return all(c.__class__ is int for c in self.terms.values())
 
@@ -621,46 +617,3 @@ class Poly:
 
     def __repr__(self):
         return f"Poly({self.nvars}, {self.render()})"
-
-    @staticmethod
-    def parse(text: str, nvars: int, names=None) -> "Poly":
-        """Inverse of ``render`` on its own output."""
-        if names is None:
-            names = [f"y{i}" for i in range(1, nvars + 1)]
-        position = {name: i for i, name in enumerate(names)}
-        text = text.strip()
-        if text == "0":
-            return Poly.zero(nvars)
-        normalized = text.replace(" - ", " + -")
-        terms: dict = {}
-        for chunk in normalized.split(" + "):
-            chunk = chunk.strip()
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:]
-            coeff = Fraction(sign)
-            expo = [0] * nvars
-            for factor in chunk.split("*"):
-                if factor[0].isdigit():
-                    coeff *= Fraction(factor)
-                    continue
-                name, _, power = factor.partition("^")
-                if name not in position:
-                    raise ParameterError(f"unknown variable {name!r}")
-                expo[position[name]] += int(power) if power else 1
-            key = tuple(expo)
-            terms[key] = terms.get(key, 0) + coeff
-        return Poly(nvars, terms)
-
-
-def linear_form(nvars: int, support) -> Poly:
-    """Sum of the variables y_s over s in ``support`` (1-based)."""
-    terms = {}
-    for s in support:
-        expo = [0] * nvars
-        expo[s - 1] = 1
-        key = tuple(expo)
-        terms[key] = terms.get(key, 0) + 1
-    return Poly(nvars, terms)
-

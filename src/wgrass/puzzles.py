@@ -62,10 +62,10 @@ shares its future.  A weight is a packed integer term map
 factor the caller gives per conjugated pair (u, v), packed for degrees
 up to ``max_equivariant_pieces(n)``.  Sums that cancel to zero are
 kept, so the final states of a pair, which hold only the south edges,
-are exactly the south words some tiling reaches; ``frontier_sums`` is
-the sweep of one pair.  ``symbol_sums`` maps them to symbols and checks
-dominance and the piece-count balance on the packed keys for every
-pair; the sums stay packed for the contraction in ``structure``.
+are exactly the south words some tiling reaches.  ``symbol_sums`` maps
+them to symbols and checks dominance and the piece-count balance on the
+packed keys for every pair; the sums stay packed for the contraction in
+``structure``.
 
 Orientation.  ``puzzles_for`` has one orientation: the boundary of the
 symbol triple (i, j; l) is the reversed words of the three symbols.
@@ -277,8 +277,8 @@ def max_equivariant_pieces(n: int) -> int:
     """n(n - 1)/2, the cells of size n that anchor an equivariant piece.
 
     No partial tiling carries more, so this bounds the degree of every
-    frontier weight; the factors and sums of ``frontier_sums`` are
-    packed by ``packing(nvars, max_equivariant_pieces(n))``.
+    frontier weight; the factors and sums of ``sweep`` are packed by
+    ``packing(nvars, max_equivariant_pieces(n))``.
     """
     return n * (n - 1) // 2
 
@@ -293,7 +293,16 @@ def _start_state(catalogue: _Catalogue, nw: str, ne: str) -> int:
 
 
 def sweep(pairs, factors: dict) -> dict:
-    """Map (nw, ne) -> ``frontier_sums(nw, ne, factors)`` for every pair.
+    """Map (nw, ne) -> {south word: sum over the tilings with the nw and
+    ne words of the product of factors[(u, v)] over their equivariant
+    pieces} for every pair.
+
+    ``factors`` maps every conjugated pair u < v to a packed integer
+    term map, all packed alike for degrees up to
+    ``max_equivariant_pieces(n)``; a tiling without equivariant pieces
+    adds 1, the packed monomial 0.  The sums are packed the same way,
+    without zero terms.  Every south word some tiling reaches is a key,
+    also when its sum cancels to zero.
 
     The words of all pairs have one length.  One forward pass collects
     the states every step reaches from the start states of all pairs,
@@ -374,27 +383,13 @@ def sweep(pairs, factors: dict) -> dict:
     }
 
 
-def frontier_sums(nw: str, ne: str, factors: dict) -> dict:
-    """Map south word -> sum over the tilings with the nw and ne words of
-    the product of factors[(u, v)] over their equivariant pieces.
-
-    ``factors`` maps every conjugated pair u < v to a packed integer
-    term map, all packed alike for degrees up to
-    ``max_equivariant_pieces(n)``; a tiling without equivariant pieces
-    adds 1, the packed monomial 0.  The sums are packed the same way,
-    without zero terms.  Every south word some tiling reaches is a key,
-    also when its sum cancels to zero.  A ``sweep`` of one pair.
-    """
-    return sweep([(nw, ne)], factors)[(nw, ne)]
-
-
 def symbol_sums(k: int, n: int, pairs, factors: dict, nvars: int) -> dict:
     """Map (i, j) -> {q: frontier sum over the puzzles of (i, j; q)} on the
     reversed words, for every symbol pair, by one ``sweep``.
 
-    ``factors`` are packed in ``nvars`` variables as ``frontier_sums``
-    asks, and so are the sums.  Checks every reached q of every pair:
-    it must dominate both inputs, and every packed key of its sum must
+    ``factors`` are packed in ``nvars`` variables as ``sweep`` asks, and
+    so are the sums.  Checks every reached q of every pair: it must
+    dominate both inputs, and every packed key of its sum must
     have degree dim(i) + dim(j) - dim(q), the piece-count balance, as
     long as every factor is homogeneous of degree 1.
     """

@@ -109,13 +109,7 @@ from itertools import combinations
 
 from . import plucker, puzzles, symbols
 from .errors import CapacityError, InternalInconsistencyError, ParameterError
-from .polynomial import (
-    Poly,
-    _cleared,
-    _mul_packed,
-    linear_form,
-    packing,
-)
+from .polynomial import _cleared, _mul_packed, packing
 
 
 class WeightedContext:
@@ -372,16 +366,6 @@ class WeightedContext:
 
     # -- positivity -------------------------------------------------------
 
-    def positivity_forms(self) -> list:
-        """The rewrite basis (g_1, ..., g_{n-1}, Y_0), g_q = bwt(q, q+1)."""
-        n = self.n
-        y0 = linear_form(n, self.lattice.symbols[0])
-        return [
-            Poly.variable(n, q) - Poly.variable(n, q + 1)
-            - Fraction(self.piece_value(q, q + 1), self.b[0]) * y0
-            for q in range(1, n)
-        ] + [y0]
-
     @cached_property
     def _sheared_images(self) -> tuple:
         """(images, kept, D): D times the images of the module docstring
@@ -416,8 +400,8 @@ class WeightedContext:
         ]
         return images, [v for v in range(n) if v not in moved], k * b0 // g
 
-    def change_basis_positivity(self, p: Poly) -> Poly:
-        """p rewritten as a polynomial in (g_1..g_{n-1}, Y_0)."""
+    def change_basis_positivity(self, p):
+        """The ``Poly`` p rewritten as a polynomial in (g_1..g_{n-1}, Y_0)."""
         n = self.n
         if p.nvars != n:
             raise ParameterError(f"expected a polynomial in {n} variables")

@@ -2,8 +2,11 @@
 helpers only the tests call (``evaluate``, ``constant_value``,
 ``symbol_of_word``, ``restrictions_as_json``, ``conjugated_constants``,
 ``poly_matrix`` and ``poly_labels``, the ``Poly`` views of a packed
-basis and of packed edge labels, and ``is_class``, GKM membership by
-``Poly.divide_exact``).
+basis and of packed edge labels, ``is_class``, GKM membership by
+``Poly.divide_exact``, the ``Poly`` helpers ``linear_form``,
+``is_homogeneous`` and ``parse_poly``, the rewrite basis
+``positivity_forms``, and ``render_relation``, ``is_plucker_point``
+and ``is_primitive`` on Plucker relations and weight vectors).
 ``a_coefficients`` expands one puzzle's piece factors by subset sums
 (``expand_linear_product_subsets``), where the library multiplies its
 packed frontier factors.
@@ -48,7 +51,6 @@ from wgrass.polynomial import (
     _cleared,
     _coerce,
     _mul_terms,
-    linear_form,
     packing,
 )
 
@@ -103,6 +105,87 @@ def symbol_of_word(w: str) -> tuple:
     if set(w) - {"0", "1"}:
         raise ParameterError(f"not a 0/1 word: {w!r}")
     return tuple(i + 1 for i, ch in enumerate(w) if ch == "1")
+
+
+def linear_form(nvars: int, support) -> Poly:
+    """Sum of the variables y_s over s in ``support`` (1-based)."""
+    terms: dict = {}
+    for s in support:
+        expo = [0] * nvars
+        expo[s - 1] = 1
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + 1
+    return Poly(nvars, terms)
+
+
+def is_homogeneous(p: Poly) -> bool:
+    return len({sum(e) for e in p.terms}) <= 1
+
+
+def parse_poly(text: str, nvars: int, names=None) -> Poly:
+    """Inverse of ``Poly.render`` on its own output."""
+    if names is None:
+        names = [f"y{i}" for i in range(1, nvars + 1)]
+    position = {name: i for i, name in enumerate(names)}
+    text = text.strip()
+    if text == "0":
+        return Poly.zero(nvars)
+    terms: dict = {}
+    for chunk in text.replace(" - ", " + -").split(" + "):
+        chunk = chunk.strip()
+        sign = 1
+        if chunk.startswith("-"):
+            sign = -1
+            chunk = chunk[1:]
+        coeff = Fraction(sign)
+        expo = [0] * nvars
+        for factor in chunk.split("*"):
+            if factor[0].isdigit():
+                coeff *= Fraction(factor)
+                continue
+            name, _, power = factor.partition("^")
+            if name not in position:
+                raise ParameterError(f"unknown variable {name!r}")
+            expo[position[name]] += int(power) if power else 1
+        key = tuple(expo)
+        terms[key] = terms.get(key, 0) + coeff
+    return Poly(nvars, terms)
+
+
+def positivity_forms(ctx) -> list:
+    """The rewrite basis (g_1, ..., g_{n-1}, Y_0) of ``ctx``, with
+    g_q = bwt(q, q+1)."""
+    n = ctx.n
+    y0 = linear_form(n, ctx.lattice.symbols[0])
+    return [
+        Poly.variable(n, q) - Poly.variable(n, q + 1)
+        - Fraction(ctx.piece_value(q, q + 1), ctx.b[0]) * y0
+        for q in range(1, n)
+    ] + [y0]
+
+
+def render_relation(rel) -> str:
+    """A ``plucker.PluckerRelation`` as text, "+z0*z5 -z1*z4 +z2*z3"."""
+    return " ".join(f"{'+' if c > 0 else '-'}z{r}*z{s}"
+                    for (r, s), c in zip(rel.pairs, rel.coefs))
+
+
+def is_plucker_point(z, k: int, n: int) -> bool:
+    """Membership in Pl(k, n): all relations vanish (z must be nonzero)."""
+    vec = [Fraction(v) for v in z]
+    m1 = symbols.count(k, n)
+    if len(vec) != m1:
+        raise ParameterError(f"coordinate vector must have length {m1}")
+    if not any(vec):
+        raise ParameterError("the zero vector is excluded from Pl(k, n)")
+    return all(
+        sum(c * vec[r] * vec[s] for (r, s), c in zip(rel.pairs, rel.coefs)) == 0
+        for rel in plucker.generate_relations(k, n)
+    )
+
+
+def is_primitive(b) -> bool:
+    return gcd(*b) == 1
 
 
 def linear_basis_images(forms: list) -> dict:
@@ -264,7 +347,7 @@ def interpolate_value(constraints, degree: int, n: int) -> Poly:
         if not permute_variables(alpha - value, sub).is_zero():
             raise InternalInconsistencyError("interpolated value fails a congruence")
     if not (alpha.is_zero() or
-            (alpha.is_homogeneous() and alpha.degree() == degree)):
+            (is_homogeneous(alpha) and alpha.degree() == degree)):
         raise InternalInconsistencyError("interpolated value has wrong degree")
     return alpha
 
@@ -337,7 +420,7 @@ def weighted_restrictions(b, k: int, n: int) -> tuple:
 
 
 def reference_frontier_sums(nw: str, ne: str, factors: dict) -> dict:
-    """``puzzles.frontier_sums`` by one forward pass for this pair alone.
+    """``puzzles.sweep`` of one pair, by one forward pass for it alone.
 
     Map south word -> sum over the tilings with the nw and ne words of
     the product of factors[(u, v)] over their equivariant pieces.

@@ -9,8 +9,8 @@ import time
 from itertools import combinations
 from math import comb
 
+from reference import parse_poly
 from wgrass import cli, symbols
-from wgrass.polynomial import Poly
 
 
 def run_cli(*args):
@@ -78,6 +78,13 @@ def test_classify():
         "classify", "[1,1,1,1,1,1]", "[5,1,4,3,6,2]", "--k", "2", "--n", "4"
     )
     assert code == 3
+    # c = (1/2) b: the identity, and a scalar that is not an integer
+    code, out = run_cli(
+        "classify", "[4,4,4,2,2,2]", "[2,2,2,1,1,1]", "--k", "2", "--n", "4"
+    )
+    data = json.loads(out)
+    assert code == 0 and data["equivalent"]
+    assert data["permutation"] == list(range(6)) and data["scalar"] == "1/2"
 
 
 def test_torsion_report():
@@ -107,7 +114,7 @@ def test_ring_equivariant_roundtrips_losslessly():
     for key, cell in data["table"].items():
         i, j = (int(x) for x in key.split(","))
         expected = ctx.equivariant_constants(i, j)
-        parsed = {int(l): Poly.parse(text, 4) for l, text in cell.items()}
+        parsed = {int(l): parse_poly(text, 4) for l, text in cell.items()}
         assert parsed == expected
 
 

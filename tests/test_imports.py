@@ -46,22 +46,25 @@ if len(sys.argv) > 1:
         code = wgrass.cli.main(sys.argv[1:])
     assert code == 0, code
 print(json.dumps(sorted(
-    m for m in sys.modules if m.startswith("wgrass") or m == "dataclasses"
+    m for m in sys.modules
+    if m.startswith("wgrass") or m in ("dataclasses", "fractions")
 )))
 """
 
 B = "[2,2,2,1,1,1]"  # weighted and already divisive
 KN = ("--k", "2", "--n", "4")
 HEAVY = {"wgrass.polynomial", "wgrass.puzzles", "wgrass.structure", "wgrass.gkm"}
+# only Poly coefficients and the classify scalar are Fractions
+EXACT = HEAVY | {"fractions"}
 # no command runs exact linear algebra, so none may load wgrass.linalg
 COMMANDS = {  # command: (argv, other modules it must not load)
-    "validate": (("validate", B, *KN), HEAVY),
-    "solve-wa": (("solve-wa", B, *KN), HEAVY),
-    "divisive": (("divisive", B, *KN), HEAVY),
+    "validate": (("validate", B, *KN), EXACT),
+    "solve-wa": (("solve-wa", B, *KN), EXACT),
+    "divisive": (("divisive", B, *KN), EXACT),
     "classify": (("classify", B, B, *KN), HEAVY),
-    "torsion": (("torsion", B, *KN), HEAVY),
-    "poincare": (("poincare", *KN), HEAVY),
-    "perms": (("perms", *KN, "--scope", "sn"), HEAVY),
+    "torsion": (("torsion", B, *KN), EXACT),
+    "poincare": (("poincare", *KN), EXACT),
+    "perms": (("perms", *KN, "--scope", "sn"), EXACT),
     "ring": (("--jobs", "1", "ring", B, *KN), {"wgrass.gkm", "wgrass.torsion"}),
     "puzzles": (("puzzles", *KN, "--i", "1", "--j", "1", "--l", "3"), set()),
 }

@@ -92,17 +92,15 @@ def test_frontier_sums_match_enumeration(k, n):
         (u, v): pk.of((y(u, n) - y(v, n)).terms)
         for u in range(1, n) for v in range(u + 1, n + 1)
     }
-    factor_sets = []
+    pairs = list(product(symbols.lattice(k, n).words, repeat=2))
     for nvars, factors in ((n, unit), (n + 1, ctx.ordinary_factors),
                            (n + 1, ctx.equivariant_factors)):
         pk = packing(nvars, top)
         polys = {pair: pk.poly(f) for pair, f in factors.items()}
-        factor_sets.append((nvars, pk, factors, polys))
-    words = symbols.lattice(k, n).words
-    for nw, ne in product(words, repeat=2):
-        found = puzzles._enumerate_cached(nw, ne)
-        for nvars, pk, factors, polys in factor_sets:
-            sums = puzzles.frontier_sums(nw, ne, factors)
+        swept = puzzles.sweep(pairs, factors)
+        for nw, ne in pairs:
+            found = puzzles._enumerate_cached(nw, ne)
+            sums = swept[(nw, ne)]
             assert sums.keys() == found.keys(), (nw, ne)
             for south, tilings in found.items():
                 total = Poly.zero(nvars)
