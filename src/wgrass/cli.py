@@ -14,13 +14,14 @@ each, and never reorders output.
 
 Each handler imports the layers it uses, so a command pays at start-up
 only for what it runs: ``validate`` never loads the puzzle, oracle or
-structure layers.
+structure layers.  argparse is loaded only for ``--help``, usage errors
+and non-canonical spellings; a canonical argv is read off ``COMMANDS``.
 """
 
-import argparse
 import json
 import os
 import sys
+import types
 
 from .errors import (
     CapacityError,
@@ -175,11 +176,13 @@ def _cmd_torsion(args) -> tuple:
 
     b = _parse_vector(args.b, args.k, args.n)
     primes = None
-    if args.primes:
+    if args.primes is not None:
         try:
             primes = [int(p) for p in args.primes.split(",") if p]
         except ValueError as exc:
             raise ParameterError("--primes must be comma-separated integers") from exc
+        if not primes:
+            raise ParameterError("--primes must list at least one prime")
     report = torsion.torsion_report(b, args.k, args.n, primes, args.scope)
     return EXIT_OK, report
 
@@ -290,6 +293,8 @@ def _cmd_poincare(args) -> tuple:
 
 def _positive_int(text: str) -> int:
     """An argparse type: an integer >= 1."""
+    import argparse  # loaded already: only argparse calls this
+
     try:
         value = int(text)
     except ValueError:
@@ -299,96 +304,147 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _add_kn(parser) -> None:
-    parser.add_argument("--k", type=int, required=True)
-    parser.add_argument("--n", type=int, required=True)
+def _option(name, kind=str, default=None, required=False, help=None):
+    """``--name``: ``kind`` converts its value (``int``, ``_positive_int``,
+    ``str``), is a tuple of choices, or is ``bool`` for a store-true flag."""
+    return name, kind, default, required, help
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument error is invalid input: exit 2 with the JSON error.
+# The whole command-line surface, read by build_parser and _plain_args.
+# A command is (handler, help, positionals, options); a tuple of options
+# among the options is a mutually exclusive group.
 
-    Subparsers are built from the root parser's class, so they report
-    the same way.  ``--help`` still prints usage and exits 0.
-    """
+ROOT_OPTIONS = (
+    _option("output", help="write the result to a file"),
+    _option("jobs", _positive_int, os.cpu_count() or 1,
+            help="parallel workers for table cells (default: logical cores)"),
+)
+_KN = (_option("k", int, required=True), _option("n", int, required=True))
+_SCOPE = _option("scope", default="auto")
 
-    def error(self, message):
-        raise ParameterError(f"{self.prog}: {message}")
+COMMANDS = {
+    "validate": (_cmd_validate, "constant pair-sum test", ("b",), _KN),
+    "solve-wa": (_cmd_solve_wa, "integer exponent data (W, a)", ("b",), _KN),
+    "perms": (_cmd_perms, "enumerate Plucker permutations", (),
+              _KN + (_option("scope", ("full", "sn", "identity"), "full"),)),
+    "divisive": (_cmd_divisive, "search a divisibility-chain witness", ("b",),
+                 _KN + (_SCOPE,)),
+    "classify": (_cmd_classify, "scalar/permutation equivalence test",
+                 ("b", "c"), _KN + (_SCOPE,)),
+    "torsion": (_cmd_torsion, "torsion certificates and report", ("b",), _KN + (
+        _option("primes", help="comma-separated primes (default: divisors)"),
+        _SCOPE,
+    )),
+    "ring": (_cmd_ring, "structure-constant table", ("b",), _KN + (
+        (_option("equivariant", bool, True), _option("ordinary", bool, False)),
+        _option("format", ("json", "csv"), "json"),
+    )),
+    "puzzles": (_cmd_puzzles, "enumerate puzzles for one boundary", (), _KN + (
+        *(_option(name, int, required=True) for name in "ijl"),
+        _option("orientation", ("conjugated", "raw"), "conjugated"),
+        _option("render", bool, False),
+    )),
+    "poincare": (_cmd_poincare, "cell counts per complex dimension", (), _KN),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="wgrass",
-        description="Exact cohomology computations for weighted Grassmann orbifolds.",
-    )
-    parser.add_argument("--output", help="write the result to a file")
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=os.cpu_count() or 1,
-        help="parallel workers for table cells (default: logical cores)",
-    )
+def _flat(options):
+    """The options of a table row, mutually exclusive groups opened."""
+    for option in options:
+        yield from (option if isinstance(option[0], tuple) else (option,))
+
+
+def build_parser() -> "argparse.ArgumentParser":
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument error is invalid input: exit 2 with the JSON error.
+
+        Subparsers are built from the root parser's class, so they report
+        the same way.  ``--help`` still prints usage and exits 0.
+        """
+
+        def error(self, message):
+            raise ParameterError(f"{self.prog}: {message}")
+
+    def add(parser, options):
+        for option in options:
+            if isinstance(option[0], tuple):
+                add(parser.add_mutually_exclusive_group(), option)
+                continue
+            name, kind, default, required, help = option
+            kwargs = ({"action": "store_true"} if kind is bool else {
+                "choices" if isinstance(kind, tuple) else "type": kind})
+            parser.add_argument(f"--{name}", default=default,
+                                required=required, help=help, **kwargs)
+
+    parser = _Parser(prog="wgrass", description="Exact cohomology "
+                     "computations for weighted Grassmann orbifolds.")
+    add(parser, ROOT_OPTIONS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="constant pair-sum test")
-    p.add_argument("b")
-    _add_kn(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("solve-wa", help="integer exponent data (W, a)")
-    p.add_argument("b")
-    _add_kn(p)
-    p.set_defaults(handler=_cmd_solve_wa)
-
-    p = sub.add_parser("perms", help="enumerate Plucker permutations")
-    _add_kn(p)
-    p.add_argument("--scope", choices=["full", "sn", "identity"], default="full")
-    p.set_defaults(handler=_cmd_perms)
-
-    p = sub.add_parser("divisive", help="search a divisibility-chain witness")
-    p.add_argument("b")
-    _add_kn(p)
-    p.add_argument("--scope", default="auto")
-    p.set_defaults(handler=_cmd_divisive)
-
-    p = sub.add_parser("classify", help="scalar/permutation equivalence test")
-    p.add_argument("b")
-    p.add_argument("c")
-    _add_kn(p)
-    p.add_argument("--scope", default="auto")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser("torsion", help="torsion certificates and report")
-    p.add_argument("b")
-    _add_kn(p)
-    p.add_argument("--primes", help="comma-separated primes (default: divisors)")
-    p.add_argument("--scope", default="auto")
-    p.set_defaults(handler=_cmd_torsion)
-
-    p = sub.add_parser("ring", help="structure-constant table")
-    p.add_argument("b")
-    _add_kn(p)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--equivariant", action="store_true", default=True)
-    group.add_argument("--ordinary", action="store_true", default=False)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(handler=_cmd_ring)
-
-    p = sub.add_parser("puzzles", help="enumerate puzzles for one boundary")
-    _add_kn(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument(
-        "--orientation", choices=["conjugated", "raw"], default="conjugated"
-    )
-    p.add_argument("--render", action="store_true")
-    p.set_defaults(handler=_cmd_puzzles)
-
-    p = sub.add_parser("poincare", help="cell counts per complex dimension")
-    _add_kn(p)
-    p.set_defaults(handler=_cmd_poincare)
-
+    for command, (handler, help, positionals, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=help)
+        for name in positionals:
+            p.add_argument(name)
+        add(p, options)
+        p.set_defaults(handler=handler)
     return parser
+
+
+def _plain_args(argv):
+    """The namespace ``build_parser().parse_args(argv)`` makes, or None
+    unless argv is canonical: root options before an exact command name,
+    each option in full at most once, no other word that starts with "-"
+    (no -h, "--" or "--k=2"), and nothing argparse would refuse."""
+    words = iter(sys.argv[1:] if argv is None else argv)
+    options = {option[0]: option for option in ROOT_OPTIONS}
+    args, seen, positionals, command = {}, set(), [], None
+    for word in words:
+        if not word.startswith("-"):
+            if command is not None:
+                positionals.append(word)
+                continue
+            if word not in COMMANDS:
+                return None
+            command = word
+            handler, _, names, groups = COMMANDS[command]
+            options = {option[0]: option for option in _flat(groups)}
+            args.update(command=command, handler=handler)
+            continue
+        option = options.get(word[2:]) if word.startswith("--") else None
+        if option is None or option[0] in seen:
+            return None
+        name, kind, *_ = option
+        seen.add(name)
+        if kind is bool:
+            args[name] = True
+            continue
+        value = next(words, None)
+        if value is None or value.startswith("-"):
+            return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        elif kind is not str:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+            if kind is _positive_int and value < 1:
+                return None
+        args[name] = value
+    if command is None or len(positionals) != len(names):
+        return None
+    if any(isinstance(group[0], tuple) and len(seen & {o[0] for o in group}) > 1
+           for group in groups):
+        return None
+    for name, _, default, required, _ in (*ROOT_OPTIONS, *options.values()):
+        if name not in seen:
+            if required:
+                return None
+            args[name] = default
+    args.update(zip(names, positionals))
+    return types.SimpleNamespace(**args)
 
 
 def _emit(payload, output) -> None:
@@ -406,7 +462,9 @@ def _emit(payload, output) -> None:
 def main(argv=None) -> int:
     output = None
     try:
-        args = build_parser().parse_args(argv)
+        args = _plain_args(argv)
+        if args is None:
+            args = build_parser().parse_args(argv)
         output = args.output
         code, payload = args.handler(args)
     except CapacityError as exc:

@@ -331,7 +331,9 @@ def test_unknown_scope_is_rejected(capsys):
 
 def test_torsion_primes_must_be_primes(capsys):
     argv = ["torsion", "[30,30,25,10,5,5]", "--k", "2", "--n", "4", "--primes"]
-    for bad in ("0", "4", "-2", "2,4"):
+    # an empty list is refused however it is spelled, not read as "every
+    # prime" ('') or "no prime" (',')
+    for bad in ("0", "4", "-2", "2,4", "", ","):
         assert cli.main(argv + [bad]) == 2, bad
         assert json.loads(capsys.readouterr().out)["kind"] == "invalid-input"
     # p = 1 used to loop forever in the p-content; a hang fails here

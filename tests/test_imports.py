@@ -47,9 +47,14 @@ if len(sys.argv) > 1:
     assert code == 0, code
 print(json.dumps(sorted(
     m for m in sys.modules
-    if m.startswith("wgrass") or m in ("dataclasses", "fractions")
+    if m.startswith("wgrass")
+    or m in ("dataclasses", "fractions", "argparse", "gettext", "locale")
 )))
 """
+
+# argparse and the modules it loads for its messages: a canonical argv
+# is read without them
+ARGPARSE = {"argparse", "gettext", "locale"}
 
 B = "[2,2,2,1,1,1]"  # weighted and already divisive
 KN = ("--k", "2", "--n", "4")
@@ -198,5 +203,28 @@ def test_command_loads_only_its_layers(command):
     loaded = set(_run(MODULES_PROBE, *argv))
     assert "wgrass.cli" in loaded
     assert "dataclasses" not in loaded
-    absent = absent | {"wgrass.linalg"}
+    absent = absent | {"wgrass.linalg"} | ARGPARSE
     assert not loaded & absent, sorted(loaded & absent)
+
+
+# Runs one argv that argparse answers in a fresh process: its exit code,
+# its JSON error kind and whether argparse was loaded.
+ARGPARSE_PROBE = """
+import contextlib, io, json, sys
+import wgrass.cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        code = wgrass.cli.main(sys.argv[1:])
+    except SystemExit as exc:
+        code = exc.code
+kind = json.loads(out.getvalue())["kind"] if code else None
+print(json.dumps([code, kind, "argparse" in sys.modules]))
+"""
+
+
+def test_help_and_argument_errors_still_go_through_argparse():
+    assert _run(ARGPARSE_PROBE, "--help") == [0, None, True]
+    assert _run(ARGPARSE_PROBE, "ring", "--help") == [0, None, True]
+    assert _run(ARGPARSE_PROBE, "validate", B, "--k", "2") == [
+        2, "invalid-input", True]

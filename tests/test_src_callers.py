@@ -10,9 +10,8 @@ a called one passes.  Dunder methods are called by the language.
 
 The exceptions are the names the benchmark reads from outside: those
 ``bench/tracer.py`` wraps and those the harness calls as
-``module.name`` (the oracle's ``structure.localize_table``); the
-paper's objects that no command calls yet; and ``_Parser.error``, which
-argparse calls.
+``module.name`` (the oracle's ``structure.localize_table``), and the
+paper's objects that no command calls yet.
 """
 
 import ast
@@ -26,7 +25,6 @@ TRACER = ROOT / "bench" / "tracer.py"
 
 PAPER_OBJECTS = {"plucker.normalize", "torsion.lens_cohomology",
                  "torsion.building_sequence"}
-CALLED_BY_ARGPARSE = {"cli._Parser.error"}
 
 
 def _tracer_paths() -> set:
@@ -74,8 +72,7 @@ def test_every_src_function_has_a_src_caller():
     total = Counter()
     for tree in trees.values():
         total += _references(tree)
-    exempt = (_tracer_paths() | _bench_calls()
-              | PAPER_OBJECTS | CALLED_BY_ARGPARSE)
+    exempt = _tracer_paths() | _bench_calls() | PAPER_OBJECTS
     candidates = [
         (qualified, name, node)
         for module, tree in sorted(trees.items())
