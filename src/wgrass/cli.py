@@ -6,11 +6,12 @@ puzzles, poincare.  Weight vectors are passed as JSON arrays of decimal
 integers; (k, n) are explicit flags.  Output is JSON (default) or CSV
 (``--format csv``, ring tables only), written to stdout or ``--output``.
 
-Exit codes: 0 success, 2 invalid input, 3 not found in the searched
-scope, 4 capacity exceeded.  Given the same arguments the output bytes
-are identical across runs; parallelism (``--jobs``) only fans out pure
-computations, ``ring`` cells in interleaved chunks with one puzzle sweep
-each, and never reorders output.
+Exit codes: 0 success, 1 internal inconsistency (JSON kind "internal"),
+2 invalid input, 3 not found in the searched scope, 4 capacity exceeded.
+Given the same arguments the output bytes are identical across runs;
+parallelism (``--jobs``) only fans out pure computations, ``ring`` cells
+in interleaved chunks with one puzzle sweep each, and never reorders
+output.
 
 Each handler imports the layers it uses, so a command pays at start-up
 only for what it runs: ``validate`` never loads the puzzle, oracle or
@@ -55,6 +56,8 @@ def _parse_vector(text: str, k: int, n: int) -> tuple:
         raise ParameterError(f"weight vector is not valid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise ParameterError(f"weight vector entry is too long: {exc}") from exc
+    except RecursionError as exc:
+        raise ParameterError("weight vector is nested too deeply") from exc
     if not isinstance(data, list) or not all(isinstance(x, int) for x in data):
         raise ParameterError("weight vector must be a JSON array of integers")
     return plucker.check_weight_vector_shape(data, k, n)

@@ -94,9 +94,12 @@ it to +-([n] - L, [n] - I): one admissible pattern per relation, all
 consistent.  So a permutation is accepted iff it is a Plucker
 permutation, whatever the caller passes.
 
-The admissible patterns depend only on the term tuple
-((c_t, sigma r_t, sigma s_t), ...), so they are memoised on it in a
-bounded cache.  A backtracking search, run from an explicit stack,
+No two generating relations share a pair set, so the one relation
+with the pulled-back pairs is found by a dict lookup, and it fixes the
+pattern up to the overall sign: eps_t is the sign of its coefficient
+over c_t, or none is admissible.  The patterns depend only on the term
+tuple ((c_t, sigma r_t, sigma s_t), ...), so they are memoised on it in
+a bounded cache.  A backtracking search, run from an explicit stack,
 picks one pattern per relation, keeping the constraints t_r t_s = eps_t
 consistent in a parity union-find with an undo log; the first
 consistent choice is a proof, and the signs are read off the
@@ -106,7 +109,7 @@ union-find.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
@@ -360,21 +363,15 @@ class SignedPermutation(NamedTuple):
     signs: tuple
 
 
-class _PermutationContext(NamedTuple):
-    """The generating relations at one (k, n), as a tuple and as a set,
-    and the pairs (r, s) of their terms."""
-
-    rels: tuple
-    members: frozenset
-    pairs: frozenset
-
-
 @lru_cache(maxsize=8, typed=True)
-def _permutation_context(k: int, n: int) -> _PermutationContext:
-    """Shared data for the permutation predicate, built on first use."""
+def _permutation_context(k: int, n: int) -> dict:
+    """The generating relations at (k, n) keyed by their pairs, built on
+    first use; ``_sign_patterns`` needs no two to share a pair set."""
     rels = generate_relations(k, n)
-    pairs = frozenset(pair for rel in rels for pair in rel.pairs)
-    return _PermutationContext(rels, frozenset(rels), pairs)
+    context = {rel.pairs: rel.coefs for rel in rels}
+    if len(context) != len(rels):
+        raise InternalInconsistencyError("two relations share a pair set")
+    return context
 
 
 @lru_cache(maxsize=2**15, typed=True)
@@ -382,16 +379,23 @@ def _sign_patterns(k: int, n: int, terms: tuple) -> tuple:
     """Sign patterns eps making sum_t eps_t c_t z_(r_t) z_(s_t) a
     generating relation up to scale.
 
-    terms is the pulled-back relation ((c_t, r_t, s_t), ...); patterns are
-    kept in product((1, -1), repeat=T) order.
+    terms is the pulled-back relation ((c_t, r_t, s_t), ...).  Only the
+    relation with the same pairs can match, and it does, up to the sign
+    of the scale, for one pattern e or for none: the answer is () or
+    (e, -e) with e[0] = +1, the product((1, -1), repeat=T) order.
     """
-    members = _permutation_context(k, n).members
-    admissible = []
-    for eps in product((1, -1), repeat=len(terms)):
-        signed = {(r, s): e * c for e, (c, r, s) in zip(eps, terms)}
-        if _canonical_relation(signed) in members:
-            admissible.append(eps)
-    return tuple(admissible)
+    order = sorted(range(len(terms)), key=lambda t: terms[t][1:])
+    coefs = _permutation_context(k, n).get(tuple(terms[t][1:] for t in order))
+    if coefs is None:
+        return ()
+    g = gcd(*(c for c, _, _ in terms))
+    eps = [0] * len(terms)
+    for t, coef in zip(order, coefs):
+        if abs(terms[t][0]) != g * abs(coef):
+            return ()
+        eps[t] = 1 if (terms[t][0] > 0) == (coef > 0) else -1
+    eps = tuple(e * eps[0] for e in eps)
+    return eps, tuple(-e for e in eps)
 
 
 class _ParityForest:
@@ -455,15 +459,11 @@ def is_plucker_permutation(sigma, k: int, n: int):
     generating relation; a search then picks one pattern per relation
     with consistent constraints t_r t_s = eps_t.
     """
-    rels, _, pairs = _permutation_context(k, n)
+    rels = generate_relations(k, n)
     m1 = symbols.count(k, n)
     sigma = tuple(sigma)
     if sorted(sigma) != list(range(m1)):
         raise ParameterError(f"not a permutation of 0..{m1 - 1}")
-    for r, s in pairs:
-        ir, is_ = sigma[r], sigma[s]
-        if ((ir, is_) if ir <= is_ else (is_, ir)) not in pairs:
-            return None
     options = []
     for rel in rels:
         terms = []
@@ -537,13 +537,8 @@ def _enumerate_cached(k: int, n: int, scope: str) -> tuple:
         sn = _enumerate_cached(k, n, "sn")
         if n != 2 * k:
             return sn
-        lat = symbols.lattice(k, n)
-        complement = [
-            lat.index[tuple(u for u in range(1, n + 1) if u not in sym)]
-            for sym in lat.symbols
-        ]
-        dual = {tuple(sigma[c] for c in complement) for sigma in sn}
-        return tuple(sorted(dual.union(sn)))
+        # the complement map reverses lex order (module docstring)
+        return tuple(sorted({sigma[::-1] for sigma in sn}.union(sn)))
     raise ParameterError(f"unknown scope {scope!r}")
 
 

@@ -588,7 +588,9 @@ def reference_full_scope(k: int, n: int) -> list:
     ``plucker.is_plucker_permutation``; sorted by permutation.  This is
     the search the closed-form ``full`` scope replaced.
     """
-    m1, pairs = symbols.count(k, n), plucker._permutation_context(k, n).pairs
+    m1 = symbols.count(k, n)
+    pairs = {pair for rel in plucker.generate_relations(k, n)
+             for pair in rel.pairs}
     sigma = [-1] * m1
     used = [False] * m1
     found = []
@@ -680,8 +682,11 @@ def in_row_span(vec, rref_rows, pivots) -> bool:
 def reference_sign_patterns(k: int, n: int, terms: tuple) -> tuple:
     """``plucker._sign_patterns`` by the span test that the lookup
     replaced: the patterns eps that put sum_t eps_t c_t z_(r_t) z_(s_t)
-    in the span of the generating relations."""
+    in the span of the generating relations; none when a pair is in no
+    relation."""
     cols, rref_rows, pivots = _span_basis(k, n)
+    if any((r, s) not in cols for _, r, s in terms):
+        return ()
     admissible = []
     for eps in product((1, -1), repeat=len(terms)):
         dense = [0] * len(cols)

@@ -10,7 +10,7 @@ from itertools import combinations
 from math import comb
 
 from reference import parse_poly
-from wgrass import cli, symbols
+from wgrass import cli, plucker, symbols
 
 
 def run_cli(*args):
@@ -292,9 +292,11 @@ def test_invalid_input_exit_codes():
     code, _ = run_cli("solve-wa", "[1,1,1,1,1,2]", "--k", "2", "--n", "4")
     assert code == 2
     # JSON booleans are not integers; a weight past Python's int-string
-    # digit limit must not escape as a traceback
+    # digit limit and JSON nested past the recursion limit must not
+    # escape as a traceback
     for vector in ("[true,true,true,true,true,true]",
-                   "[" + "9" * 5000 + ",1,1,1,1,1]"):
+                   "[" + "9" * 5000 + ",1,1,1,1,1]",
+                   "[" * 50000 + "]" * 50000):
         code, out = run_cli("validate", vector, "--k", "2", "--n", "4")
         assert code == 2 and json.loads(out)["kind"] == "invalid-input"
     # argument errors too: a root flag after the subcommand, a missing
@@ -350,6 +352,18 @@ def test_torsion_primes_must_be_primes(capsys):
 def test_capacity_exit_code():
     code, _ = run_cli("perms", "--k", "2", "--n", "9", "--scope", "full")
     assert code == 4
+
+
+def test_internal_inconsistency_exit_code(monkeypatch, capsys):
+    # a closed-form witness that fails certification contradicts the
+    # library's own argument: exit 1 with an "internal" JSON error
+    monkeypatch.setattr(plucker, "is_plucker_permutation",
+                        lambda sigma, k, n: None)
+    assert cli.main(["divisive", "[2,2,2,1,1,1]", "--k", "2", "--n", "4"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "error": "induced permutation failed the Plucker predicate",
+        "kind": "internal",
+    }
 
 
 def test_factoring_is_bounded():

@@ -11,7 +11,12 @@ import pytest
 
 import reference
 from wgrass import cli, linalg, plucker, symbols
-from wgrass.errors import CapacityError, InvalidWeightVectorError, ParameterError
+from wgrass.errors import (
+    CapacityError,
+    InternalInconsistencyError,
+    InvalidWeightVectorError,
+    ParameterError,
+)
 
 
 def rank(mat):
@@ -416,8 +421,8 @@ def test_sign_screen_matches_fraction_evaluation():
     # mixed from several relations; admissible patterns vanish on samples
     rng = random.Random(23)
     for k, n in [(2, 5), (3, 5)]:
-        ctx = plucker._permutation_context(k, n)
-        pairs = sorted(ctx.pairs)
+        rels = plucker.generate_relations(k, n)
+        pairs = sorted({pair for rel in rels for pair in rel.pairs})
         points = [sample_plucker_point(k, n, 500 + seed)
                   for seed in range(5)]
         induced = _induced(k, n)
@@ -429,7 +434,7 @@ def test_sign_screen_matches_fraction_evaluation():
                                 for pair in rng.sample(pairs, 3)))
         hits = 0
         outcomes = set()
-        for terms in tuples + tuples[: 4 * len(ctx.rels)]:
+        for terms in tuples + tuples[: 4 * len(rels)]:
             expected = reference.reference_sign_patterns(k, n, terms)
             before = plucker._sign_patterns.cache_info().hits
             got = plucker._sign_patterns(k, n, terms)
@@ -439,7 +444,7 @@ def test_sign_screen_matches_fraction_evaluation():
                 assert not sum(e * c * z[r] * z[s]
                                for e, (c, r, s) in zip(eps, terms))
             outcomes.add(bool(got))
-        assert hits >= 4 * len(ctx.rels)
+        assert hits >= 4 * len(rels)
         assert outcomes == {True, False}
 
 
@@ -519,6 +524,27 @@ def test_permutation_caches_are_bounded():
     for cache in caches:
         info = cache.cache_info()
         assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_no_two_relations_share_a_pair_set(monkeypatch):
+    # the lookup keys the generating relations by their pairs: building
+    # that key raises nothing at every size up to n = 9, and raises on
+    # a relation set where two relations share a pair set
+    for n in range(2, 10):
+        for k in range(1, n):
+            context = plucker._permutation_context(k, n)
+            assert len(context) == len(plucker.generate_relations(k, n))
+    rels = plucker.generate_relations(2, 4)
+    twin = plucker.PluckerRelation(rels[0].pairs, (1,) * len(rels[0].pairs))
+    monkeypatch.setattr(plucker, "generate_relations",
+                        lambda k, n: rels + (twin,))
+    plucker._permutation_context.cache_clear()
+    try:
+        with pytest.raises(InternalInconsistencyError,
+                           match="two relations share a pair set"):
+            plucker._permutation_context(2, 4)
+    finally:
+        plucker._permutation_context.cache_clear()
 
 
 def test_full_scope_at_1_9_raises_the_sn_capacity_error():
