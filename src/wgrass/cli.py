@@ -41,12 +41,6 @@ PUZZLES_LIMIT = 924  # largest C(n, k) whose lattice puzzles builds; (6, 12) fit
 POINCARE_LIMIT = 2500  # largest k (n - k) that poincare expands; (50, 100) fits
 
 
-def _check_size(size: int, limit: int, what: str) -> None:
-    """Exit 4 on a size count alone, before anything is built."""
-    if size > limit:
-        raise CapacityError(f"{what} <= {limit}, got {size}")
-
-
 def _parse_vector(text: str, k: int, n: int) -> tuple:
     from . import plucker
 
@@ -196,8 +190,8 @@ def _cmd_ring(args) -> tuple:
     from . import plucker, structure, symbols  # noqa: F401
 
     parsed = _parse_vector(args.b, args.k, args.n)
-    m1 = symbols.count(args.k, args.n)
-    _check_size(m1, RING_LIMIT, "ring tables need C(n, k)")
+    m1 = symbols.check_count(args.k, args.n, RING_LIMIT,
+                             "ring tables need C(n, k)")
     b = plucker.weight_vector(parsed, args.k, args.n)
     level = "ordinary" if args.ordinary else "equivariant"
     presented = b
@@ -245,8 +239,8 @@ def _cmd_puzzles(args) -> tuple:
     from . import puzzles, symbols
     from .polynomial import Poly
 
-    _check_size(symbols.count(args.k, args.n), PUZZLES_LIMIT,
-                "puzzles builds the lattice of C(n, k)")
+    symbols.check_count(args.k, args.n, PUZZLES_LIMIT,
+                        "puzzles builds the lattice of C(n, k)")
     conjugated = args.orientation == "conjugated"
     triple = (args.i, args.j, args.l)
     lat = symbols.lattice(args.k, args.n)
@@ -289,8 +283,10 @@ def _cmd_poincare(args) -> tuple:
     from . import symbols, torsion
 
     symbols.check_kn(args.k, args.n)
-    _check_size(args.k * (args.n - args.k), POINCARE_LIMIT,
-                "poincare expands k (n - k)")
+    # names (k, n): k (n - k) may have more digits than str() prints
+    if args.k * (args.n - args.k) > POINCARE_LIMIT:
+        raise CapacityError(f"poincare expands k (n - k) <= {POINCARE_LIMIT}, "
+                            f"got (k, n) = ({args.k}, {args.n})")
     return EXIT_OK, torsion.poincare_ranks(args.k, args.n)
 
 

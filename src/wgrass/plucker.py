@@ -6,10 +6,28 @@ is cut out by the quadratic exchange relations
 
     sum_j (-1)^j z_{r_j} z_{s_j} = 0,
 
-one for every head (i_1 < ... < i_{k-1}) and tail (l_0 < ... < l_k),
-where symbol r_j sorts (i_1, ..., i_{k-1}, l_j) (with the sorting sign
-folded into the coefficient) and s_j is the tail with l_j removed.
+one for every head I = (i_1 < ... < i_{k-1}) and tail J = (l_0 < ...
+< l_k), where symbol r_j sorts (i_1, ..., i_{k-1}, l_j) (with the sorting
+sign folded into the coefficient) and s_j is the tail with l_j removed.
 The same construction serves every k, 2k > n included.
+
+``generate_relations`` builds each of them once, in canonical form.
+With C = I & J of size c, the relation has t = k + 1 - c terms, one per
+l in J - I: z_{C+H+l} z_{C+T-l}, where H = I - C and T = J - C split the
+2(k - c) columns S = H + T that it moves.  Sorting I + l takes one swap
+per entry of I above l; with l at place j of J and at place p of S, the
+entries of C are counted once on each side, so the sign is (-1)^(j +
+#{i in I: i > l}) = (-1)^(c + |H| + p): (-1)^p up to the relation's
+sign.  At t = 2 (c = k - 1) both terms are the pair (C + l, C + l') with
+opposite signs, and cancel.  Each pair's two symbols meet in C and span
+C + S, so a relation fixes (C, S).  At t = 3 its pairs are the three
+perfect matchings of S into 2-sets (each joined with C) whatever H is,
+so one H, {min S}, is built per (C, S).  At t >= 4 the halves C + H + l
+are the one choice of a symbol from each pair sharing t - 2 >= 2 entries
+outside C (two halves C + T - l share t - 2 but all of them share none;
+halves from both sides share one), so H is read off the relation and
+each H gives its own.  Every coefficient is +-1, so the canonical form
+only sorts the pairs and makes the first coefficient +1.
 
 A weight vector b (positive integers, one per coordinate) is *valid*
 when every relation has constant pair-sum b_{r_j} + b_{s_j}; exactly
@@ -126,6 +144,7 @@ SN_SCOPE_LIMIT = 8  # sn scope walks all n! column permutations while n <= 8
 SCOPES = ("auto", "identity", "sn", "full")  # searches: the ladder, or one rung
 CERTIFY_LIMIT = 252  # largest C(n, k) whose relations are built; n <= 10 fits
 FACTOR_LIMIT = 10**6  # trial divisors tried by prime_factors
+LENGTH_SHOWN_LIMIT = 10**6  # largest C(n, k) a length error prints; no argv holds more
 
 
 # ---------------------------------------------------------------------------
@@ -140,57 +159,39 @@ class PluckerRelation(NamedTuple):
     coefs: tuple
 
 
-def _sort_sign(seq) -> tuple:
-    """Sorted tuple and the sign of the sorting permutation (0 on repeats)."""
-    items = list(seq)
-    if len(set(items)) != len(items):
-        return tuple(sorted(items)), 0
-    inversions = sum(
-        1
-        for a in range(len(items))
-        for b in range(a + 1, len(items))
-        if items[a] > items[b]
-    )
-    return tuple(sorted(items)), (-1) ** inversions
-
-
-def _canonical_relation(term_map: dict):
-    """Normalize a pair->coefficient map into a PluckerRelation or None."""
-    items = [(pair, c) for pair, c in sorted(term_map.items()) if c]
-    if len(items) < 2:
-        return None
-    g = gcd(*(c for _, c in items))
-    lead = items[0][1]
-    flip = -1 if lead < 0 else 1
-    pairs = tuple(pair for pair, _ in items)
-    coefs = tuple(flip * c // g for _, c in items)
-    return PluckerRelation(pairs, coefs)
-
-
 @lru_cache(maxsize=8, typed=True)
 def generate_relations(k: int, n: int) -> tuple:
-    """Deduplicated, sign-normalized generating relations for Pl(k, n)."""
-    if symbols.count(k, n) > CERTIFY_LIMIT:
-        raise CapacityError(f"relations need C(n, k) <= {CERTIFY_LIMIT}, "
-                            f"got {symbols.count(k, n)}")
-    index = symbols.lattice(k, n).index
-    rels = set()
-    for head in combinations(range(1, n + 1), k - 1):
-        head_set = set(head)
-        for tail in combinations(range(1, n + 1), k + 1):
-            term_map: dict = {}
-            for j, l in enumerate(tail):
-                if l in head_set:
-                    continue
-                sym_r, sign_r = _sort_sign(head + (l,))
-                sym_s = tuple(x for x in tail if x != l)
-                r, s = index[sym_r], index[sym_s]
-                pair = (r, s) if r <= s else (s, r)
-                term_map[pair] = term_map.get(pair, 0) + (-1) ** j * sign_r
-            rel = _canonical_relation(term_map)
-            if rel is not None:
-                rels.add(rel)
-    return tuple(sorted(rels, key=lambda rel: rel.pairs))
+    """The generating relations for Pl(k, n), each built once in canonical
+    form (module docstring), sorted by pairs."""
+    symbols.check_count(k, n, CERTIFY_LIMIT, "relations need C(n, k)")
+    index = {sum(1 << u for u in sym): i  # symbols by their column bits
+             for i, sym in enumerate(symbols.lattice(k, n).symbols)}
+    cols = range(1, n + 1)
+    rels = []
+    for half in range(2, min(k, n - k) + 1):  # half = k - c, t = half + 1
+        for common in combinations(cols, k - half):
+            rest = [u for u in cols if u not in common]
+            base = sum(1 << u for u in common)
+            for moved in combinations(rest, 2 * half):
+                span = base + sum(1 << u for u in moved)
+                heads = (combinations(moved, half - 1) if half > 2
+                         else [moved[:1]])
+                for head in heads:
+                    hbits = sum(1 << u for u in head)
+                    terms = []
+                    for p, l in enumerate(moved):
+                        if l not in head:
+                            r = index[base | hbits | 1 << l]
+                            s = index[span ^ hbits ^ 1 << l]
+                            terms.append(((r, s) if r < s else (s, r), p))
+                    terms.sort()
+                    lead = terms[0][1]
+                    rels.append(PluckerRelation(
+                        tuple(pair for pair, _ in terms),
+                        tuple(-1 if (p - lead) % 2 else 1 for _, p in terms),
+                    ))
+    rels.sort()
+    return tuple(rels)
 
 
 # ---------------------------------------------------------------------------
@@ -219,11 +220,15 @@ def check_weight_vector_shape(b, k: int, n: int) -> tuple:
 
     A WeightVector of the same (k, n) is handed back unchanged.
     """
-    m1 = symbols.count(k, n)  # first, so that True never matches a kn of 1
+    symbols.check_kn(k, n)  # first, so that True never matches a kn of 1
     if isinstance(b, WeightVector) and b.kn == (k, n):
         return b
     vec = tuple(b)
-    if len(vec) != m1:
+    m1 = symbols.count_upto(k, n, max(len(vec), LENGTH_SHOWN_LIMIT))
+    if m1 is None:
+        raise ParameterError(
+            f"weight vector must have length C({n}, {k}), got {len(vec)}")
+    if m1 != len(vec):
         raise ParameterError(f"weight vector must have length {m1}")
     for x in vec:
         if not isinstance(x, int) or isinstance(x, bool) or x < 1:

@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 
 Symbol = tuple  # strictly increasing tuple of ints
 
@@ -47,6 +47,31 @@ def count(k: int, n: int) -> int:
     """Number of Schubert symbols, C(n, k), without building them."""
     check_kn(k, n)
     return comb(n, k)
+
+
+def count_upto(k: int, n: int, limit: int):
+    """C(n, k) when it is at most limit, else None.
+
+    The partial counts C(n, j) grow with j up to min(k, n - k), so the
+    product stops once one passes limit: a huge (k, n) costs a few
+    steps, not the exact count, whose digits str() may refuse to print.
+    """
+    check_kn(k, n)
+    value = 1
+    for j in range(1, min(k, n - k) + 1):
+        value = value * (n - j + 1) // j
+        if value > limit:
+            return None
+    return value
+
+
+def check_count(k: int, n: int, limit: int, what: str) -> int:
+    """C(n, k), or CapacityError once it passes limit; the message names
+    (k, n), never a count past the limit."""
+    m1 = count_upto(k, n, limit)
+    if m1 is None:
+        raise CapacityError(f"{what} <= {limit}, got (k, n) = ({k}, {n})")
+    return m1
 
 
 def enumerate_symbols(k: int, n: int) -> list[Symbol]:

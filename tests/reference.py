@@ -7,6 +7,9 @@ basis and of packed edge labels, ``is_class``, GKM membership by
 ``is_homogeneous`` and ``parse_poly``, the rewrite basis
 ``positivity_forms``, and ``render_relation``, ``is_plucker_point``
 and ``is_primitive`` on Plucker relations and weight vectors).
+The relations have their reference in ``reference_relations``: every
+head against every tail, normalized and deduplicated, the loop that the
+direct enumeration replaced.
 ``a_coefficients`` expands one puzzle's piece factors by subset sums
 (``expand_linear_product_subsets``), where the library multiplies its
 packed frontier factors.
@@ -162,6 +165,55 @@ def positivity_forms(ctx) -> list:
         - Fraction(ctx.piece_value(q, q + 1), ctx.b[0]) * y0
         for q in range(1, n)
     ] + [y0]
+
+
+def _sort_sign(seq) -> tuple:
+    """Sorted tuple and the sign of the sorting permutation (0 on repeats)."""
+    items = list(seq)
+    if len(set(items)) != len(items):
+        return tuple(sorted(items)), 0
+    inversions = sum(
+        1
+        for a in range(len(items))
+        for b in range(a + 1, len(items))
+        if items[a] > items[b]
+    )
+    return tuple(sorted(items)), (-1) ** inversions
+
+
+def _canonical_relation(term_map: dict):
+    """Normalize a pair->coefficient map into a PluckerRelation or None."""
+    items = [(pair, c) for pair, c in sorted(term_map.items()) if c]
+    if len(items) < 2:
+        return None
+    g = gcd(*(c for _, c in items))
+    flip = -1 if items[0][1] < 0 else 1
+    return plucker.PluckerRelation(tuple(pair for pair, _ in items),
+                                   tuple(flip * c // g for _, c in items))
+
+
+def reference_relations(k: int, n: int) -> tuple:
+    """``plucker.generate_relations`` by the route it replaced: every head
+    (k - 1)-set against every tail (k + 1)-set, each relation normalized
+    (sorting signs by inversion count, gcd and lead sign) and deduplicated,
+    then sorted by pairs."""
+    index = symbols.lattice(k, n).index
+    rels = set()
+    for head in combinations(range(1, n + 1), k - 1):
+        for tail in combinations(range(1, n + 1), k + 1):
+            term_map: dict = {}
+            for j, l in enumerate(tail):
+                if l in head:
+                    continue
+                sym_r, sign_r = _sort_sign(head + (l,))
+                r = index[sym_r]
+                s = index[tuple(x for x in tail if x != l)]
+                pair = (r, s) if r <= s else (s, r)
+                term_map[pair] = term_map.get(pair, 0) + (-1) ** j * sign_r
+            rel = _canonical_relation(term_map)
+            if rel is not None:
+                rels.add(rel)
+    return tuple(sorted(rels, key=lambda rel: rel.pairs))
 
 
 def render_relation(rel) -> str:

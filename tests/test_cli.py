@@ -243,6 +243,29 @@ def test_ring_is_bounded_before_any_relation_work():
         assert json.loads(proc.stdout)["kind"] == "capacity"
 
 
+def test_huge_sizes_exit_without_counting():
+    # every guard stops counting C(n, k) once it passes its limit or the
+    # vector's length, and names (k, n) instead of a count whose digits
+    # str() refuses: at (10000, 20000) the count has over 4,300 digits,
+    # and at (500000, 1000000) computing it in full takes seconds
+    huge = 10**2200  # k (n - k) past str()'s digit limit
+    argvs = [["poincare", "--k", str(huge), "--n", str(3 * huge)]]
+    for k, n in ((10000, 20000), (500000, 1000000)):
+        kn = ["--k", str(k), "--n", str(n)]
+        argvs += [
+            ["validate", "[1]", *kn],
+            ["perms", "--scope", "identity", *kn],
+            ["puzzles", "--i", "0", "--j", "0", "--l", "0", *kn],
+            ["ring", "[1]", *kn],
+            ["torsion", "[1]", *kn],
+        ]
+    for argv in argvs:
+        proc = _run_bounded(argv)
+        assert proc.returncode in (2, 4), argv[:4]
+        assert json.loads(proc.stdout)["kind"] in ("invalid-input", "capacity")
+        assert proc.stderr == "", argv[:4]
+
+
 def test_divisive_and_classify_answer_past_the_sn_limit():
     # divisive and classify sort W instead of walking the n! induced
     # permutations, so at (1, 9), where the identity presents neither

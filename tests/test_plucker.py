@@ -107,6 +107,16 @@ def test_relations_pinned_for_2k_above_n():
         assert hashlib.sha256(text.encode()).hexdigest() == want, (k, n)
 
 
+def test_relations_match_the_head_tail_reference():
+    # the direct enumeration builds the relations, coefficients and order
+    # that every head against every tail, normalized and deduplicated,
+    # builds; CI compares n = 10 on one Python version
+    for n in range(2, 10):
+        for k in range(1, n):
+            rels = plucker.generate_relations(k, n)
+            assert rels == reference.reference_relations(k, n), (k, n)
+
+
 def test_relations_projective_space_empty():
     assert plucker.generate_relations(1, 4) == ()
     assert plucker.generate_relations(3, 4) == ()

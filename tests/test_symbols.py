@@ -1,12 +1,13 @@
 """Schubert symbol combinatorics."""
 
 import random
+from math import comb
 
 import pytest
 
 import reference
 from wgrass import plucker, symbols
-from wgrass.errors import ParameterError
+from wgrass.errors import CapacityError, ParameterError
 
 
 def q_binomial(n, k):
@@ -69,6 +70,23 @@ def test_count_is_the_binomial_without_a_lattice():
     assert symbols.count(10, 20) == 184756
     with pytest.raises(ParameterError):
         symbols.count(3, 3)
+
+
+def test_count_upto_stops_past_the_limit():
+    # the binomial up to the limit, None past it, the boundary included;
+    # check_count raises there and names (k, n), not the count
+    for n in range(2, 13):
+        for k in range(1, n):
+            m1 = comb(n, k)
+            for limit in (m1 - 1, m1, m1 + 1, 1, 10**6):
+                want = m1 if m1 <= limit else None
+                assert symbols.count_upto(k, n, limit) == want, (k, n, limit)
+    assert symbols.check_count(5, 10, 252, "relations") == 252
+    with pytest.raises(CapacityError,
+                       match=r"^relations <= 252, got \(k, n\) = \(5, 11\)$"):
+        symbols.check_count(5, 11, 252, "relations")
+    with pytest.raises(ParameterError):
+        symbols.count_upto(3, 3, 10)
 
 
 def test_dim_values():
